@@ -1,7 +1,10 @@
 """Supervision objectives and target construction.
 
 Targets and predictions are (C+1, h, w) channel-first maps whose channels
-sum to 1 per pixel; channel 0 is background. The soft-target loss treats
+sum to 1 per pixel, or (N, C+1, h, w) batches of them; channel 0 is
+background. Training computes the loss of a whole batch in one call
+(`batch_ce_and_grad`); both supervision modes feed it soft targets, hard
+masks as their one-hot maps. The soft-target loss treats
 the resized saliency value as the foreground-class probability and its
 complement as background. Logs are clamped at 1e-12.
 """
@@ -48,6 +51,30 @@ def multilabel_ce_grad(logits: np.ndarray, target: np.ndarray) -> np.ndarray:
         raise ValueError(f"shape mismatch: logits {logits.shape} vs target {target.shape}")
     _, h, w = logits.shape
     return (channel_softmax(logits) - target) / (h * w)
+
+
+def batch_ce_and_grad(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
+    """Soft-target cross-entropy of an (N, C+1, h, w) batch and its gradient
+    w.r.t. the logits, from one softmax.
+
+    The loss is the mean of the per-image multilabel_ce values. The gradient
+    is the stack of the per-image multilabel_ce_grad maps, i.e. that of the
+    sum of the per-image losses, so its scale does not depend on N.
+    """
+    logits = np.asarray(logits, dtype=np.float64)
+    targets = np.asarray(targets, dtype=np.float64)
+    if logits.ndim != 4 or logits.shape != targets.shape:
+        raise ValueError(
+            f"need matching (N, C+1, h, w) batches: logits {logits.shape} vs "
+            f"targets {targets.shape}"
+        )
+    n, _, h, w = logits.shape
+    probs = channel_softmax(logits)
+    loss = float(-(targets * np.log(np.maximum(probs, _LOG_CLAMP))).sum() / (n * h * w))
+    grad = probs
+    grad -= targets
+    grad /= h * w
+    return loss, grad
 
 
 def one_hot(mask: np.ndarray, num_classes: int) -> np.ndarray:

@@ -19,6 +19,7 @@ from .ops import (
     channel_softmax,
     conv2d_backward,
     conv2d_forward,
+    im2col,
     relu_backward,
     relu_forward,
 )
@@ -84,6 +85,15 @@ def output_stride(params: ParamSet) -> int:
 
 
 def _forward_cached(params: ParamSet, images: np.ndarray):
+    """Training forward: logits plus the cache `backward` consumes.
+
+    Each conv's patch matrix is built once here and kept in the cache, so
+    backward reuses it for the kernel gradient instead of rebuilding it.
+    """
+    return _forward(params, images, keep=True)
+
+
+def _forward(params: ParamSet, images: np.ndarray, keep: bool):
     nb = num_blocks(params)
     stride = output_stride(params)
     _, _, h, w = images.shape
@@ -92,34 +102,46 @@ def _forward_cached(params: ParamSet, images: np.ndarray):
     a = (np.asarray(images, dtype=np.float64) - _INPUT_MEAN) / _INPUT_STD
     cache = []
     for i in range(1, nb + 1):
-        z = conv2d_forward(a, params[f"conv{i}.weight"].value, params[f"conv{i}.bias"].value)
-        cache.append((a, z))
+        weight = params[f"conv{i}.weight"].value
+        cols = im2col(a, weight.shape[2]) if keep else None
+        z = conv2d_forward(a, weight, params[f"conv{i}.bias"].value, cols=cols)
+        if keep:
+            cache.append((a, z, cols))
         r = relu_forward(z)
         a = avgpool2_forward(r) if i <= _MAX_POOLS else r
     logits = conv2d_forward(a, params["head.weight"].value, params["head.bias"].value)
-    cache.append(a)
+    if keep:
+        cache.append(a)
     return logits, cache
 
 
 def forward(params: ParamSet, images: np.ndarray) -> np.ndarray:
     """images: (N, 3, H, W) with H, W divisible by 4 -> logits (N, C+1, h, w)."""
-    logits, _ = _forward_cached(params, images)
+    logits, _ = _forward(params, images, keep=False)
     return logits
 
 
 def backward(params: ParamSet, cache, grad_logits: np.ndarray) -> None:
-    """Accumulates parameter gradients (+=) for the cached forward pass."""
+    """Accumulates parameter gradients (+=) for the cached forward pass.
+
+    Consumes the cache, popping one layer's entry at a time, so each patch
+    matrix is freed once its layer is done rather than at the end of the
+    pass. The input gradient of conv1 is not computed: the image has no
+    parameters.
+    """
     nb = num_blocks(params)
-    head_in = cache[-1]
+    head_in = cache.pop()
     g, gk, gb = conv2d_backward(head_in, params["head.weight"].value, grad_logits)
     params["head.weight"].grad += gk
     params["head.bias"].grad += gb
     for i in range(nb, 0, -1):
-        a_in, z = cache[i - 1]
+        a_in, z, cols = cache.pop()
         if i <= _MAX_POOLS:
             g = avgpool2_backward(g)
         g = relu_backward(z, g)
-        g, gk, gb = conv2d_backward(a_in, params[f"conv{i}.weight"].value, g)
+        g, gk, gb = conv2d_backward(
+            a_in, params[f"conv{i}.weight"].value, g, cols=cols, input_grad=i > 1
+        )
         params[f"conv{i}.weight"].grad += gk
         params[f"conv{i}.bias"].grad += gb
 

@@ -6,8 +6,20 @@ and a numerically stabilized per-pixel channel softmax. Each backward
 function is the exact gradient of its forward counterpart; the
 finite-difference checker in `params` is the independent referee.
 
+Convolution is im2col + matrix multiply, paired with col2im for the input
+gradient, as in Caffe (Jia et al. 2014). `im2col` copies each k x k window
+of the zero-padded input into one column of a (C*k*k, H*W) patch matrix
+per image; the forward pass is one matmul of the flattened kernel with it,
+and so is the kernel gradient. `col2im` is its adjoint: it scatter-adds
+the columns of `W^T @ upstream` back onto the padded input grid (k*k
+slice-adds), which is the input gradient. The training forward
+(`network._forward_cached`) builds each conv's patch matrix once, passes it
+to `conv2d_forward` as `cols=` and caches it for `conv2d_backward`, so a
+train step builds one patch matrix per conv. Inference (`network.forward`,
+`predict`) builds it inside `conv2d_forward` and keeps none.
+
 Array conventions: feature maps are (N, C, H, W), kernels (Cout, Cin, k, k),
-single-image probability/logit maps (C+1, h, w). All math is float64.
+probability/logit maps (..., C+1, h, w). All math is float64.
 """
 from __future__ import annotations
 
@@ -18,20 +30,54 @@ def _f64(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
-def _im2col(x: np.ndarray, k: int) -> np.ndarray:
-    """Zero-padded patch matrix: (N, C, H, W) -> (N, C*k*k, H*W)."""
+def im2col(x: np.ndarray, k: int) -> np.ndarray:
+    """Zero-padded patch matrix: (N, C, H, W) -> (N, C*k*k, H*W).
+
+    Row c*k*k + i*k + j holds channel c shifted by (i - k//2, j - k//2).
+    """
     n, c, h, w = x.shape
+    if k == 1:
+        return x.reshape(n, c, h * w)
     p = k // 2
     xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
     win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
     return win.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * k * k, h * w)
 
 
-def conv2d_forward(x, kernel, bias) -> np.ndarray:
+def col2im(cols: np.ndarray, shape, k: int) -> np.ndarray:
+    """Adjoint of im2col: scatter-adds a (N, C*k*k, H*W) patch matrix onto
+    an (N, C, H, W) grid, one slice-add per kernel offset."""
+    n, c, h, w = shape
+    if cols.shape != (n, c * k * k, h * w):
+        raise ValueError(f"patch matrix shape {cols.shape} does not match {shape} at k={k}")
+    if k == 1:
+        return cols.reshape(n, c, h, w)
+    p = k // 2
+    taps = cols.reshape(n, c, k, k, h, w)
+    out = np.zeros((n, c, h + 2 * p, w + 2 * p))
+    for i in range(k):
+        for j in range(k):
+            out[:, :, i : i + h, j : j + w] += taps[:, :, i, j]
+    return out[:, :, p : p + h, p : p + w]
+
+
+def _patch_matrix(x: np.ndarray, k: int, cols) -> np.ndarray:
+    if cols is None:
+        return im2col(x, k)
+    n, c, h, w = x.shape
+    if cols.shape != (n, c * k * k, h * w):
+        raise ValueError(
+            f"patch matrix shape {cols.shape} does not match input {x.shape} at k={k}"
+        )
+    return cols
+
+
+def conv2d_forward(x, kernel, bias, *, cols=None) -> np.ndarray:
     """Stride-1 cross-correlation with odd square kernel and zero same-padding.
 
     x: (N, Cin, H, W), kernel: (Cout, Cin, k, k), bias: (Cout,).
-    Output spatial size equals input spatial size.
+    Output spatial size equals input spatial size. `cols`, if given, is
+    im2col(x, k), built by the caller so that it can keep it for backward.
     """
     x, kernel, bias = _f64(x), _f64(kernel), _f64(bias)
     n, cin, h, w = x.shape
@@ -44,16 +90,19 @@ def conv2d_forward(x, kernel, bias) -> np.ndarray:
         raise ValueError(f"kernel must be square with odd size, got {kh}x{kw}")
     if bias.shape != (cout,):
         raise ValueError(f"bias shape {bias.shape} does not match {cout} output channels")
-    cols = _im2col(x, kh)
-    out = np.matmul(kernel.reshape(cout, -1), cols)
+    out = np.matmul(kernel.reshape(cout, -1), _patch_matrix(x, kh, cols))
     out += bias[:, None]
     return out.reshape(n, cout, h, w)
 
 
-def conv2d_backward(x, kernel, upstream):
-    """Gradients of conv2d_forward: returns (grad_input, grad_kernel, grad_bias)."""
+def conv2d_backward(x, kernel, upstream, *, cols=None, input_grad=True):
+    """Gradients of conv2d_forward: returns (grad_input, grad_kernel, grad_bias).
+
+    `cols`, if given, is im2col(x, k) from the forward pass. With
+    `input_grad=False` the input gradient is skipped and returned as None.
+    """
     x, kernel, upstream = _f64(x), _f64(kernel), _f64(upstream)
-    n, cin, h, w = x.shape
+    n, _, h, w = x.shape
     cout = kernel.shape[0]
     k = kernel.shape[2]
     if upstream.shape != (n, cout, h, w):
@@ -61,13 +110,12 @@ def conv2d_backward(x, kernel, upstream):
             f"upstream shape {upstream.shape} does not match output shape {(n, cout, h, w)}"
         )
     grad_bias = upstream.sum(axis=(0, 2, 3))
-    cols = _im2col(x, k)
     g = upstream.reshape(n, cout, h * w)
+    cols = _patch_matrix(x, k, cols)
     grad_kernel = np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0).reshape(kernel.shape)
-    # Input gradient is the upstream correlated with the spatially flipped,
-    # channel-transposed kernel; exact for odd k, stride 1, same padding.
-    kt = np.ascontiguousarray(kernel.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
-    grad_input = conv2d_forward(upstream, kt, np.zeros(cin))
+    grad_input = None
+    if input_grad:
+        grad_input = col2im(np.matmul(kernel.reshape(cout, -1).T, g), x.shape, k)
     return grad_input, grad_kernel, grad_bias
 
 
@@ -77,22 +125,31 @@ def relu_forward(x) -> np.ndarray:
 
 def relu_backward(x, upstream) -> np.ndarray:
     """Subgradient at 0 is 0: upstream passes only where x > 0."""
-    return np.where(_f64(x) > 0.0, _f64(upstream), 0.0)
+    return _f64(upstream) * (_f64(x) > 0.0)
 
 
 def avgpool2_forward(x) -> np.ndarray:
     """Non-overlapping 2x2 mean pooling over the trailing two axes."""
     x = _f64(x)
-    *lead, h, w = x.shape
+    h, w = x.shape[-2:]
     if h % 2 or w % 2:
         raise ValueError(f"avgpool2 requires even spatial dims, got {h}x{w}")
-    return x.reshape(*lead, h // 2, 2, w // 2, 2).mean(axis=(-3, -1))
+    out = x[..., 0::2, 0::2] + x[..., 0::2, 1::2]
+    out += x[..., 1::2, 0::2]
+    out += x[..., 1::2, 1::2]
+    out *= 0.25
+    return out
 
 
 def avgpool2_backward(upstream) -> np.ndarray:
     """Spreads each upstream value uniformly (1/4) over its 2x2 source block."""
-    g = _f64(upstream)
-    return np.repeat(np.repeat(g, 2, axis=-2), 2, axis=-1) * 0.25
+    g = _f64(upstream) * 0.25
+    *lead, h, w = g.shape
+    out = np.empty((*lead, 2 * h, 2 * w))
+    for i in (0, 1):
+        for j in (0, 1):
+            out[..., i::2, j::2] = g
+    return out
 
 
 def bilinear_resize(m, target_h: int, target_w: int) -> np.ndarray:

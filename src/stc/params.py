@@ -166,4 +166,8 @@ def load_params(path) -> ParamSet:
         size = int(np.prod(dims)) if rank else 1
         raw = take(8 * size, f"values of {name!r}")
         out.add(name, np.frombuffer(raw, dtype="<f8").reshape(dims))
+    if off != len(data):
+        raise ValueError(
+            f"{path}: {len(data) - off} trailing bytes after the last of {count} entries"
+        )
     return out

@@ -20,14 +20,7 @@ import numpy as np
 
 from .data import DatasetManifest, DatasetRecord
 from .imageio import quantize01, write_pgm
-from .losses import (
-    build_simple_target,
-    downsample_mask_nearest,
-    multilabel_ce,
-    multilabel_ce_grad,
-    one_hot,
-    singlelabel_ce,
-)
+from .losses import batch_ce_and_grad, build_simple_target, downsample_mask_nearest, one_hot
 from .network import (
     NetworkConfig,
     _forward_cached,
@@ -37,7 +30,6 @@ from .network import (
     output_stride,
     predict,
 )
-from .ops import channel_softmax
 from .params import ParamSet, sgd_step
 from .pseudolabel import argmax_full, relabel_complex, relabel_simple
 from .saliency import compute_saliency
@@ -174,37 +166,22 @@ def train_stage(
         step_losses = []
         for start in range(0, len(order), config.batch_size):
             idxs = order[start : start + config.batch_size]
-            xs, tgts, masks = [], [], []
+            xs, tgts = [], []
             for i in idxs:
                 _, ih, iw = images[i].shape
                 oy = int(rng.integers(0, ih - crop + 1))
                 ox = int(rng.integers(0, iw - crop + 1))
                 xs.append(images[i][:, oy : oy + crop, ox : ox + crop])
+                window = targets[i][oy : oy + crop, ox : ox + crop]
                 if supervision == SUPERVISION_SALIENCY:
-                    sal = targets[i][oy : oy + crop, ox : ox + crop]
-                    tgts.append(
-                        build_simple_target(sal, class_ids[i], th, tw, num_classes)
-                    )
+                    tgts.append(build_simple_target(window, class_ids[i], th, tw, num_classes))
                 else:
-                    m = downsample_mask_nearest(
-                        targets[i][oy : oy + crop, ox : ox + crop], th, tw
-                    )
-                    masks.append(m)
+                    m = downsample_mask_nearest(window, th, tw)
                     tgts.append(one_hot(m, num_classes))
             logits, cache = _forward_cached(params, np.stack(xs))
-            probs = channel_softmax(logits)
-            if supervision == SUPERVISION_SALIENCY:
-                batch_losses = [multilabel_ce(probs[j], tgts[j]) for j in range(len(idxs))]
-            else:
-                batch_losses = [singlelabel_ce(probs[j], masks[j]) for j in range(len(idxs))]
-            loss = float(np.mean(batch_losses))
+            loss, grad = batch_ce_and_grad(logits, np.stack(tgts))
             if not np.isfinite(loss):
                 raise ValueError(f"non-finite loss at step {step}")
-            # batch loss is the sum of per-image losses (per-image means over
-            # pixels), so gradients accumulate across the batch unscaled
-            grad = np.stack(
-                [multilabel_ce_grad(logits[j], tgts[j]) for j in range(len(idxs))]
-            )
             backward(params, cache, grad)
             sgd_step(trunk, lr, config.momentum, config.weight_decay)
             sgd_step(
@@ -252,6 +229,12 @@ def evaluate(params: ParamSet, eval_manifest: DatasetManifest):
     def one(rec: DatasetRecord) -> np.ndarray:
         img = eval_manifest.load_image(rec)
         gt = eval_manifest.load_gt_mask(rec)
+        bad = gt[(gt < 0) | (gt >= n)]
+        if bad.size:
+            raise ValueError(
+                f"{eval_manifest.root / rec.gt_mask}: ground-truth label {int(bad[0])} "
+                f"outside 0..{n - 1}"
+            )
         pred = argmax_full(predict(params, img))
         return confusion_matrix(gt, pred, n)
 

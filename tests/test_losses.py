@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from helpers import numeric_grad, rel_err
 from stc.losses import (
+    batch_ce_and_grad,
     build_simple_target,
     downsample_mask_nearest,
     multilabel_ce,
@@ -139,6 +140,49 @@ class TestSinglelabelCe:
         with pytest.raises(ValueError, match="labels"):
             singlelabel_ce(np.full((3, 2, 2), 1 / 3), np.full((2, 2), 3))
 
+
+class TestBatchCeAndGrad:
+    def test_soft_targets_equal_per_image_mean_and_stack(self):
+        rng = np.random.default_rng(10)
+        logits = rng.normal(size=(3, 4, 5, 6))
+        targets = np.stack(
+            [build_simple_target(rng.uniform(size=(20, 24)), c, 5, 6, 3) for c in (1, 3, 2)]
+        )
+        loss, grad = batch_ce_and_grad(logits, targets)
+        probs = channel_softmax(logits)
+        want = np.mean([multilabel_ce(probs[j], targets[j]) for j in range(3)])
+        assert loss == pytest.approx(want, abs=1e-12)
+        assert np.array_equal(
+            grad, np.stack([multilabel_ce_grad(logits[j], targets[j]) for j in range(3)])
+        )
+
+    def test_one_hot_targets_equal_per_image_singlelabel_mean_and_stack(self):
+        rng = np.random.default_rng(11)
+        logits = rng.normal(scale=3.0, size=(4, 5, 3, 7))
+        masks = rng.integers(0, 5, size=(4, 3, 7))
+        targets = np.stack([one_hot(m, 4) for m in masks])
+        loss, grad = batch_ce_and_grad(logits, targets)
+        probs = channel_softmax(logits)
+        want = np.mean([singlelabel_ce(probs[j], masks[j]) for j in range(4)])
+        assert loss == pytest.approx(want, abs=1e-12)
+        assert np.array_equal(
+            grad, np.stack([multilabel_ce_grad(logits[j], targets[j]) for j in range(4)])
+        )
+
+    def test_matches_finite_differences_of_summed_loss(self):
+        rng = np.random.default_rng(12)
+        logits = rng.normal(size=(2, 3, 3, 4))
+        targets = random_target(rng, 3, 3, 4)[None].repeat(2, axis=0)
+        _, grad = batch_ce_and_grad(logits, targets)
+        # the gradient is that of the sum over images: N times the mean's
+        num = numeric_grad(lambda z: 2 * batch_ce_and_grad(z, targets)[0], logits.copy())
+        assert rel_err(grad, num).max() < 1e-6
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="logits"):
+            batch_ce_and_grad(np.zeros((2, 3, 4, 4)), np.zeros((2, 3, 2, 2)))
+        with pytest.raises(ValueError, match="logits"):
+            batch_ce_and_grad(np.zeros((3, 4, 4)), np.zeros((3, 4, 4)))
 
 class TestDownsampleMaskNearest:
     def test_exact_factor_sampling(self):

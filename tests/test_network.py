@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 
+from stc import network, ops
+from stc.losses import batch_ce_and_grad, one_hot
 from stc.network import (
     NetworkConfig,
+    _forward_cached,
+    backward,
     forward,
     init_network,
     num_classes_of,
@@ -115,3 +119,53 @@ class TestPredict:
         ps = init_network(NetworkConfig(num_classes=2, seed=6))
         with pytest.raises(ValueError, match="H, W, 3"):
             predict(ps, np.zeros((3, 8, 8)))
+
+
+class TestBackward:
+    def _grads(self, ps, x, targets):
+        logits, cache = _forward_cached(ps, x)
+        ps.zero_grads()
+        backward(ps, cache, batch_ce_and_grad(logits, targets)[1])
+        return {n: ps[n].grad.copy() for n in ps.names()}
+
+    def _batch(self, rng):
+        ps = init_network(NetworkConfig(num_classes=3, channels=(4, 6, 8), seed=8))
+        x = rng.uniform(size=(2, 3, 16, 12))
+        targets = np.stack([one_hot(m, 3) for m in rng.integers(0, 4, size=(2, 4, 3))])
+        return ps, x, targets
+
+    def test_skipping_conv1_input_grad_leaves_param_grads_unchanged(self, rng, monkeypatch):
+        ps, x, targets = self._batch(rng)
+        skipped = self._grads(ps, x, targets)
+        calls = []
+
+        def full(*args, **kwargs):
+            calls.append(kwargs.get("input_grad", True))
+            return ops.conv2d_backward(*args, **{**kwargs, "input_grad": True})
+
+        monkeypatch.setattr(network, "conv2d_backward", full)
+        reference = self._grads(ps, x, targets)
+        assert calls == [True, True, True, False]  # head, conv3, conv2, conv1
+        for name in ps.names():
+            assert np.array_equal(skipped[name], reference[name]), name
+
+    def test_cached_patch_matrices_give_bitwise_same_grads(self, rng, monkeypatch):
+        ps, x, targets = self._batch(rng)
+        cached = self._grads(ps, x, targets)
+
+        def rebuild(*args, **kwargs):
+            return ops.conv2d_backward(*args, **{**kwargs, "cols": None})
+
+        monkeypatch.setattr(network, "conv2d_backward", rebuild)
+        rebuilt = self._grads(ps, x, targets)
+        for name in ps.names():
+            assert np.array_equal(cached[name], rebuilt[name]), name
+
+    def test_training_forward_matches_forward_and_backward_consumes_cache(self, rng):
+        ps, x, _ = self._batch(rng)
+        logits, cache = _forward_cached(ps, x)
+        assert np.array_equal(logits, forward(ps, x))
+        a_in, _, cols = cache[0]
+        assert np.array_equal(cols, ops.im2col(a_in, 3))
+        backward(ps, cache, np.zeros_like(logits))
+        assert cache == []

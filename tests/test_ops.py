@@ -89,6 +89,65 @@ class TestConvBackward:
                 np.zeros((1, 1, 4, 4)), np.zeros((2, 1, 3, 3)), np.zeros((1, 2, 3, 3))
             )
 
+    def test_passed_patch_matrix_gives_bitwise_same_grads(self, rng):
+        x = rng.normal(size=(2, 3, 5, 7))
+        k = rng.normal(size=(4, 3, 3, 3))
+        r = rng.normal(size=(2, 4, 5, 7))
+        plain = ops.conv2d_backward(x, k, r)
+        cached = ops.conv2d_backward(x, k, r, cols=ops.im2col(x, 3))
+        for a, b in zip(plain, cached):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("ksize", [1, 3, 5])
+    def test_col2im_input_grad_matches_flipped_kernel_correlation(self, rng, ksize):
+        x = rng.normal(size=(2, 3, 6, 9))
+        k = rng.normal(size=(4, 3, ksize, ksize))
+        r = rng.normal(size=(2, 4, 6, 9))
+        gx, _, _ = ops.conv2d_backward(x, k, r)
+        # the input gradient of a same-padded correlation is the upstream
+        # correlated with the spatially flipped, channel-transposed kernel
+        flipped = np.ascontiguousarray(k.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
+        want = naive_conv2d(r, flipped, np.zeros(3))
+        assert np.abs(gx - want).max() < 1e-12
+
+    def test_input_grad_can_be_skipped(self, rng):
+        x = rng.normal(size=(1, 2, 4, 4))
+        k = rng.normal(size=(3, 2, 3, 3))
+        r = rng.normal(size=(1, 3, 4, 4))
+        gx, gk, gb = ops.conv2d_backward(x, k, r, input_grad=False)
+        _, gk_full, gb_full = ops.conv2d_backward(x, k, r)
+        assert gx is None
+        assert np.array_equal(gk, gk_full) and np.array_equal(gb, gb_full)
+
+    def test_patch_matrix_shape_checked(self, rng):
+        x = rng.normal(size=(1, 2, 4, 4))
+        k = rng.normal(size=(3, 2, 3, 3))
+        with pytest.raises(ValueError, match="patch matrix"):
+            ops.conv2d_forward(x, k, np.zeros(3), cols=ops.im2col(x[:, :1], 3))
+
+
+class TestIm2col:
+    @pytest.mark.parametrize("ksize", [1, 3, 5])
+    @pytest.mark.parametrize("shape", [(2, 3, 5, 8), (1, 2, 7, 3), (3, 1, 1, 6)])
+    def test_col2im_is_adjoint_of_im2col(self, rng, ksize, shape):
+        x = rng.normal(size=shape)
+        n, c, h, w = shape
+        d = rng.normal(size=(n, c * ksize * ksize, h * w))
+        lhs = float((ops.im2col(x, ksize) * d).sum())
+        rhs = float((x * ops.col2im(d, shape, ksize)).sum())
+        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+
+    def test_im2col_rows_are_shifted_channels(self, rng):
+        x = rng.normal(size=(1, 2, 4, 5))
+        cols = ops.im2col(x, 3).reshape(1, 2, 3, 3, 4, 5)
+        # offset (i, j) = (2, 0) reads input[y + 1, x - 1], zero outside the grid
+        assert np.array_equal(cols[:, :, 2, 0, :3, 1:], x[:, :, 1:, :4])
+        assert not cols[:, :, 2, 0, 3].any() and not cols[:, :, 2, 0, :, 0].any()
+
+    def test_col2im_shape_checked(self):
+        with pytest.raises(ValueError, match="patch matrix"):
+            ops.col2im(np.zeros((1, 9, 16)), (1, 2, 4, 4), 3)
+
 
 class TestRelu:
     def test_forward(self):
@@ -97,6 +156,12 @@ class TestRelu:
     def test_backward_subgradient_zero_at_zero(self):
         got = ops.relu_backward([-1.0, 0.0, 2.0], [1.0, 1.0, 1.0])
         assert np.array_equal(got, [0.0, 0.0, 1.0])
+
+    def test_backward_matches_where(self, rng):
+        x = rng.normal(size=(2, 3, 4, 4))
+        x[0, 0, 0, :2] = 0.0
+        r = rng.normal(size=x.shape)
+        assert np.array_equal(ops.relu_backward(x, r), np.where(x > 0.0, r, 0.0))
 
     def test_matches_finite_differences_away_from_kink(self, rng):
         x = rng.normal(size=(20,))
@@ -127,6 +192,16 @@ class TestAvgPool:
         num = numeric_grad(lambda v: float((ops.avgpool2_forward(v) * r).sum()), x.copy())
         assert np.abs(ana - num).max() < 1e-8
 
+
+    def test_strided_pooling_matches_reshape_mean(self, rng):
+        x = rng.normal(size=(3, 4, 10, 6))
+        want = x.reshape(3, 4, 5, 2, 3, 2).mean(axis=(-3, -1))
+        assert np.abs(ops.avgpool2_forward(x) - want).max() < 1e-15
+
+    def test_backward_matches_repeat(self, rng):
+        g = rng.normal(size=(2, 3, 4, 5))
+        want = np.repeat(np.repeat(g, 2, axis=-2), 2, axis=-1) * 0.25
+        assert np.array_equal(ops.avgpool2_backward(g), want)
 
 class TestBilinearResize:
     def test_identity_at_same_size(self, rng):

@@ -128,6 +128,14 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="truncated"):
             load_params(path)
 
+    def test_trailing_bytes_rejected_naming_path(self, tmp_path):
+        ps = make_params(w=np.ones((2, 2)), b=[0.5])
+        path = tmp_path / "net.stcp"
+        save_params(ps, path)
+        path.write_bytes(path.read_bytes() + b"garbage")
+        with pytest.raises(ValueError, match=r"net\.stcp.*7 trailing bytes"):
+            load_params(path)
+
     def test_serialization_is_deterministic(self, tmp_path):
         ps = make_params(a=np.arange(6.0).reshape(2, 3), b=[1.5])
         p1, p2 = tmp_path / "a.stcp", tmp_path / "b.stcp"

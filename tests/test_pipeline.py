@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,20 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="ground-truth"):
             evaluate(net, broken)
 
+
+    def test_out_of_range_gt_label_names_file_and_label(self, tmp_path):
+        examples = data.build_dataset(0, 0, 2, seed=4)
+        gt = examples[1].gt_mask.copy()
+        gt[0, 0] = 9
+        examples[1] = data.DatasetExample(
+            examples[1].name, examples[1].image, examples[1].labels, "eval", gt
+        )
+        data.write_dataset(examples, tmp_path)
+        manifest = data.read_dataset(tmp_path)
+        bad = manifest.records[1].gt_mask
+        net = init_network(NetworkConfig(4, seed=0))
+        with pytest.raises(ValueError, match=rf"{re.escape(bad)}.*label 9"):
+            evaluate(net, manifest.split("eval"))
 
 class TestTrainStage:
     def test_zero_epochs_returns_params_unchanged(self, corpus):
