@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -49,7 +50,8 @@ _RUN_DEFAULTS = {
 
 def load_run_config(path) -> dict:
     """Single JSON document holding TrainConfig fields plus corpus sizes,
-    class count and paths; unknown keys are rejected."""
+    class count and paths; unknown keys and values of the wrong type are
+    rejected. A key's type is that of its default."""
     doc = json.loads(Path(path).read_text())
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: config must be a JSON object")
@@ -57,8 +59,31 @@ def load_run_config(path) -> dict:
     if unknown:
         raise ValueError(f"{path}: unknown config keys {unknown}")
     merged = _default_run_config()
+    for key, value in doc.items():
+        want = _type_error(value, merged[key])
+        if want:
+            raise ValueError(f"{path}: config key {key!r} must be {want}, got {json.dumps(value)}")
     merged.update(doc)
     return merged
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _type_error(value, default) -> str | None:
+    """What `value` should have been, or None if it has the type of `default`."""
+    if isinstance(default, bool):
+        return None if isinstance(value, bool) else "true or false"
+    if isinstance(default, int):
+        return None if _is_int(value) else "an integer"
+    if isinstance(default, float):
+        ok = (_is_int(value) or isinstance(value, float)) and math.isfinite(value)
+        return None if ok else "a finite number"
+    if isinstance(default, list):
+        ok = isinstance(value, list) and value and all(_is_int(v) and v >= 1 for v in value)
+        return None if ok else "a non-empty list of positive integers"
+    return None if value is None or isinstance(value, str) else "a path string or null"
 
 
 def _default_run_config() -> dict:
@@ -80,6 +105,15 @@ def _resolve_path(flag_value, cfg: dict, key: str):
     if value is None:
         raise ValueError(f"--{key} is required (on the command line or in the config file)")
     return value
+
+
+def _load_network(path):
+    """A checkpoint that holds a whole network: conv blocks and head."""
+    net = load_params(path)
+    missing = [n for n in ("conv1.weight", "head.weight", "head.bias") if n not in net]
+    if missing:
+        raise ValueError(f"{path}: not a network checkpoint, missing {missing}")
+    return net
 
 
 def cmd_gen(args) -> int:
@@ -195,7 +229,7 @@ def cmd_stage(args) -> int:
         else:
             if not args.params:
                 raise ValueError(f"stage {args.stage!r} needs --params from the previous stage")
-            prior = load_params(args.params)
+            prior = _load_network(args.params)
             from .pseudolabel import relabel_complex, relabel_simple
 
             if args.stage == "enhanced":
@@ -235,7 +269,7 @@ def cmd_stage(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    net = load_params(args.checkpoint)
+    net = _load_network(args.checkpoint)
     manifest = data.read_dataset(args.data)
     eval_m = manifest.split("eval")
     if not eval_m.records:

@@ -84,31 +84,123 @@ def output_stride(params: ParamSet) -> int:
     return 2 ** min(_MAX_POOLS, num_blocks(params))
 
 
-def _forward_cached(params: ParamSet, images: np.ndarray):
+class StepBuffers:
+    """The arrays a train step writes its large temporaries into, reused by
+    every step of one `train_stage`, as Caffe keeps a layer's blobs.
+
+    An array is allocated on first use (the first step, at full batch size)
+    and again only if its trailing shape changes or a larger batch asks for
+    it. A smaller batch gets the leading rows (`buf[:n]`, still contiguous).
+    Without reuse, glibc hands the freed temporaries back to the OS and each
+    step page-faults them in again.
+
+    For conv i, named `conv{i}.*` (n = batch, c/cout = in/out channels,
+    (h, w) = the conv's input size, p = k//2):
+
+    - `padded` (n, c, h+2p, w+2p): the conv's input, zero-padded. The layer
+      before writes its output (the standardized images, for conv1) into the
+      interior. Dead once im2col has read it; backward's col2im then
+      scatter-adds onto it, so the input gradient is its interior, and the
+      next step's im2col zeroes its border again.
+    - `cols` (n, c*k*k, h*w): the patch matrix. Kept for the kernel
+      gradient, then overwritten by `W^T @ g` in backward.
+    - `out` (n, cout, h, w): the conv output, ReLU applied in place. The
+      cache keeps this ReLU output `r` for the ReLU mask (r > 0 iff z > 0).
+    - `grad` (n, cout, h, w), pooled blocks only: the gradient at the conv
+      output. Pool backward writes it, then ReLU backward runs in place.
+    - `kernel_grad` (n, cout, c*k*k): per-image kernel-gradient products,
+      summed into the parameter gradient.
+
+    The head (1x1) has `head.kernel_grad` and `head.input_grad`, its
+    `W^T @ g`, which an unpooled last block takes as its `grad`: the head's
+    patch matrix is its input itself, the ReLU output that backward still
+    needs. `head.padded` is the head's input when the last block pools.
+    `images` is the batch of crops `train_stage` stacks. The logits and the
+    loss stay new arrays: they are small, and the caller keeps the logits.
+    """
+
+    def __init__(self) -> None:
+        self._arrays: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, shape) -> np.ndarray:
+        """The leading shape[0] rows of the array called `name`."""
+        shape = tuple(shape)
+        buf = self._arrays.get(name)
+        if buf is None or buf.shape[1:] != shape[1:] or buf.shape[0] < shape[0]:
+            buf = self._arrays[name] = np.empty(shape)
+        return buf[: shape[0]]
+
+    def arrays(self) -> dict[str, np.ndarray]:
+        """Name -> the whole array, as allocated."""
+        return dict(self._arrays)
+
+
+def _padded(buffers: StepBuffers, layer: str, shape, k: int) -> np.ndarray:
+    n, c, h, w = shape
+    p = k // 2
+    return buffers.take(f"{layer}.padded", (n, c, h + 2 * p, w + 2 * p))
+
+
+def _input_of(buffers: StepBuffers | None, layer: str, shape, k: int):
+    """Where the layer before writes `layer`'s input: the interior of its
+    padded buffer, or None (a new array) without buffers."""
+    if buffers is None:
+        return None
+    p = k // 2
+    _, _, h, w = shape
+    return _padded(buffers, layer, shape, k)[:, :, p : p + h, p : p + w]
+
+
+def _forward_cached(params: ParamSet, images: np.ndarray, buffers: StepBuffers | None = None):
     """Training forward: logits plus the cache `backward` consumes.
 
     Each conv's patch matrix is built once here and kept in the cache, so
     backward reuses it for the kernel gradient instead of rebuilding it.
+    The temporaries go into `buffers` (fresh ones if None); pass the same
+    buffers to `backward`. Their contents, the cache's arrays among them,
+    stay valid until the next step that uses them.
     """
-    return _forward(params, images, keep=True)
+    return _forward(params, images, buffers or StepBuffers())
 
 
-def _forward(params: ParamSet, images: np.ndarray, keep: bool):
+def _forward(params: ParamSet, images: np.ndarray, buffers: StepBuffers | None):
+    """With buffers None (inference) every result is a new array and no
+    cache is kept."""
+    keep = buffers is not None
     nb = num_blocks(params)
     stride = output_stride(params)
-    _, _, h, w = images.shape
+    n, _, h, w = images.shape
     if h % stride or w % stride:
         raise ValueError(f"spatial dims {h}x{w} not divisible by output stride {stride}")
-    a = (np.asarray(images, dtype=np.float64) - _INPUT_MEAN) / _INPUT_STD
+    images = np.asarray(images, dtype=np.float64)
+    k1 = params["conv1.weight"].value.shape[2]
+    a = np.subtract(images, _INPUT_MEAN, out=_input_of(buffers, "conv1", images.shape, k1))
+    a /= _INPUT_STD
     cache = []
     for i in range(1, nb + 1):
         weight = params[f"conv{i}.weight"].value
-        cols = im2col(a, weight.shape[2]) if keep else None
-        z = conv2d_forward(a, weight, params[f"conv{i}.bias"].value, cols=cols)
+        cout, c, k, _ = weight.shape
+        cols = None
         if keep:
-            cache.append((a, z, cols))
-        r = relu_forward(z)
-        a = avgpool2_forward(r) if i <= _MAX_POOLS else r
+            cols = im2col(
+                a, k,
+                out=buffers.take(f"conv{i}.cols", (n, c * k * k, h * w)),
+                padded=_padded(buffers, f"conv{i}", a.shape, k),
+            )
+        z = conv2d_forward(
+            a, weight, params[f"conv{i}.bias"].value, cols=cols,
+            out=buffers.take(f"conv{i}.out", (n, cout, h, w)) if keep else None,
+        )
+        r = relu_forward(z, out=z)
+        if keep:
+            cache.append((a, r, cols))
+        if i <= _MAX_POOLS:
+            h, w = h // 2, w // 2
+            nxt = f"conv{i + 1}" if i < nb else "head"
+            k_next = params[f"{nxt}.weight"].value.shape[2]
+            a = avgpool2_forward(r, out=_input_of(buffers, nxt, (n, cout, h, w), k_next))
+        else:
+            a = r
     logits = conv2d_forward(a, params["head.weight"].value, params["head.bias"].value)
     if keep:
         cache.append(a)
@@ -117,30 +209,46 @@ def _forward(params: ParamSet, images: np.ndarray, keep: bool):
 
 def forward(params: ParamSet, images: np.ndarray) -> np.ndarray:
     """images: (N, 3, H, W) with H, W divisible by 4 -> logits (N, C+1, h, w)."""
-    logits, _ = _forward(params, images, keep=False)
+    logits, _ = _forward(params, images, None)
     return logits
 
 
-def backward(params: ParamSet, cache, grad_logits: np.ndarray) -> None:
+def backward(
+    params: ParamSet, cache, grad_logits: np.ndarray, buffers: StepBuffers | None = None
+) -> None:
     """Accumulates parameter gradients (+=) for the cached forward pass.
 
-    Consumes the cache, popping one layer's entry at a time, so each patch
-    matrix is freed once its layer is done rather than at the end of the
-    pass. The input gradient of conv1 is not computed: the image has no
-    parameters.
+    Consumes the cache, popping one layer's entry at a time. The input
+    gradient of conv1 is not computed: the image has no parameters. With
+    the buffers the forward used, each layer's large temporaries land in
+    arrays the forward is done with (see StepBuffers); with None they are
+    new arrays.
     """
+    buffers = buffers or StepBuffers()
+    take = buffers.take
     nb = num_blocks(params)
     head_in = cache.pop()
-    g, gk, gb = conv2d_backward(head_in, params["head.weight"].value, grad_logits)
+    n, c, h, w = head_in.shape
+    head_weight = params["head.weight"].value
+    g, gk, gb = conv2d_backward(
+        head_in, head_weight, grad_logits,
+        kernel_out=take("head.kernel_grad", (n, head_weight.shape[0], c)),
+        cols_out=take("head.input_grad", (n, c, h * w)),
+    )
     params["head.weight"].grad += gk
     params["head.bias"].grad += gb
     for i in range(nb, 0, -1):
-        a_in, z, cols = cache.pop()
+        a_in, r, cols = cache.pop()
         if i <= _MAX_POOLS:
-            g = avgpool2_backward(g)
-        g = relu_backward(z, g)
+            g = avgpool2_backward(g, out=take(f"conv{i}.grad", r.shape))
+        g = relu_backward(r, g, out=g)
+        weight = params[f"conv{i}.weight"].value
+        cout, c, k, _ = weight.shape
         g, gk, gb = conv2d_backward(
-            a_in, params[f"conv{i}.weight"].value, g, cols=cols, input_grad=i > 1
+            a_in, weight, g, cols=cols, input_grad=i > 1,
+            kernel_out=take(f"conv{i}.kernel_grad", (a_in.shape[0], cout, c * k * k)),
+            cols_out=cols,
+            input_out=_padded(buffers, f"conv{i}", a_in.shape, k),
         )
         params[f"conv{i}.weight"].grad += gk
         params[f"conv{i}.bias"].grad += gb

@@ -23,6 +23,7 @@ from .imageio import quantize01, write_pgm
 from .losses import batch_ce_and_grad, build_simple_target, downsample_mask_nearest, one_hot
 from .network import (
     NetworkConfig,
+    StepBuffers,
     _forward_cached,
     backward,
     init_network,
@@ -126,6 +127,8 @@ def train_stage(
     pairs). `targets` is aligned with the dataset: full-resolution saliency
     maps for SUPERVISION_SALIENCY, integer masks for SUPERVISION_MASKS.
     Returns (params, per-epoch mean losses); params are updated in place.
+    The step's large temporaries live in one `StepBuffers`, created at the
+    first step and dropped on return.
     """
     _validate_config(config)
     dataset = list(dataset)
@@ -156,6 +159,7 @@ def train_stage(
     trunk = params.subset(n for n in params.names() if not n.startswith("head."))
 
     rng = np.random.default_rng(config.seed)
+    buffers = StepBuffers()
     epoch_losses = []
     step = 0
     for epoch in range(config.epochs):
@@ -178,11 +182,12 @@ def train_stage(
                 else:
                     m = downsample_mask_nearest(window, th, tw)
                     tgts.append(one_hot(m, num_classes))
-            logits, cache = _forward_cached(params, np.stack(xs))
+            batch = np.stack(xs, out=buffers.take("images", (len(xs), *xs[0].shape)))
+            logits, cache = _forward_cached(params, batch, buffers)
             loss, grad = batch_ce_and_grad(logits, np.stack(tgts))
             if not np.isfinite(loss):
                 raise ValueError(f"non-finite loss at step {step}")
-            backward(params, cache, grad)
+            backward(params, cache, grad, buffers)
             sgd_step(trunk, lr, config.momentum, config.weight_decay)
             sgd_step(
                 head,

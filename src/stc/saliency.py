@@ -23,10 +23,17 @@ def normalize_saliency(raw: np.ndarray) -> np.ndarray:
 
 
 def _box_blur(image: np.ndarray, k: int) -> np.ndarray:
+    """Mean of each k x k window of the edge-padded image: k*k slice-adds in
+    (i, j) order, then one divide, the arithmetic of numpy's window mean."""
+    h, w, _ = image.shape
     p = k // 2
     padded = np.pad(image, ((p, p), (p, p), (0, 0)), mode="edge")
-    win = np.lib.stride_tricks.sliding_window_view(padded, (k, k), axis=(0, 1))
-    return win.mean(axis=(-2, -1))
+    out = np.zeros(image.shape)
+    for i in range(k):
+        for j in range(k):
+            out += padded[i : i + h, j : j + w]
+    out /= k * k
+    return out
 
 
 def compute_saliency(image: np.ndarray) -> np.ndarray:

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from stc import data
-from stc.cli import main
+from stc.cli import load_run_config, main
+from stc.network import NetworkConfig, init_network
+from stc.params import save_params
 
 
 TINY_CONFIG = {
@@ -114,6 +116,40 @@ class TestRun:
         assert rc != 0
         assert "bogus_knob" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("channels", 16),
+            ("channels", []),
+            ("channels", [16, "32"]),
+            ("channels", [16, 0]),
+            ("epochs", "2"),
+            ("epochs", 2.5),
+            ("batch_size", True),
+            ("initial_lr", "0.01"),
+            ("initial_lr", False),
+            ("warm_start", 1),
+            ("data", 7),
+        ],
+    )
+    def test_config_value_type_rejected_naming_file_and_key(
+        self, dataset_dir, tmp_path, capsys, key, value
+    ):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({key: value}))
+        rc = main(
+            ["run", "--data", str(dataset_dir), "--out", str(tmp_path), "--config", str(cfg)]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert str(cfg) in err and repr(key) in err
+
+    def test_config_accepts_integer_for_float_key(self, tmp_path):
+        cfg = tmp_path / "ok.json"
+        cfg.write_text(json.dumps({"initial_lr": 1, "momentum": 0, "data": "d", "out": None}))
+        merged = load_run_config(cfg)
+        assert merged["initial_lr"] == 1 and merged["data"] == "d"
+
 
 class TestEval:
     def test_prints_consistent_table(self, dataset_dir, run_dir, capsys):
@@ -139,6 +175,17 @@ class TestEval:
         assert rc != 0
         assert "magic" in capsys.readouterr().err
 
+    def test_head_only_checkpoint_rejected(self, dataset_dir, tmp_path, capsys):
+        full = init_network(NetworkConfig(4, seed=0))
+        head_only = full.subset(n for n in full.names() if n.startswith("head."))
+        path = tmp_path / "head_only.stcp"
+        save_params(head_only, path)
+        rc = main(["eval", "--checkpoint", str(path), "--data", str(dataset_dir)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert str(path) in captured.err and "conv1.weight" in captured.err
+        assert "miou" not in captured.out
+
 
 class TestStageCommand:
     def test_initial_stage_writes_checkpoint(self, dataset_dir, tmp_path):
@@ -159,6 +206,18 @@ class TestStageCommand:
         )
         assert rc != 0
         assert "--params" in capsys.readouterr().err
+
+    def test_head_only_params_rejected(self, dataset_dir, tmp_path, capsys):
+        full = init_network(NetworkConfig(4, seed=0))
+        path = tmp_path / "head_only.stcp"
+        save_params(full.subset(n for n in full.names() if n.startswith("head.")), path)
+        rc = main(
+            ["stage", "--data", str(dataset_dir), "--out", str(tmp_path / "stage_out"),
+             "--stage", "enhanced", "--params", str(path)]
+        )
+        assert rc != 0
+        err = capsys.readouterr().err
+        assert str(path) in err and "conv1.weight" in err
 
     def test_enhanced_from_initial_checkpoint(self, dataset_dir, tmp_path):
         cfg = tmp_path / "config.json"

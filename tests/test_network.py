@@ -5,6 +5,7 @@ from stc import network, ops
 from stc.losses import batch_ce_and_grad, one_hot
 from stc.network import (
     NetworkConfig,
+    StepBuffers,
     _forward_cached,
     backward,
     forward,
@@ -169,3 +170,79 @@ class TestBackward:
         assert np.array_equal(cols, ops.im2col(a_in, 3))
         backward(ps, cache, np.zeros_like(logits))
         assert cache == []
+
+
+class NaNBuffers(StepBuffers):
+    """New NaN-filled arrays on every take: a read before a write shows."""
+
+    def take(self, name, shape):
+        return np.full(shape, np.nan)
+
+
+class TestStepBuffers:
+    def _step(self, ps, x, targets, buffers):
+        logits, cache = _forward_cached(ps, x, buffers)
+        ps.zero_grads()
+        backward(ps, cache, batch_ce_and_grad(logits, targets)[1], buffers)
+        return logits, {n: ps[n].grad.copy() for n in ps.names()}
+
+    def _inputs(self, rng, sizes):
+        ps = init_network(NetworkConfig(num_classes=3, channels=(4, 6, 8), seed=8))
+        batches = [
+            (
+                rng.uniform(size=(n, 3, 16, 12)),
+                np.stack([one_hot(m, 3) for m in rng.integers(0, 4, size=(n, 4, 3))]),
+            )
+            for n in sizes
+        ]
+        return ps, batches
+
+    def _assert_same(self, got, want):
+        assert np.array_equal(got[0], want[0])
+        for name, g in want[1].items():
+            assert np.array_equal(got[1][name], g), name
+
+    def test_shared_buffers_match_fresh_ones_each_step(self, rng):
+        ps, batches = self._inputs(rng, [2, 2, 2])
+        shared = StepBuffers()
+        for x, t in batches:
+            self._assert_same(self._step(ps, x, t, shared), self._step(ps, x, t, NaNBuffers()))
+
+    def test_smaller_batch_reuses_leading_rows(self, rng):
+        ps, batches = self._inputs(rng, [8, 4, 8])
+        shared = StepBuffers()
+        first = None
+        for x, t in batches:
+            got = self._step(ps, x, t, shared)
+            self._assert_same(got, self._step(ps, x, t, NaNBuffers()))
+            if first is None:
+                first = shared.arrays()
+            now = shared.arrays()
+            assert now.keys() == first.keys()
+            for name, buf in now.items():
+                assert buf.shape[0] == 8 and np.shares_memory(buf, first[name]), name
+
+    def test_backward_writes_into_buffers_the_forward_is_done_with(self, rng, monkeypatch):
+        ps, [(x, t)] = self._inputs(rng, [2])
+        shared = StepBuffers()
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs)
+            return ops.conv2d_backward(*args, **kwargs)
+
+        monkeypatch.setattr(network, "conv2d_backward", spy)
+        self._step(ps, x, t, shared)
+        bufs = shared.arrays()
+        for i, kw in zip((3, 2), calls[1:3]):  # head, conv3, conv2, conv1
+            assert kw["cols_out"] is kw["cols"]
+            assert np.shares_memory(kw["cols"], bufs[f"conv{i}.cols"])
+            assert np.shares_memory(kw["input_out"], bufs[f"conv{i}.padded"])
+
+    def test_take_reallocates_only_for_a_new_shape(self):
+        b = StepBuffers()
+        a = b.take("x", (4, 3))
+        assert b.take("x", (2, 3)).shape == (2, 3)
+        assert np.shares_memory(b.take("x", (4, 3)), a)
+        assert not np.shares_memory(b.take("x", (6, 3)), a)
+        assert b.take("x", (6, 2)).shape == (6, 2)

@@ -125,6 +125,50 @@ class TestConvBackward:
         with pytest.raises(ValueError, match="patch matrix"):
             ops.conv2d_forward(x, k, np.zeros(3), cols=ops.im2col(x[:, :1], 3))
 
+    @pytest.mark.parametrize("ksize", [1, 3, 5])
+    def test_out_arrays_give_bitwise_same_results(self, rng, ksize):
+        # dirty (NaN) arrays: every one must be fully written before it is read
+        x = rng.normal(size=(2, 3, 6, 5))
+        k = rng.normal(size=(4, 3, ksize, ksize))
+        b = rng.normal(size=4)
+        r = rng.normal(size=(2, 4, 6, 5))
+        p = ksize // 2
+        cols_shape = (2, 3 * ksize * ksize, 30)
+        padded = np.full((2, 3, 6 + 2 * p, 5 + 2 * p), np.nan)
+        cols = ops.im2col(x, ksize, out=np.full(cols_shape, np.nan), padded=padded)
+        assert np.array_equal(cols, ops.im2col(x, ksize))
+        y = ops.conv2d_forward(x, k, b, cols=cols, out=np.full((2, 4, 6, 5), np.nan))
+        assert np.array_equal(y, ops.conv2d_forward(x, k, b))
+        want = ops.conv2d_backward(x, k, r)
+        # for k == 1 the patch matrix is x itself, so writing `W^T @ g` over
+        # it overwrites x; x is not read again below
+        got = ops.conv2d_backward(
+            x, k, r, cols=cols, kernel_out=np.full((2, 4, 3 * ksize * ksize), np.nan),
+            cols_out=cols, input_out=padded,
+        )
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+        if ksize > 1:
+            # the input gradient is the interior of the padded grid, which
+            # im2col can use again after col2im left its border dirty
+            assert np.shares_memory(got[0], padded)
+            assert np.array_equal(
+                ops.im2col(x, ksize, out=cols, padded=padded), ops.im2col(x, ksize)
+            )
+
+    def test_out_array_checked(self, rng):
+        x = rng.normal(size=(1, 2, 4, 4))
+        with pytest.raises(ValueError, match="out array"):
+            ops.im2col(x, 3, out=np.empty((1, 18, 15)))
+        with pytest.raises(ValueError, match="out array"):
+            ops.conv2d_forward(
+                x, np.ones((1, 2, 3, 3)), np.zeros(1), out=np.empty((1, 1, 4, 8))[..., ::2]
+            )
+        with pytest.raises(ValueError, match="out array"):
+            ops.relu_forward(x, out=np.empty((1, 2, 4, 5)))
+        with pytest.raises(ValueError, match="out array"):
+            ops.avgpool2_forward(x, out=np.empty((1, 2, 2, 2), dtype=np.float32))
+
 
 class TestIm2col:
     @pytest.mark.parametrize("ksize", [1, 3, 5])
@@ -162,6 +206,17 @@ class TestRelu:
         x[0, 0, 0, :2] = 0.0
         r = rng.normal(size=x.shape)
         assert np.array_equal(ops.relu_backward(x, r), np.where(x > 0.0, r, 0.0))
+
+    def test_output_mask_equals_input_mask_in_place(self, rng):
+        z = rng.normal(size=(2, 3, 4, 4))
+        z[0, 0, 0, :3] = [0.0, -0.0, np.nan]
+        g = rng.normal(size=z.shape)
+        want = ops.relu_backward(z, g)
+        r = ops.relu_forward(z.copy(), out=None)
+        in_place = g.copy()
+        got = ops.relu_backward(r, in_place, out=in_place)
+        assert got is in_place
+        assert np.array_equal(got, want, equal_nan=True)
 
     def test_matches_finite_differences_away_from_kink(self, rng):
         x = rng.normal(size=(20,))
@@ -202,6 +257,15 @@ class TestAvgPool:
         g = rng.normal(size=(2, 3, 4, 5))
         want = np.repeat(np.repeat(g, 2, axis=-2), 2, axis=-1) * 0.25
         assert np.array_equal(ops.avgpool2_backward(g), want)
+
+    def test_out_arrays_give_bitwise_same_results(self, rng):
+        x = rng.normal(size=(3, 4, 10, 6))
+        out = np.full((3, 4, 5, 3), np.nan)
+        assert ops.avgpool2_forward(x, out=out) is out
+        assert np.array_equal(out, ops.avgpool2_forward(x))
+        back = np.full(x.shape, np.nan)
+        assert ops.avgpool2_backward(out, out=back) is back
+        assert np.array_equal(back, ops.avgpool2_backward(out))
 
 class TestBilinearResize:
     def test_identity_at_same_size(self, rng):

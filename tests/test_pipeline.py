@@ -5,7 +5,8 @@ import pytest
 
 from helpers import brute_force_iou
 from stc import data
-from stc.network import NetworkConfig, init_network
+from stc import pipeline
+from stc.network import NetworkConfig, StepBuffers, init_network
 from stc.pipeline import (
     SUPERVISION_MASKS,
     SUPERVISION_SALIENCY,
@@ -162,6 +163,31 @@ class TestTrainStage:
         assert runs[0][0] == runs[1][0]
         for n in runs[0][1]:
             assert np.array_equal(runs[0][1][n], runs[1][1][n])
+
+    def test_partial_last_batch_matches_fresh_buffers(self, corpus, monkeypatch):
+        # 8 records at batch 3: every epoch ends with a batch of 2, which
+        # trains on leading rows of the full-size step buffers
+        pairs = simple_pairs(corpus)
+        maps = [_saliency_for(corpus, r) for _, r in pairs]
+        config = TrainConfig(batch_size=3, epochs=2, crop_size=48, seed=5)
+
+        def run():
+            net = init_network(NetworkConfig(4, channels=TINY_CHANNELS, seed=1))
+            _, losses = train_stage(net, pairs, SUPERVISION_SALIENCY, maps, config, num_classes=4)
+            return losses, {n: net[n].value.copy() for n in net.names()}
+
+        shared = [run(), run()]
+
+        class FreshEachTake(StepBuffers):
+            def take(self, name, shape):
+                return np.full(shape, np.nan)
+
+        monkeypatch.setattr(pipeline, "StepBuffers", FreshEachTake)
+        fresh = run()
+        for losses, values in (shared[1], fresh):
+            assert losses == shared[0][0]
+            for n, v in shared[0][1].items():
+                assert np.array_equal(values[n], v), n
 
     def test_training_changes_parameters(self, corpus):
         net = init_network(NetworkConfig(4, channels=TINY_CHANNELS, seed=1))

@@ -4,7 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stc import data
-from stc.saliency import compute_saliency, normalize_saliency
+from stc.saliency import _box_blur, compute_saliency, normalize_saliency
+
+
+def window_mean_blur(image, k):
+    p = k // 2
+    padded = np.pad(image, ((p, p), (p, p), (0, 0)), mode="edge")
+    win = np.lib.stride_tricks.sliding_window_view(padded, (k, k), axis=(0, 1))
+    return win.mean(axis=(-2, -1))
 
 
 class TestNormalize:
@@ -29,6 +36,19 @@ class TestNormalize:
     def test_output_range(self):
         out = normalize_saliency(np.random.default_rng(3).normal(size=(8, 8)))
         assert out.min() >= 0.0 and out.max() <= 1.0
+
+
+class TestBoxBlur:
+    @pytest.mark.parametrize("k", [1, 3, 5, 7])
+    @pytest.mark.parametrize("shape", [(64, 64), (128, 128), (37, 53), (5, 5), (1, 7)])
+    def test_bitwise_equal_to_window_mean(self, shape, k):
+        img = np.random.default_rng(shape[0] * 100 + shape[1] + k).uniform(size=(*shape, 3))
+        assert np.array_equal(_box_blur(img, k), window_mean_blur(img, k))
+
+    @pytest.mark.parametrize("k", [1, 3, 5, 7])
+    def test_bitwise_equal_on_corpus_images(self, k):
+        for ex in data.build_dataset(20, 0, 0, seed=3):
+            assert np.array_equal(_box_blur(ex.image, k), window_mean_blur(ex.image, k))
 
 
 class TestComputeSaliency:
