@@ -1,9 +1,10 @@
 """Command-line surface: gen, saliency, run, stage, eval.
 
 `gen` materializes a synthetic dataset, `saliency` precomputes maps for
-simple images, `run` executes the full three-stage pipeline, `stage` runs a
-single stage for debugging, and `eval` scores a checkpoint. All commands
-exit 0 on success and nonzero with a message on stderr otherwise.
+simple images, `run` executes the full three-stage pipeline, `stage` runs
+one of its stages from the previous stage's checkpoint, and `eval` scores a
+checkpoint. All commands exit 0 on success; on failure they print a message
+on stderr and exit 1 for bad input or 2 for a stage that failed.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from pathlib import Path
 
 from . import data, pipeline
 from .imageio import write_saliency_pgm
-from .network import NetworkConfig, init_network
+from .network import num_blocks, num_classes_of
 from .params import load_params, save_params
 from .pipeline import PipelineError, TrainConfig
 from .saliency import compute_saliency
@@ -148,55 +149,53 @@ def cmd_saliency(args) -> int:
             rec = dataclasses.replace(rec, saliency=rel)
             n += 1
         updated.append(rec)
-    lines = []
-    for rec in updated:
-        entry = {"image": rec.image, "labels": sorted(rec.labels), "split": rec.split}
-        if rec.saliency is not None:
-            entry["saliency"] = rec.saliency
-        if rec.gt_mask is not None:
-            entry["gt_mask"] = rec.gt_mask
-        lines.append(json.dumps(entry, separators=(",", ":")))
-    (root / "manifest.jsonl").write_text("\n".join(lines) + "\n")
+    data.write_manifest(root, updated)
     print(f"wrote saliency maps for {n} simple images under {root / 'saliency'}")
     return 0
 
 
-def _write_checkpoint(
-    out: Path, stage: str, net, num_classes: int, channels, kernel_size: int, seed: int
-) -> Path:
+def _write_checkpoint(out: Path, stage: str, net, seed: int) -> Path:
+    """Writes the checkpoint and a JSON sidecar whose architecture fields
+    are read off the network's weight shapes."""
     path = out / f"checkpoint_{stage}.stcp"
     save_params(net, path)
+    kernels = [net[f"conv{i}.weight"].value.shape for i in range(1, num_blocks(net) + 1)]
     sidecar = {
-        "num_classes": num_classes,
-        "channels": list(channels),
-        "kernel_size": kernel_size,
+        "num_classes": num_classes_of(net),
+        "channels": [k[0] for k in kernels],
+        "kernel_size": kernels[0][2],
         "seed": seed,
     }
     path.with_suffix(".json").write_text(json.dumps(sidecar, indent=2) + "\n")
     return path
 
 
-def cmd_run(args) -> int:
+def _prepare(args):
+    """The run config, the dataset's simple/complex/eval splits, the output
+    directory (created) and the TrainConfig of `run` and `stage`."""
     cfg = load_run_config(args.config) if args.config else _default_run_config()
     manifest = data.read_dataset(_resolve_path(args.data, cfg, "data"))
     out = Path(_resolve_path(args.out, cfg, "out"))
     out.mkdir(parents=True, exist_ok=True)
-    config = _train_config_from(cfg, args.seed)
-    channels = tuple(cfg["channels"])
-    nets, reports = pipeline.run_stc(
-        manifest.split("simple"),
-        manifest.split("complex"),
-        manifest.split("eval"),
-        config,
-        num_classes=cfg["num_classes"],
-        channels=channels,
-        include_simple_in_powerful=cfg["include_simple_in_powerful"],
-        warm_start=cfg["warm_start"],
-        enhance_rounds=cfg["enhance_rounds"],
-        out_dir=out,
-    )
+    splits = [manifest.split(s) for s in ("simple", "complex", "eval")]
+    return cfg, splits, out, _train_config_from(cfg, args.seed)
+
+
+def _pipeline_flags(cfg: dict) -> dict:
+    return {
+        "num_classes": cfg["num_classes"],
+        "channels": tuple(cfg["channels"]),
+        "include_simple_in_powerful": cfg["include_simple_in_powerful"],
+        "warm_start": cfg["warm_start"],
+        "enhance_rounds": cfg["enhance_rounds"],
+    }
+
+
+def cmd_run(args) -> int:
+    cfg, splits, out, config = _prepare(args)
+    nets, reports = pipeline.run_stc(*splits, config, **_pipeline_flags(cfg), out_dir=out)
     for stage in pipeline.STAGES:
-        _write_checkpoint(out, stage, nets[stage], cfg["num_classes"], channels, 3, config.seed)
+        _write_checkpoint(out, stage, nets[stage], config.seed)
     pipeline.write_report_json(reports, out / "report.json", config.seed)
     pipeline.write_report_csv(reports, out / "report.csv")
     for r in reports:
@@ -205,65 +204,17 @@ def cmd_run(args) -> int:
 
 
 def cmd_stage(args) -> int:
-    cfg = load_run_config(args.config) if args.config else _default_run_config()
-    manifest = data.read_dataset(_resolve_path(args.data, cfg, "data"))
-    out = Path(_resolve_path(args.out, cfg, "out"))
-    out.mkdir(parents=True, exist_ok=True)
-    config = _train_config_from(cfg, args.seed)
-    num_classes = cfg["num_classes"]
-    simple = manifest.split("simple")
-    eval_m = manifest.split("eval")
-
-    try:
-        if args.stage == "initial":
-            pairs = [(simple, r) for r in simple.records]
-            maps = [pipeline._saliency_for(simple, r) for r in simple.records]
-            net = init_network(
-                NetworkConfig(num_classes, tuple(cfg["channels"]), seed=pipeline._derive_seed(config.seed, 1))
-            )
-            _, losses = pipeline.train_stage(
-                net, pairs, pipeline.SUPERVISION_SALIENCY, maps,
-                dataclasses.replace(config, seed=pipeline._derive_seed(config.seed, 11)),
-                num_classes=num_classes,
-            )
-        else:
-            if not args.params:
-                raise ValueError(f"stage {args.stage!r} needs --params from the previous stage")
-            prior = _load_network(args.params)
-            from .pseudolabel import relabel_complex, relabel_simple
-
-            if args.stage == "enhanced":
-                src = simple
-                pairs = [(src, r) for r in src.records]
-                masks = [
-                    relabel_simple(prior, src.load_image(r), min(r.labels))
-                    for r in src.records
-                ]
-                salt = (2, 12)
-            else:
-                src = manifest.split("complex")
-                pairs = [(src, r) for r in src.records]
-                masks = [
-                    relabel_complex(prior, src.load_image(r), r.labels) for r in src.records
-                ]
-                salt = (3, 13)
-            net = init_network(
-                NetworkConfig(num_classes, tuple(cfg["channels"]), seed=pipeline._derive_seed(config.seed, salt[0]))
-            )
-            _, losses = pipeline.train_stage(
-                net, pairs, pipeline.SUPERVISION_MASKS, masks,
-                dataclasses.replace(config, seed=pipeline._derive_seed(config.seed, salt[1])),
-                num_classes=num_classes,
-            )
-    except PipelineError:
-        raise
-    except Exception as e:
-        raise PipelineError(args.stage, e) from e
-
-    ckpt = _write_checkpoint(out, args.stage, net, num_classes, cfg["channels"], 3, config.seed)
-    if eval_m.records:
-        per_iou, miou = pipeline.evaluate(net, eval_m)
-        print(f"{args.stage}: miou {miou:.4f}")
+    if args.stage == "initial" and args.params:
+        raise ValueError("stage 'initial' trains on saliency maps and takes no --params")
+    if args.stage != "initial" and not args.params:
+        raise ValueError(f"stage {args.stage!r} needs --params from the previous stage")
+    prior = _load_network(args.params) if args.params else None
+    cfg, splits, out, config = _prepare(args)
+    net, r = pipeline.run_stage(
+        args.stage, prior, *splits, config, **_pipeline_flags(cfg), out_dir=out
+    )
+    ckpt = _write_checkpoint(out, args.stage, net, config.seed)
+    print(f"{r.stage}: miou {r.miou:.4f} ({r.seconds:.1f}s)")
     print(f"wrote {ckpt}")
     return 0
 

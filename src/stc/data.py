@@ -11,7 +11,7 @@ writing and re-reading a dataset is lossless.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -353,6 +353,17 @@ def build_dataset(
     return examples
 
 
+def write_manifest(root, records) -> None:
+    """Writes manifest.jsonl under `root`: one DatasetRecord per line, its
+    fields in declaration order, unset optional paths left out."""
+    lines = []
+    for rec in records:
+        entry = {k: v for k, v in asdict(rec).items() if v is not None}
+        entry["labels"] = sorted(int(c) for c in rec.labels)
+        lines.append(json.dumps(entry, separators=(",", ":")))
+    (Path(root) / "manifest.jsonl").write_text("\n".join(lines) + "\n")
+
+
 def write_dataset(examples, directory) -> None:
     """Materializes images, masks, optional saliency maps, and manifest.jsonl."""
     root = Path(directory)
@@ -360,20 +371,18 @@ def write_dataset(examples, directory) -> None:
     (root / "masks").mkdir(exist_ok=True)
     if any(ex.saliency is not None for ex in examples):
         (root / "saliency").mkdir(exist_ok=True)
-    lines = []
+    records = []
     for ex in examples:
-        entry: dict = {"image": f"images/{ex.name}.ppm"}
-        write_ppm(root / entry["image"], ex.image)
-        entry["labels"] = sorted(int(c) for c in ex.labels)
-        entry["split"] = ex.split
-        if ex.saliency is not None:
-            entry["saliency"] = f"saliency/{ex.name}.pgm"
-            write_saliency_pgm(root / entry["saliency"], ex.saliency)
-        if ex.gt_mask is not None:
-            entry["gt_mask"] = f"masks/{ex.name}.pgm"
-            write_pgm(root / entry["gt_mask"], ex.gt_mask)
-        lines.append(json.dumps(entry, separators=(",", ":")))
-    (root / "manifest.jsonl").write_text("\n".join(lines) + "\n")
+        image = f"images/{ex.name}.ppm"
+        sal = None if ex.saliency is None else f"saliency/{ex.name}.pgm"
+        gt = None if ex.gt_mask is None else f"masks/{ex.name}.pgm"
+        write_ppm(root / image, ex.image)
+        if sal is not None:
+            write_saliency_pgm(root / sal, ex.saliency)
+        if gt is not None:
+            write_pgm(root / gt, ex.gt_mask)
+        records.append(DatasetRecord(image, ex.labels, ex.split, sal, gt))
+    write_manifest(root, records)
 
 
 def read_dataset(directory) -> DatasetManifest:

@@ -69,9 +69,11 @@ class ParamSet:
             p.grad[...] = 0.0
 
     def copy(self) -> "ParamSet":
+        """Copies of the values with zero gradient and momentum: the state
+        `load_params` restores, since a checkpoint holds values only."""
         out = ParamSet()
         for name, p in self._entries.items():
-            out._entries[name] = Param(p.value.copy(), p.grad.copy(), p.velocity.copy())
+            out.add(name, p.value)
         return out
 
     def num_values(self) -> int:

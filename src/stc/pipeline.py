@@ -272,6 +272,91 @@ def _write_masks(out_dir, stage_dir: str, dataset, masks) -> None:
         write_pgm(d / f"{Path(rec.image).stem}.pgm", mask)
 
 
+# Seed salts per stage: (network init, training); enhance round r adds 100 * r.
+_SALTS = {"initial": (1, 11), "enhanced": (2, 12), "powerful": (3, 13)}
+
+
+def _stage_data(name: str, net, simple, complex_, include_simple_in_powerful: bool):
+    """(dataset, supervision, targets) a stage trains on: saliency maps of
+    the simple images for 'initial', else `net`'s label-restricted
+    pseudo-masks of the simple ('enhanced') or complex ('powerful') images;
+    the powerful stage adds the simple ones when asked."""
+    if name == "initial":
+        return simple, SUPERVISION_SALIENCY, _parallel_map(lambda p: _saliency_for(*p), simple)
+
+    def simple_mask(p):
+        return relabel_simple(net, p[0].load_image(p[1]), min(p[1].labels))
+
+    if name == "enhanced":
+        return simple, SUPERVISION_MASKS, _parallel_map(simple_mask, simple)
+    dataset = list(complex_)
+    masks = _parallel_map(
+        lambda p: relabel_complex(net, p[0].load_image(p[1]), p[1].labels), complex_
+    )
+    if include_simple_in_powerful:
+        dataset += simple
+        masks += _parallel_map(simple_mask, simple)
+    return dataset, SUPERVISION_MASKS, masks
+
+
+def run_stage(
+    name: str,
+    prior: ParamSet | None,
+    simple_manifest: DatasetManifest,
+    complex_manifest: DatasetManifest,
+    eval_manifest: DatasetManifest,
+    config: TrainConfig,
+    *,
+    num_classes: int,
+    channels: tuple[int, ...] = (16, 32, 64),
+    include_simple_in_powerful: bool = True,
+    warm_start: bool = False,
+    enhance_rounds: int = 1,
+    out_dir=None,
+):
+    """Runs one stage; returns (net, StageReport).
+
+    'initial' trains a new net on saliency targets and takes no prior. The
+    later stages relabel their images with `prior`, the previous stage's
+    net, and train a new net (a copy of `prior` with `warm_start`). The
+    enhanced stage does this `enhance_rounds` times, each round relabeling
+    with the net the round before trained. The prior's masks go to
+    masks_<previous stage>/ under out_dir when given. The net is then
+    evaluated on `eval_manifest`.
+    """
+    if not eval_manifest.records:
+        raise ValueError(f"no eval records in {eval_manifest.root}: every stage is evaluated")
+    if enhance_rounds < 1:
+        raise ValueError(f"enhance_rounds must be >= 1, got {enhance_rounds}")
+    init_salt, train_salt = _SALTS[name]
+    simple = _pairs(simple_manifest)
+    complex_ = _pairs(complex_manifest)
+    t0 = time.perf_counter()
+    try:
+        net = prior
+        for rnd in range(enhance_rounds if name == "enhanced" else 1):
+            dataset, supervision, targets = _stage_data(
+                name, net, simple, complex_, include_simple_in_powerful
+            )
+            if rnd == 0 and name != "initial":
+                prev = STAGES[STAGES.index(name) - 1]
+                _write_masks(out_dir, f"masks_{prev}", dataset, targets)
+            if warm_start and name != "initial":
+                net = net.copy()
+            else:
+                seed = _derive_seed(config.seed, init_salt + 100 * rnd)
+                net = init_network(NetworkConfig(num_classes, tuple(channels), seed=seed))
+            _, losses = train_stage(
+                net, dataset, supervision, targets,
+                replace(config, seed=_derive_seed(config.seed, train_salt + 100 * rnd)),
+                num_classes=num_classes,
+            )
+        per_iou, miou = evaluate(net, eval_manifest)
+    except Exception as e:
+        raise PipelineError(name, e) from e
+    return net, StageReport(name, losses, per_iou, miou, time.perf_counter() - t0)
+
+
 def run_stc(
     simple_manifest: DatasetManifest,
     complex_manifest: DatasetManifest,
@@ -280,114 +365,40 @@ def run_stc(
     *,
     num_classes: int | None = None,
     channels: tuple[int, ...] = (16, 32, 64),
-    kernel_size: int = 3,
     include_simple_in_powerful: bool = True,
     warm_start: bool = False,
     enhance_rounds: int = 1,
     out_dir=None,
 ):
-    """Runs all three stages; returns ({stage: ParamSet}, [StageReport]).
+    """Runs all three stages, each on the net the one before trained;
+    returns ({stage: ParamSet}, [StageReport]).
 
     Pseudo-mask directories masks_initial/ and masks_enhanced/ are written
     under out_dir when given. Training never reads ground-truth masks.
     """
     if not simple_manifest.records:
         raise PipelineError("initial", ValueError("no simple images to train on"))
-    if enhance_rounds < 1:
-        raise PipelineError("enhanced", ValueError("enhance_rounds must be >= 1"))
     if num_classes is None:
         num_classes = max(
             max(rec.labels)
             for m in (simple_manifest, complex_manifest, eval_manifest)
             for rec in m.records
         )
-    simple = _pairs(simple_manifest)
-    complex_ = _pairs(complex_manifest)
     nets: dict[str, ParamSet] = {}
     reports: list[StageReport] = []
-
-    def net_config(salt: int) -> NetworkConfig:
-        return NetworkConfig(
-            num_classes, tuple(channels), kernel_size, seed=_derive_seed(config.seed, salt)
-        )
-
-    def stage_config(salt: int) -> TrainConfig:
-        return replace(config, seed=_derive_seed(config.seed, salt))
-
-    # Stage 1: soft saliency targets on simple images.
-    t0 = time.perf_counter()
-    try:
-        sal_maps = _parallel_map(lambda p: _saliency_for(*p), simple)
-        net = init_network(net_config(1))
-        _, losses = train_stage(
-            net, simple, SUPERVISION_SALIENCY, sal_maps, stage_config(11),
+    net = None
+    for name in STAGES:
+        net, report = run_stage(
+            name, net, simple_manifest, complex_manifest, eval_manifest, config,
             num_classes=num_classes,
+            channels=channels,
+            include_simple_in_powerful=include_simple_in_powerful,
+            warm_start=warm_start,
+            enhance_rounds=enhance_rounds,
+            out_dir=out_dir,
         )
-        per_iou, miou = evaluate(net, eval_manifest)
-    except PipelineError:
-        raise
-    except Exception as e:
-        raise PipelineError("initial", e) from e
-    nets["initial"] = net
-    reports.append(StageReport("initial", losses, per_iou, miou, time.perf_counter() - t0))
-
-    # Stage 2: hard pseudo-masks of simple images, label-restricted.
-    t0 = time.perf_counter()
-    try:
-        current = nets["initial"]
-        for rnd in range(enhance_rounds):
-            simple_masks = _parallel_map(
-                lambda p: relabel_simple(current, p[0].load_image(p[1]), min(p[1].labels)),
-                simple,
-            )
-            net = current.copy() if warm_start else init_network(net_config(2 + 100 * rnd))
-            _, losses = train_stage(
-                net, simple, SUPERVISION_MASKS, simple_masks,
-                stage_config(12 + 100 * rnd), num_classes=num_classes,
-            )
-            current = net
-        _write_masks(out_dir, "masks_initial", simple, simple_masks)
-        per_iou, miou = evaluate(net, eval_manifest)
-    except PipelineError:
-        raise
-    except Exception as e:
-        raise PipelineError("enhanced", e) from e
-    nets["enhanced"] = net
-    reports.append(StageReport("enhanced", losses, per_iou, miou, time.perf_counter() - t0))
-
-    # Stage 3: label-restricted pseudo-masks of complex images, plus (by
-    # default) the enhanced net's pseudo-masks of the simple images.
-    t0 = time.perf_counter()
-    try:
-        complex_masks = _parallel_map(
-            lambda p: relabel_complex(nets["enhanced"], p[0].load_image(p[1]), p[1].labels),
-            complex_,
-        )
-        dataset = list(complex_)
-        masks = list(complex_masks)
-        if include_simple_in_powerful:
-            simple_masks_enh = _parallel_map(
-                lambda p: relabel_simple(
-                    nets["enhanced"], p[0].load_image(p[1]), min(p[1].labels)
-                ),
-                simple,
-            )
-            dataset += simple
-            masks += simple_masks_enh
-        _write_masks(out_dir, "masks_enhanced", dataset, masks)
-        net = nets["enhanced"].copy() if warm_start else init_network(net_config(3))
-        _, losses = train_stage(
-            net, dataset, SUPERVISION_MASKS, masks, stage_config(13),
-            num_classes=num_classes,
-        )
-        per_iou, miou = evaluate(net, eval_manifest)
-    except PipelineError:
-        raise
-    except Exception as e:
-        raise PipelineError("powerful", e) from e
-    nets["powerful"] = net
-    reports.append(StageReport("powerful", losses, per_iou, miou, time.perf_counter() - t0))
-
+        nets[name] = net
+        reports.append(report)
     return nets, reports
 
 

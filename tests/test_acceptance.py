@@ -250,6 +250,7 @@ def test_criterion_8_determinism(tmp_path):
     report("criterion 8: identical seeds give byte-identical checkpoints, masks and reports (timing masked)")
 
 
+@pytest.mark.slow
 def test_criterion_6_stc_trend(tmp_path):
     t0 = time.perf_counter()
     results = []

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from stc import data
+from stc import data, pipeline
 from stc.cli import load_run_config, main
 from stc.network import NetworkConfig, init_network
 from stc.params import save_params
@@ -215,9 +215,30 @@ class TestStageCommand:
             ["stage", "--data", str(dataset_dir), "--out", str(tmp_path / "stage_out"),
              "--stage", "enhanced", "--params", str(path)]
         )
-        assert rc != 0
+        assert rc == 1
         err = capsys.readouterr().err
         assert str(path) in err and "conv1.weight" in err
+
+    def test_missing_params_file_rejected(self, dataset_dir, tmp_path, capsys):
+        path = tmp_path / "nope.stcp"
+        rc = main(
+            ["stage", "--data", str(dataset_dir), "--out", str(tmp_path / "stage_out"),
+             "--stage", "powerful", "--params", str(path)]
+        )
+        assert rc == 1
+        assert str(path) in capsys.readouterr().err
+
+    def test_initial_rejects_params(self, dataset_dir, tmp_path, capsys):
+        path = tmp_path / "prior.stcp"
+        save_params(init_network(NetworkConfig(4, seed=0)), path)
+        out = tmp_path / "stage_out"
+        rc = main(
+            ["stage", "--data", str(dataset_dir), "--out", str(out),
+             "--stage", "initial", "--params", str(path)]
+        )
+        assert rc == 1
+        assert "--params" in capsys.readouterr().err
+        assert not (out / "checkpoint_initial.stcp").exists()
 
     def test_enhanced_from_initial_checkpoint(self, dataset_dir, tmp_path):
         cfg = tmp_path / "config.json"
@@ -234,3 +255,52 @@ class TestStageCommand:
         )
         assert rc == 0
         assert (out / "checkpoint_enhanced.stcp").is_file()
+
+
+@pytest.mark.parametrize("command", ["run", "stage"])
+def test_empty_eval_split_rejected_before_training(tmp_path, capsys, monkeypatch, command):
+    d = tmp_path / "data"
+    assert main(["gen", "--out", str(d), "--simple", "4", "--complex", "2",
+                 "--eval", "0", "--seed", "5"]) == 0
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained although there is nothing to evaluate on")
+
+    monkeypatch.setattr(pipeline, "train_stage", no_training)
+    argv = [command, "--data", str(d), "--out", str(tmp_path / "out")]
+    if command == "stage":
+        argv += ["--stage", "initial"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "no eval records" in err and str(d) in err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [{}, {"warm_start": True, "enhance_rounds": 2, "include_simple_in_powerful": False}],
+    ids=["default", "warm-2rounds-complex-only"],
+)
+def test_stage_chain_matches_run(dataset_dir, tmp_path, flags):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({**TINY_CONFIG, **flags}))
+    run_out, chain_out = tmp_path / "run", tmp_path / "chain"
+    assert main(
+        ["run", "--data", str(dataset_dir), "--out", str(run_out), "--config", str(cfg)]
+    ) == 0
+    prior = []
+    for stage in ("initial", "enhanced", "powerful"):
+        assert main(
+            ["stage", "--data", str(dataset_dir), "--out", str(chain_out),
+             "--stage", stage, "--config", str(cfg), *prior]
+        ) == 0
+        prior = ["--params", str(chain_out / f"checkpoint_{stage}.stcp")]
+
+    for stage in ("initial", "enhanced", "powerful"):
+        for suffix in (".stcp", ".json"):
+            name = f"checkpoint_{stage}{suffix}"
+            assert (chain_out / name).read_bytes() == (run_out / name).read_bytes(), name
+    for sub in ("masks_initial", "masks_enhanced"):
+        masks = sorted(p.name for p in (run_out / sub).glob("*.pgm"))
+        assert masks and masks == sorted(p.name for p in (chain_out / sub).glob("*.pgm"))
+        for name in masks:
+            assert (chain_out / sub / name).read_bytes() == (run_out / sub / name).read_bytes()

@@ -1,4 +1,5 @@
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from helpers import brute_force_iou
 from stc import data
 from stc import pipeline
+from stc.imageio import read_pgm
 from stc.network import NetworkConfig, StepBuffers, init_network
 from stc.pipeline import (
     SUPERVISION_MASKS,
@@ -23,6 +25,7 @@ from stc.pipeline import (
     write_report_json,
 )
 from stc.pipeline import _saliency_for
+from stc.pseudolabel import relabel_simple
 
 
 TINY = TrainConfig(batch_size=4, epochs=2, crop_size=48, seed=5)
@@ -288,6 +291,17 @@ class TestRunStc:
         fresh = init_network(NetworkConfig(4, channels=TINY_CHANNELS, seed=0))
         for stage in ("initial", "enhanced", "powerful"):
             assert nets[stage].names() == fresh.names()
+
+    def test_masks_initial_come_from_the_initial_net(self, corpus, tmp_path):
+        simple = corpus.split("simple")
+        nets, _ = run_stc(
+            simple, corpus.split("complex"), corpus.split("eval"),
+            TINY, channels=TINY_CHANNELS, enhance_rounds=2, out_dir=tmp_path,
+        )
+        for rec in simple.records:
+            expected = relabel_simple(nets["initial"], simple.load_image(rec), min(rec.labels))
+            written = read_pgm(tmp_path / "masks_initial" / f"{Path(rec.image).stem}.pgm")
+            assert np.array_equal(written, expected), rec.image
 
     def test_empty_simple_manifest_fails_with_stage(self, corpus):
         empty = data.DatasetManifest(corpus.root, [])
