@@ -19,11 +19,13 @@ import tempfile
 import time
 from pathlib import Path
 
-import numpy as np
-
+# stc before numpy: importing stc pins BLAS to one thread, which only
+# takes effect before numpy loads
 from stc import data
 from stc.params import ParamSet
 from stc.pipeline import TrainConfig, run_stc
+
+import numpy as np
 
 
 def param_digest(params: ParamSet) -> str:

@@ -8,6 +8,7 @@ from parameter shapes, so a checkpoint alone is enough to run inference.
 """
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,7 @@ from .ops import (
     bilinear_resize,
     channel_softmax,
     conv2d_backward,
+    conv2d_batch_sums,
     conv2d_forward,
     im2col,
     relu_backward,
@@ -84,9 +86,30 @@ def output_stride(params: ParamSet) -> int:
     return 2 ** min(_MAX_POOLS, num_blocks(params))
 
 
+def row_ranges(n: int, workers: int) -> list[slice]:
+    """min(workers, n) contiguous, disjoint row ranges covering 0..n in
+    order, their sizes differing by at most one (one empty range if n is 0)."""
+    parts = max(1, min(workers, n))
+    return [slice(j * n // parts, (j + 1) * n // parts) for j in range(parts)]
+
+
 class StepBuffers:
-    """The arrays a train step writes its large temporaries into, reused by
-    every step of one `train_stage`, as Caffe keeps a layer's blobs.
+    """The arrays a train step writes its large temporaries into, and the
+    threads that run its row ranges, reused by every step of one
+    `train_stage`, as Caffe keeps a layer's blobs.
+
+    Row ranges: `run_rows` cuts a batch of n images into min(workers, n)
+    contiguous row ranges (`row_ranges`). The calling thread runs the first
+    and a pool of workers - 1 threads the others; the training forward, and
+    later the backward, runs whole on each range, into that range's rows of
+    the full-batch arrays below. The calling thread takes every full-batch
+    array before the ranges start, so `take` needs no lock and no two
+    threads write one row. What mixes images runs in the calling thread,
+    over the full arrays, once the ranges have joined: the loss, and the
+    batch sums of each parameter gradient (`ops.conv2d_batch_sums`), added
+    in the order of a single range. So a step gives the same bits for any
+    number of workers; with one worker there is one range and no pool.
+    `close`, or leaving a `with` block, shuts the pool down.
 
     An array is allocated on first use (the first step, at full batch size)
     and again only if its trailing shape changes or a larger batch asks for
@@ -99,11 +122,13 @@ class StepBuffers:
 
     - `padded` (n, c, h+2p, w+2p): the conv's input, zero-padded. The layer
       before writes its output (the standardized images, for conv1) into the
-      interior. Dead once im2col has read it; backward's col2im then
+      interior, unless it is an unpooled conv whose output im2col copies
+      there. Dead once im2col has read it; backward's col2im then
       scatter-adds onto it, so the input gradient is its interior, and the
       next step's im2col zeroes its border again.
-    - `cols` (n, c*k*k, h*w): the patch matrix. Kept for the kernel
-      gradient, then overwritten by `W^T @ g` in backward.
+    - `cols` (n, c*k*k, h*w): the patch matrix (k > 1; at k == 1 it is a
+      reshape of the input). Kept for the kernel gradient, then overwritten
+      by `W^T @ g` in backward.
     - `out` (n, cout, h, w): the conv output, ReLU applied in place. The
       cache keeps this ReLU output `r` for the ReLU mask (r > 0 iff z > 0).
     - `grad` (n, cout, h, w), pooled blocks only: the gradient at the conv
@@ -119,8 +144,12 @@ class StepBuffers:
     loss stay new arrays: they are small, and the caller keeps the logits.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, workers: int = 1) -> None:
+        if workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
+        self._workers = workers
         self._arrays: dict[str, np.ndarray] = {}
+        self._pool: ThreadPoolExecutor | None = None
 
     def take(self, name: str, shape) -> np.ndarray:
         """The leading shape[0] rows of the array called `name`."""
@@ -134,6 +163,33 @@ class StepBuffers:
         """Name -> the whole array, as allocated."""
         return dict(self._arrays)
 
+    def run_rows(self, n: int, fn) -> None:
+        """Calls fn(rows) for each row range of a batch of n and returns once
+        every call has ended. Re-raises an error of any call, the calling
+        thread's own first."""
+        own, *rest = row_ranges(n, self._workers)
+        if rest and self._pool is None:
+            self._pool = ThreadPoolExecutor(self._workers - 1, thread_name_prefix="stc-step")
+        futures = [self._pool.submit(fn, rows) for rows in rest]
+        try:
+            fn(own)
+        finally:
+            wait(futures)
+        for f in futures:
+            f.result()
+
+    def close(self) -> None:
+        """Shuts the pool down and waits for its threads to end."""
+        if self._pool is not None:
+            self._pool.shutdown(wait=True)
+            self._pool = None
+
+    def __enter__(self) -> "StepBuffers":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
 
 def _padded(buffers: StepBuffers, layer: str, shape, k: int) -> np.ndarray:
     n, c, h, w = shape
@@ -141,76 +197,105 @@ def _padded(buffers: StepBuffers, layer: str, shape, k: int) -> np.ndarray:
     return buffers.take(f"{layer}.padded", (n, c, h + 2 * p, w + 2 * p))
 
 
-def _input_of(buffers: StepBuffers | None, layer: str, shape, k: int):
-    """Where the layer before writes `layer`'s input: the interior of its
-    padded buffer, or None (a new array) without buffers."""
-    if buffers is None:
-        return None
+def _interior(padded: np.ndarray, k: int) -> np.ndarray:
     p = k // 2
-    _, _, h, w = shape
-    return _padded(buffers, layer, shape, k)[:, :, p : p + h, p : p + w]
+    return padded[:, :, p : padded.shape[2] - p, p : padded.shape[3] - p]
+
+
+def _checked_images(params: ParamSet, images) -> np.ndarray:
+    images = np.asarray(images, dtype=np.float64)
+    stride = output_stride(params)
+    _, _, h, w = images.shape
+    if h % stride or w % stride:
+        raise ValueError(f"spatial dims {h}x{w} not divisible by output stride {stride}")
+    return images
+
+
+def _step_arrays(params: ParamSet, shape, buffers: StepBuffers) -> dict[str, np.ndarray]:
+    """The full-batch arrays of one training forward, taken from `buffers`:
+    per conv i, `conv{i}.padded`, `.cols` and `.out` (see StepBuffers) and
+    `.in`, the view the layer before writes conv i's input into; `head.in`
+    likewise; and `logits`, a new array."""
+    n, _, h, w = shape
+    arrays = {}
+    src = None  # the output of the block before, when it does not pool
+    for i in range(1, num_blocks(params) + 1):
+        cout, c, k, _ = params[f"conv{i}.weight"].value.shape
+        padded = arrays[f"conv{i}.padded"] = _padded(buffers, f"conv{i}", (n, c, h, w), k)
+        a = arrays[f"conv{i}.in"] = _interior(padded, k) if src is None else src
+        # im2col's patch matrix at k == 1 is a reshape of its input
+        arrays[f"conv{i}.cols"] = (
+            buffers.take(f"conv{i}.cols", (n, c * k * k, h * w)) if k > 1
+            else a.reshape(n, c, h * w)
+        )
+        src = arrays[f"conv{i}.out"] = buffers.take(f"conv{i}.out", (n, cout, h, w))
+        if i <= _MAX_POOLS:
+            h, w = h // 2, w // 2
+            src = None
+    classes, c, k, _ = params["head.weight"].value.shape
+    if src is None:
+        src = _interior(_padded(buffers, "head", (n, c, h, w), k), k)
+    arrays["head.in"] = src
+    arrays["logits"] = np.empty((n, classes, h, w))
+    return arrays
+
+
+def _forward_rows(params: ParamSet, images: np.ndarray, arrays, rows: slice) -> np.ndarray:
+    """The forward pass of images[rows]; returns their logits. With `arrays`
+    (from _step_arrays) every result goes into these rows of them; with None
+    (inference) into new arrays, and no patch matrix is kept."""
+
+    def into(name: str):
+        return None if arrays is None else arrays[name][rows]
+
+    nb = num_blocks(params)
+    a = np.subtract(images[rows], _INPUT_MEAN, out=into("conv1.in"))
+    a /= _INPUT_STD
+    for i in range(1, nb + 1):
+        weight = params[f"conv{i}.weight"].value
+        k = weight.shape[2]
+        cols = None
+        if arrays is not None:
+            cols = im2col(a, k, out=into(f"conv{i}.cols"), padded=into(f"conv{i}.padded"))
+        z = conv2d_forward(
+            a, weight, params[f"conv{i}.bias"].value, cols=cols, out=into(f"conv{i}.out")
+        )
+        r = relu_forward(z, out=z)
+        if i <= _MAX_POOLS:
+            a = avgpool2_forward(r, out=into(f"conv{i + 1}.in" if i < nb else "head.in"))
+        else:
+            a = r
+    return conv2d_forward(
+        a, params["head.weight"].value, params["head.bias"].value, out=into("logits")
+    )
 
 
 def _forward_cached(params: ParamSet, images: np.ndarray, buffers: StepBuffers | None = None):
     """Training forward: logits plus the cache `backward` consumes.
 
-    Each conv's patch matrix is built once here and kept in the cache, so
-    backward reuses it for the kernel gradient instead of rebuilding it.
-    The temporaries go into `buffers` (fresh ones if None); pass the same
-    buffers to `backward`. Their contents, the cache's arrays among them,
-    stay valid until the next step that uses them.
+    Each row range of the batch (see StepBuffers) runs the whole forward
+    into its rows of the full-batch arrays, which the calling thread takes
+    from `buffers` (fresh ones, with one worker, if None) first. Each
+    conv's patch matrix is built once and kept in the cache, so backward
+    reuses it for the kernel gradient instead of rebuilding it. Pass the
+    same buffers to `backward`. Their contents, the cache's arrays among
+    them, stay valid until the next step that uses them.
     """
-    return _forward(params, images, buffers or StepBuffers())
-
-
-def _forward(params: ParamSet, images: np.ndarray, buffers: StepBuffers | None):
-    """With buffers None (inference) every result is a new array and no
-    cache is kept."""
-    keep = buffers is not None
-    nb = num_blocks(params)
-    stride = output_stride(params)
-    n, _, h, w = images.shape
-    if h % stride or w % stride:
-        raise ValueError(f"spatial dims {h}x{w} not divisible by output stride {stride}")
-    images = np.asarray(images, dtype=np.float64)
-    k1 = params["conv1.weight"].value.shape[2]
-    a = np.subtract(images, _INPUT_MEAN, out=_input_of(buffers, "conv1", images.shape, k1))
-    a /= _INPUT_STD
-    cache = []
-    for i in range(1, nb + 1):
-        weight = params[f"conv{i}.weight"].value
-        cout, c, k, _ = weight.shape
-        cols = None
-        if keep:
-            cols = im2col(
-                a, k,
-                out=buffers.take(f"conv{i}.cols", (n, c * k * k, h * w)),
-                padded=_padded(buffers, f"conv{i}", a.shape, k),
-            )
-        z = conv2d_forward(
-            a, weight, params[f"conv{i}.bias"].value, cols=cols,
-            out=buffers.take(f"conv{i}.out", (n, cout, h, w)) if keep else None,
-        )
-        r = relu_forward(z, out=z)
-        if keep:
-            cache.append((a, r, cols))
-        if i <= _MAX_POOLS:
-            h, w = h // 2, w // 2
-            nxt = f"conv{i + 1}" if i < nb else "head"
-            k_next = params[f"{nxt}.weight"].value.shape[2]
-            a = avgpool2_forward(r, out=_input_of(buffers, nxt, (n, cout, h, w), k_next))
-        else:
-            a = r
-    logits = conv2d_forward(a, params["head.weight"].value, params["head.bias"].value)
-    if keep:
-        cache.append(a)
-    return logits, cache
+    images = _checked_images(params, images)
+    buffers = buffers or StepBuffers()
+    arrays = _step_arrays(params, images.shape, buffers)
+    buffers.run_rows(images.shape[0], lambda rows: _forward_rows(params, images, arrays, rows))
+    cache = [
+        (arrays[f"conv{i}.in"], arrays[f"conv{i}.out"], arrays[f"conv{i}.cols"])
+        for i in range(1, num_blocks(params) + 1)
+    ]
+    cache.append(arrays["head.in"])
+    return arrays["logits"], cache
 
 
 def forward(params: ParamSet, images: np.ndarray) -> np.ndarray:
     """images: (N, 3, H, W) with H, W divisible by 4 -> logits (N, C+1, h, w)."""
-    logits, _ = _forward(params, images, None)
-    return logits
+    return _forward_rows(params, _checked_images(params, images), None, slice(None))
 
 
 def backward(
@@ -218,40 +303,60 @@ def backward(
 ) -> None:
     """Accumulates parameter gradients (+=) for the cached forward pass.
 
-    Consumes the cache, popping one layer's entry at a time. The input
-    gradient of conv1 is not computed: the image has no parameters. With
-    the buffers the forward used, each layer's large temporaries land in
-    arrays the forward is done with (see StepBuffers); with None they are
-    new arrays.
+    Consumes the cache. Each row range of the batch (see StepBuffers) runs
+    the whole backward on its rows, up to each layer's per-image
+    kernel-gradient products; once the ranges have joined, the calling
+    thread sums those and the upstream gradients over the whole batch
+    (`conv2d_batch_sums`). The input gradient of conv1 is not computed:
+    the image has no parameters. With the buffers the forward used, each
+    layer's large temporaries land in arrays the forward is done with (see
+    StepBuffers); with None they are new arrays.
     """
     buffers = buffers or StepBuffers()
     take = buffers.take
-    nb = num_blocks(params)
+    n = grad_logits.shape[0]
     head_in = cache.pop()
-    n, c, h, w = head_in.shape
+    _, c, h, w = head_in.shape
     head_weight = params["head.weight"].value
-    g, gk, gb = conv2d_backward(
-        head_in, head_weight, grad_logits,
-        kernel_out=take("head.kernel_grad", (n, head_weight.shape[0], c)),
-        cols_out=take("head.input_grad", (n, c, h * w)),
-    )
-    params["head.weight"].grad += gk
-    params["head.bias"].grad += gb
-    for i in range(nb, 0, -1):
+    head_kernel_grad = take("head.kernel_grad", (n, head_weight.shape[0], c))
+    head_input_grad = take("head.input_grad", (n, c, h * w))
+    # per layer: (name, kernel-gradient products, upstream gradient), full batch
+    sums = [("head", head_kernel_grad, grad_logits)]
+    layers = []
+    # the input gradient of the layer above, where its col2im leaves it (at
+    # k == 1, a reshape of its patch matrix): an unpooled block's upstream
+    above = head_input_grad.reshape(head_in.shape)
+    for i in range(num_blocks(params), 0, -1):
         a_in, r, cols = cache.pop()
-        if i <= _MAX_POOLS:
-            g = avgpool2_backward(g, out=take(f"conv{i}.grad", r.shape))
-        g = relu_backward(r, g, out=g)
         weight = params[f"conv{i}.weight"].value
         cout, c, k, _ = weight.shape
-        g, gk, gb = conv2d_backward(
-            a_in, weight, g, cols=cols, input_grad=i > 1,
-            kernel_out=take(f"conv{i}.kernel_grad", (a_in.shape[0], cout, c * k * k)),
-            cols_out=cols,
-            input_out=_padded(buffers, f"conv{i}", a_in.shape, k),
+        grad = take(f"conv{i}.grad", r.shape) if i <= _MAX_POOLS else None
+        kernel_grad = take(f"conv{i}.kernel_grad", (n, cout, c * k * k))
+        padded = _padded(buffers, f"conv{i}", a_in.shape, k)
+        layers.append((i, weight, a_in, r, cols, grad, kernel_grad, padded))
+        sums.append((f"conv{i}", kernel_grad, above if grad is None else grad))
+        above = cols.reshape(a_in.shape) if k == 1 else _interior(padded, k)
+
+    def backward_rows(rows: slice) -> None:
+        g, _, _ = conv2d_backward(
+            head_in[rows], head_weight, grad_logits[rows], batch_sums=False,
+            kernel_out=head_kernel_grad[rows], cols_out=head_input_grad[rows],
         )
-        params[f"conv{i}.weight"].grad += gk
-        params[f"conv{i}.bias"].grad += gb
+        for i, weight, a_in, r, cols, grad, kernel_grad, padded in layers:
+            if grad is not None:
+                g = avgpool2_backward(g, out=grad[rows])
+            g = relu_backward(r[rows], g, out=g)
+            cols_rows = cols[rows]
+            g, _, _ = conv2d_backward(
+                a_in[rows], weight, g, cols=cols_rows, input_grad=i > 1, batch_sums=False,
+                kernel_out=kernel_grad[rows], cols_out=cols_rows, input_out=padded[rows],
+            )
+
+    buffers.run_rows(n, backward_rows)
+    for name, products, upstream in sums:
+        gk, gb = conv2d_batch_sums(products, upstream, params[f"{name}.weight"].value.shape)
+        params[f"{name}.weight"].grad += gk
+        params[f"{name}.bias"].grad += gb
 
 
 def predict(params: ParamSet, image: np.ndarray) -> np.ndarray:

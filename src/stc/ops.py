@@ -64,7 +64,8 @@ def im2col(x: np.ndarray, k: int, *, out=None, padded=None) -> np.ndarray:
     Row c*k*k + i*k + j holds channel c shifted by (i - k//2, j - k//2).
     `out` receives the patch matrix; `padded`, (N, C, H+2p, W+2p) with
     p = k//2, receives the zero-padded input and may hold anything before
-    the call. x may be the interior of `padded` already, as when the layer
+    the call (without it, the padded grid is a new array, filled the same
+    way). x may be the interior of `padded` already, as when the layer
     before wrote its output there; numpy skips copying a view onto itself.
     For k == 1 the patch matrix is a reshape of x and neither is written.
     """
@@ -73,14 +74,14 @@ def im2col(x: np.ndarray, k: int, *, out=None, padded=None) -> np.ndarray:
         return x.reshape(n, c, h * w)
     p = k // 2
     if padded is None:
-        xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+        xp = np.empty((n, c, h + 2 * p, w + 2 * p))
     else:
         xp = _check_out(padded, (n, c, h + 2 * p, w + 2 * p))
-        xp[:, :, :p] = 0.0
-        xp[:, :, h + p :] = 0.0
-        xp[:, :, p : h + p, :p] = 0.0
-        xp[:, :, p : h + p, w + p :] = 0.0
-        xp[:, :, p : h + p, p : w + p] = x
+    xp[:, :, :p] = 0.0
+    xp[:, :, h + p :] = 0.0
+    xp[:, :, p : h + p, :p] = 0.0
+    xp[:, :, p : h + p, w + p :] = 0.0
+    xp[:, :, p : h + p, p : w + p] = x
     if out is None:
         out = np.empty((n, c * k * k, h * w))
     else:
@@ -152,14 +153,28 @@ def conv2d_forward(x, kernel, bias, *, cols=None, out=None) -> np.ndarray:
     return out.reshape(n, cout, h, w)
 
 
+def conv2d_batch_sums(products, upstream, kernel_shape):
+    """The batch reductions of conv2d_backward: (grad_kernel, grad_bias).
+
+    grad_kernel sums the per-image kernel-gradient products, (N, Cout,
+    Cin*k*k), over images; grad_bias sums upstream, (N, Cout, H, W), over
+    images and pixels. Summing the whole batch in one call fixes the order
+    of the adds, so the bits do not depend on how the rows were computed.
+    """
+    return products.sum(axis=0).reshape(kernel_shape), upstream.sum(axis=(0, 2, 3))
+
+
 def conv2d_backward(
-    x, kernel, upstream, *, cols=None, input_grad=True,
+    x, kernel, upstream, *, cols=None, input_grad=True, batch_sums=True,
     kernel_out=None, cols_out=None, input_out=None,
 ):
     """Gradients of conv2d_forward: returns (grad_input, grad_kernel, grad_bias).
 
     `cols`, if given, is im2col(x, k) from the forward pass. With
     `input_grad=False` the input gradient is skipped and returned as None.
+    With `batch_sums=False` grad_kernel and grad_bias are returned as None:
+    the products stay in `kernel_out` for a `conv2d_batch_sums` over a
+    larger batch that these rows are part of.
     Optional arrays that receive the large intermediates:
     `kernel_out`, (N, Cout, Cin*k*k), the per-image kernel-gradient products
     summed into grad_kernel; `cols_out`, (N, Cin*k*k, H*W), the patch matrix
@@ -176,13 +191,14 @@ def conv2d_backward(
         raise ValueError(
             f"upstream shape {upstream.shape} does not match output shape {(n, cout, h, w)}"
         )
-    grad_bias = upstream.sum(axis=(0, 2, 3))
     g = upstream.reshape(n, cout, h * w)
     cols = _patch_matrix(x, k, cols)
     if kernel_out is not None:
         _check_contiguous_out(kernel_out, (n, cout, cin * k * k))
     products = np.matmul(g, cols.transpose(0, 2, 1), out=kernel_out)
-    grad_kernel = products.sum(axis=0).reshape(kernel.shape)
+    grad_kernel = grad_bias = None
+    if batch_sums:
+        grad_kernel, grad_bias = conv2d_batch_sums(products, upstream, kernel.shape)
     grad_input = None
     if input_grad:
         if cols_out is not None:

@@ -73,14 +73,18 @@ class PipelineError(RuntimeError):
 
 
 def worker_count() -> int:
-    """Worker cap from STC_THREADS; defaults to the machine core count."""
+    """Worker cap from STC_THREADS, for the inference passes and for the row
+    ranges of a train step; defaults to the machine core count."""
     env = os.environ.get("STC_THREADS")
-    if env is not None:
+    if env is None:
+        return os.cpu_count() or 1
+    try:
         n = int(env)
-        if n < 1:
-            raise ValueError(f"STC_THREADS must be >= 1, got {env}")
-        return n
-    return os.cpu_count() or 1
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise ValueError(f"STC_THREADS must be an integer >= 1, got {env!r}")
+    return n
 
 
 def _parallel_map(fn, items):
@@ -127,8 +131,10 @@ def train_stage(
     pairs). `targets` is aligned with the dataset: full-resolution saliency
     maps for SUPERVISION_SALIENCY, integer masks for SUPERVISION_MASKS.
     Returns (params, per-epoch mean losses); params are updated in place.
-    The step's large temporaries live in one `StepBuffers`, created at the
-    first step and dropped on return.
+    The step's large temporaries live in one `StepBuffers`, dropped on
+    return. It also splits each step's batch into up to `worker_count()`
+    row ranges, run on a pool that is shut down on return or error; the
+    result is bit-identical for any worker count.
     """
     _validate_config(config)
     dataset = list(dataset)
@@ -159,45 +165,47 @@ def train_stage(
     trunk = params.subset(n for n in params.names() if not n.startswith("head."))
 
     rng = np.random.default_rng(config.seed)
-    buffers = StepBuffers()
     epoch_losses = []
     step = 0
-    for epoch in range(config.epochs):
-        lr = config.initial_lr / config.lr_decay_factor ** (
-            epoch // config.lr_decay_every_epochs
-        )
-        order = rng.permutation(len(dataset))
-        step_losses = []
-        for start in range(0, len(order), config.batch_size):
-            idxs = order[start : start + config.batch_size]
-            xs, tgts = [], []
-            for i in idxs:
-                _, ih, iw = images[i].shape
-                oy = int(rng.integers(0, ih - crop + 1))
-                ox = int(rng.integers(0, iw - crop + 1))
-                xs.append(images[i][:, oy : oy + crop, ox : ox + crop])
-                window = targets[i][oy : oy + crop, ox : ox + crop]
-                if supervision == SUPERVISION_SALIENCY:
-                    tgts.append(build_simple_target(window, class_ids[i], th, tw, num_classes))
-                else:
-                    m = downsample_mask_nearest(window, th, tw)
-                    tgts.append(one_hot(m, num_classes))
-            batch = np.stack(xs, out=buffers.take("images", (len(xs), *xs[0].shape)))
-            logits, cache = _forward_cached(params, batch, buffers)
-            loss, grad = batch_ce_and_grad(logits, np.stack(tgts))
-            if not np.isfinite(loss):
-                raise ValueError(f"non-finite loss at step {step}")
-            backward(params, cache, grad, buffers)
-            sgd_step(trunk, lr, config.momentum, config.weight_decay)
-            sgd_step(
-                head,
-                lr * config.final_layer_lr_multiplier,
-                config.momentum,
-                config.weight_decay,
+    with StepBuffers(worker_count()) as buffers:
+        for epoch in range(config.epochs):
+            lr = config.initial_lr / config.lr_decay_factor ** (
+                epoch // config.lr_decay_every_epochs
             )
-            step_losses.append(loss)
-            step += 1
-        epoch_losses.append(float(np.mean(step_losses)))
+            order = rng.permutation(len(dataset))
+            step_losses = []
+            for start in range(0, len(order), config.batch_size):
+                idxs = order[start : start + config.batch_size]
+                xs, tgts = [], []
+                for i in idxs:
+                    _, ih, iw = images[i].shape
+                    oy = int(rng.integers(0, ih - crop + 1))
+                    ox = int(rng.integers(0, iw - crop + 1))
+                    xs.append(images[i][:, oy : oy + crop, ox : ox + crop])
+                    window = targets[i][oy : oy + crop, ox : ox + crop]
+                    if supervision == SUPERVISION_SALIENCY:
+                        tgts.append(
+                            build_simple_target(window, class_ids[i], th, tw, num_classes)
+                        )
+                    else:
+                        m = downsample_mask_nearest(window, th, tw)
+                        tgts.append(one_hot(m, num_classes))
+                batch = np.stack(xs, out=buffers.take("images", (len(xs), *xs[0].shape)))
+                logits, cache = _forward_cached(params, batch, buffers)
+                loss, grad = batch_ce_and_grad(logits, np.stack(tgts))
+                if not np.isfinite(loss):
+                    raise ValueError(f"non-finite loss at step {step}")
+                backward(params, cache, grad, buffers)
+                sgd_step(trunk, lr, config.momentum, config.weight_decay)
+                sgd_step(
+                    head,
+                    lr * config.final_layer_lr_multiplier,
+                    config.momentum,
+                    config.weight_decay,
+                )
+                step_losses.append(loss)
+                step += 1
+            epoch_losses.append(float(np.mean(step_losses)))
     return params, epoch_losses
 
 

@@ -304,3 +304,24 @@ def test_stage_chain_matches_run(dataset_dir, tmp_path, flags):
         assert masks and masks == sorted(p.name for p in (chain_out / sub).glob("*.pgm"))
         for name in masks:
             assert (chain_out / sub / name).read_bytes() == (run_out / sub / name).read_bytes()
+
+
+def test_run_is_byte_identical_for_any_stc_threads(dataset_dir, tmp_path, monkeypatch):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(TINY_CONFIG))
+    outs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("STC_THREADS", threads)
+        out = tmp_path / f"threads{threads}"
+        assert main(
+            ["run", "--data", str(dataset_dir), "--out", str(out), "--config", str(cfg)]
+        ) == 0
+        outs.append(out)
+    for stage in ("initial", "enhanced", "powerful"):
+        name = f"checkpoint_{stage}.stcp"
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+    for sub in ("masks_initial", "masks_enhanced"):
+        masks = sorted(p.name for p in (outs[0] / sub).glob("*.pgm"))
+        assert masks and masks == sorted(p.name for p in (outs[1] / sub).glob("*.pgm"))
+        for name in masks:
+            assert (outs[0] / sub / name).read_bytes() == (outs[1] / sub / name).read_bytes()

@@ -1,3 +1,6 @@
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,7 @@ from stc.network import (
     num_classes_of,
     output_stride,
     predict,
+    row_ranges,
 )
 
 
@@ -173,18 +177,30 @@ class TestBackward:
 
 
 class NaNBuffers(StepBuffers):
-    """New NaN-filled arrays on every take: a read before a write shows."""
+    """New NaN-filled arrays on every take: a read before a write shows,
+    also a read of rows another range has not written yet."""
 
     def take(self, name, shape):
         return np.full(shape, np.nan)
 
 
+def train_step(ps, x, targets, buffers):
+    """Logits and gradients of one step."""
+    logits, cache = _forward_cached(ps, x, buffers)
+    ps.zero_grads()
+    backward(ps, cache, batch_ce_and_grad(logits, targets)[1], buffers)
+    return logits, {n: ps[n].grad.copy() for n in ps.names()}
+
+
+def assert_same_step(got, want):
+    assert np.array_equal(got[0], want[0])
+    for name, g in want[1].items():
+        assert np.array_equal(got[1][name], g), name
+
+
 class TestStepBuffers:
     def _step(self, ps, x, targets, buffers):
-        logits, cache = _forward_cached(ps, x, buffers)
-        ps.zero_grads()
-        backward(ps, cache, batch_ce_and_grad(logits, targets)[1], buffers)
-        return logits, {n: ps[n].grad.copy() for n in ps.names()}
+        return train_step(ps, x, targets, buffers)
 
     def _inputs(self, rng, sizes):
         ps = init_network(NetworkConfig(num_classes=3, channels=(4, 6, 8), seed=8))
@@ -198,9 +214,7 @@ class TestStepBuffers:
         return ps, batches
 
     def _assert_same(self, got, want):
-        assert np.array_equal(got[0], want[0])
-        for name, g in want[1].items():
-            assert np.array_equal(got[1][name], g), name
+        assert_same_step(got, want)
 
     def test_shared_buffers_match_fresh_ones_each_step(self, rng):
         ps, batches = self._inputs(rng, [2, 2, 2])
@@ -246,3 +260,96 @@ class TestStepBuffers:
         assert np.shares_memory(b.take("x", (4, 3)), a)
         assert not np.shares_memory(b.take("x", (6, 3)), a)
         assert b.take("x", (6, 2)).shape == (6, 2)
+
+
+class TestRowRanges:
+    def test_ranges_partition_the_batch_in_order(self):
+        for n in range(10):
+            for workers in (1, 2, 3, 4):
+                ranges = row_ranges(n, workers)
+                assert len(ranges) == max(1, min(workers, n))
+                rows = [r for s in ranges for r in range(n)[s]]
+                assert rows == list(range(n)), (n, workers)
+                sizes = [len(range(n)[s]) for s in ranges]
+                assert max(sizes) - min(sizes) <= 1, (n, workers)
+
+    def _inputs(self, rng, n, soft):
+        ps = init_network(NetworkConfig(num_classes=3, channels=(4, 6, 8), seed=8))
+        x = rng.uniform(size=(n, 3, 16, 12))
+        if soft:  # per-pixel distributions, as saliency supervision gives
+            t = rng.uniform(size=(n, 4, 4, 3))
+            t /= t.sum(axis=1, keepdims=True)
+        else:
+            t = np.stack([one_hot(m, 3) for m in rng.integers(0, 4, size=(n, 4, 3))])
+        return ps, x, t
+
+    def _step(self, ps, x, t, buffers):
+        with buffers:
+            return train_step(ps, x, t, buffers)
+
+    @pytest.mark.parametrize("soft", [True, False], ids=["soft", "masks"])
+    @pytest.mark.parametrize("n, workers", [(8, 2), (8, 3), (5, 3), (1, 2), (2, 3)])
+    def test_step_bitwise_equal_for_any_worker_count(self, rng, soft, n, workers):
+        ps, x, t = self._inputs(rng, n, soft)
+        want = self._step(ps, x, t, StepBuffers(1))
+        assert_same_step(self._step(ps, x, t, StepBuffers(workers)), want)
+        assert_same_step(self._step(ps, x, t, NaNBuffers(workers)), want)
+
+    def test_each_row_runs_once_per_layer_across_threads(self, rng, monkeypatch):
+        ps, x, t = self._inputs(rng, 8, False)
+        calls = []
+
+        def spy(fn):
+            def wrapped(*args, **kwargs):
+                calls.append((fn.__name__, threading.get_ident(), args[0].shape[0]))
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(network, "conv2d_forward", spy(ops.conv2d_forward))
+        monkeypatch.setattr(network, "conv2d_backward", spy(ops.conv2d_backward))
+        self._step(ps, x, t, StepBuffers(3))
+        for name in ("conv2d_forward", "conv2d_backward"):
+            rows = sorted(r for fn, _, r in calls if fn == name)
+            assert rows == [2] * 4 + [3] * 8, name  # 4 convs x ranges of 3, 3, 2
+        assert len({tid for _, tid, _ in calls}) == 3
+
+    def test_results_are_read_only_after_every_range_has_joined(self, rng, monkeypatch):
+        # pool threads run slowly, so a result read before its range is done
+        # (a range never joined, a batch sum taken early) reads NaN rows
+        ps, x, t = self._inputs(rng, 8, False)
+        want = self._step(ps, x, t, StepBuffers(1))
+
+        def slow(fn):
+            def wrapped(*args, **kwargs):
+                if threading.current_thread() is not threading.main_thread():
+                    time.sleep(0.02)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for name in ("conv2d_forward", "conv2d_backward", "relu_backward"):
+            monkeypatch.setattr(network, name, slow(getattr(ops, name)))
+        assert_same_step(self._step(ps, x, t, NaNBuffers(2)), want)
+
+    def test_error_in_a_range_is_raised_after_all_ranges_end(self):
+        ended = []
+
+        def fn(rows):
+            if rows.start == 0:
+                raise RuntimeError("range failed")
+            time.sleep(0.05)
+            ended.append(rows)
+
+        with StepBuffers(3) as buffers:
+            with pytest.raises(RuntimeError, match="range failed"):
+                buffers.run_rows(6, fn)
+            assert ended and len(ended) == 2
+
+    def test_close_ends_the_pool_threads(self):
+        before = threading.active_count()
+        buffers = StepBuffers(3)
+        buffers.run_rows(6, lambda rows: time.sleep(0.01))
+        assert threading.active_count() > before
+        buffers.close()
+        assert threading.active_count() == before
+        buffers.run_rows(1, lambda rows: None)  # one range: no pool
+        assert threading.active_count() == before

@@ -110,6 +110,23 @@ class TestConvBackward:
         want = naive_conv2d(r, flipped, np.zeros(3))
         assert np.abs(gx - want).max() < 1e-12
 
+    def test_batch_sums_of_row_slices_match_the_whole_batch(self, rng):
+        x = rng.normal(size=(5, 2, 4, 6))
+        k = rng.normal(size=(3, 2, 3, 3))
+        r = rng.normal(size=(5, 3, 4, 6))
+        want = ops.conv2d_backward(x, k, r)
+        products = np.empty((5, 3, 18))
+        grad_input = np.empty_like(x)
+        for rows in (slice(0, 2), slice(2, 5)):
+            gx, gk, gb = ops.conv2d_backward(
+                x[rows], k, r[rows], batch_sums=False, kernel_out=products[rows]
+            )
+            assert gk is None and gb is None
+            grad_input[rows] = gx
+        gk, gb = ops.conv2d_batch_sums(products, r, k.shape)
+        for got, w in zip((grad_input, gk, gb), want):
+            assert np.array_equal(got, w)
+
     def test_input_grad_can_be_skipped(self, rng):
         x = rng.normal(size=(1, 2, 4, 4))
         k = rng.normal(size=(3, 2, 3, 3))
@@ -180,6 +197,19 @@ class TestIm2col:
         lhs = float((ops.im2col(x, ksize) * d).sum())
         rhs = float((x * ops.col2im(d, shape, ksize)).sum())
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+
+    @pytest.mark.parametrize("ksize", [1, 3, 5])
+    @pytest.mark.parametrize("shape", [(2, 3, 5, 8), (1, 2, 7, 3), (3, 1, 1, 6)])
+    def test_im2col_matches_np_pad_windows(self, rng, ksize, shape):
+        x = rng.normal(size=shape)
+        n, c, h, w = shape
+        p = ksize // 2
+        xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+        want = np.empty((n, c, ksize, ksize, h, w))
+        for i in range(ksize):
+            for j in range(ksize):
+                want[:, :, i, j] = xp[:, :, i : i + h, j : j + w]
+        assert np.array_equal(ops.im2col(x, ksize), want.reshape(n, c * ksize * ksize, h * w))
 
     def test_im2col_rows_are_shifted_channels(self, rng):
         x = rng.normal(size=(1, 2, 4, 5))

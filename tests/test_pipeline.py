@@ -1,4 +1,5 @@
 import re
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -192,6 +193,55 @@ class TestTrainStage:
             for n, v in shared[0][1].items():
                 assert np.array_equal(values[n], v), n
 
+    @pytest.mark.parametrize("supervision", [SUPERVISION_SALIENCY, SUPERVISION_MASKS])
+    @pytest.mark.parametrize("records", [8, 2, 1])
+    def test_one_step_bitwise_equal_for_any_stc_threads(
+        self, corpus, monkeypatch, supervision, records
+    ):
+        # one step over `records` images, so 1 and 2 images meet more workers
+        pairs = simple_pairs(corpus)[:records]
+        maps = [_saliency_for(corpus, r) for _, r in pairs]
+        if supervision == SUPERVISION_MASKS:
+            maps = [np.where(m > 0.5, min(r.labels), 0) for m, (_, r) in zip(maps, pairs)]
+        config = TrainConfig(batch_size=8, epochs=1, crop_size=48, seed=5)
+        runs = []
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("STC_THREADS", threads)
+            net = init_network(NetworkConfig(4, channels=TINY_CHANNELS, seed=1))
+            _, losses = train_stage(net, pairs, supervision, maps, config, num_classes=4)
+            runs.append((losses, {n: (p.value.copy(), p.velocity.copy()) for n, p in net.items()}))
+        for losses, state in runs[1:]:
+            assert losses == runs[0][0]
+            for n, (value, velocity) in runs[0][1].items():
+                assert np.array_equal(state[n][0], value), n
+                assert np.array_equal(state[n][1], velocity), n  # the step's gradient
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    @pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
+    def test_step_threads_end_with_the_stage(self, corpus, monkeypatch, fails):
+        monkeypatch.setenv("STC_THREADS", "3")
+        net = init_network(NetworkConfig(4, channels=TINY_CHANNELS, seed=1))
+        if fails:
+            net["head.weight"].value[...] = 1e308  # non-finite loss at step 0
+        pairs = simple_pairs(corpus)
+        maps = [_saliency_for(corpus, r) for _, r in pairs]
+        during = []
+        loss = pipeline.batch_ce_and_grad
+
+        def counting_loss(*args):
+            during.append(threading.active_count())
+            return loss(*args)
+
+        monkeypatch.setattr(pipeline, "batch_ce_and_grad", counting_loss)
+        before = threading.active_count()
+        if fails:
+            with pytest.raises(ValueError, match="step 0"):
+                train_stage(net, pairs, SUPERVISION_SALIENCY, maps, TINY, num_classes=4)
+        else:
+            train_stage(net, pairs, SUPERVISION_SALIENCY, maps, TINY, num_classes=4)
+        assert max(during) == before + 2  # the pool ran
+        assert threading.active_count() == before
+
     def test_training_changes_parameters(self, corpus):
         net = init_network(NetworkConfig(4, channels=TINY_CHANNELS, seed=1))
         before = {n: net[n].value.copy() for n in net.names()}
@@ -346,6 +396,14 @@ class TestWeakSupervisionAudit:
             TINY, channels=TINY_CHANNELS,
         )
         assert reads["train"] == 0
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", ""])
+def test_worker_count_error_names_the_variable(monkeypatch, value):
+    monkeypatch.setenv("STC_THREADS", value)
+    with pytest.raises(ValueError) as err:
+        worker_count()
+    assert str(err.value) == f"STC_THREADS must be an integer >= 1, got {value!r}"
 
 
 def test_worker_count_env(monkeypatch):
