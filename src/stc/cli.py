@@ -23,23 +23,8 @@ from .pipeline import PipelineError, TrainConfig
 from .saliency import compute_saliency
 
 _TRAIN_KEYS = {f.name for f in dataclasses.fields(TrainConfig)}
-_RUN_KEYS = _TRAIN_KEYS | {
-    "num_classes",
-    "simple",
-    "complex",
-    "eval",
-    "channels",
-    "include_simple_in_powerful",
-    "warm_start",
-    "enhance_rounds",
-    "data",
-    "out",
-}
 _RUN_DEFAULTS = {
     "num_classes": 4,
-    "simple": 200,
-    "complex": 100,
-    "eval": 50,
     "channels": [16, 32, 64],
     "include_simple_in_powerful": True,
     "warm_start": False,
@@ -47,12 +32,13 @@ _RUN_DEFAULTS = {
     "data": None,
     "out": None,
 }
+_RUN_KEYS = _TRAIN_KEYS | set(_RUN_DEFAULTS)
 
 
 def load_run_config(path) -> dict:
-    """Single JSON document holding TrainConfig fields plus corpus sizes,
-    class count and paths; unknown keys and values of the wrong type are
-    rejected. A key's type is that of its default."""
+    """Single JSON document holding TrainConfig fields plus the class count,
+    channels, pipeline flags and paths; unknown keys and values of the wrong
+    type are rejected. A key's type is that of its default."""
     doc = json.loads(Path(path).read_text())
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: config must be a JSON object")

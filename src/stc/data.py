@@ -23,7 +23,6 @@ from .imageio import (
     read_saliency_pgm,
     write_pgm,
     write_ppm,
-    write_saliency_pgm,
 )
 from .ops import bilinear_resize
 
@@ -280,7 +279,6 @@ class DatasetExample:
     labels: frozenset[int]
     split: str
     gt_mask: np.ndarray | None = None
-    saliency: np.ndarray | None = None
 
 
 class DatasetManifest:
@@ -365,23 +363,19 @@ def write_manifest(root, records) -> None:
 
 
 def write_dataset(examples, directory) -> None:
-    """Materializes images, masks, optional saliency maps, and manifest.jsonl."""
+    """Materializes images, masks and manifest.jsonl; `stc saliency` adds
+    the saliency maps."""
     root = Path(directory)
     (root / "images").mkdir(parents=True, exist_ok=True)
     (root / "masks").mkdir(exist_ok=True)
-    if any(ex.saliency is not None for ex in examples):
-        (root / "saliency").mkdir(exist_ok=True)
     records = []
     for ex in examples:
         image = f"images/{ex.name}.ppm"
-        sal = None if ex.saliency is None else f"saliency/{ex.name}.pgm"
         gt = None if ex.gt_mask is None else f"masks/{ex.name}.pgm"
         write_ppm(root / image, ex.image)
-        if sal is not None:
-            write_saliency_pgm(root / sal, ex.saliency)
         if gt is not None:
             write_pgm(root / gt, ex.gt_mask)
-        records.append(DatasetRecord(image, ex.labels, ex.split, sal, gt))
+        records.append(DatasetRecord(image, ex.labels, ex.split, gt_mask=gt))
     write_manifest(root, records)
 
 
@@ -406,8 +400,16 @@ def read_dataset(directory) -> DatasetManifest:
             gt_mask=entry.get("gt_mask"),
         )
         _validate_record(rec)
-        for rel in (rec.image, rec.saliency, rec.gt_mask):
-            if rel is not None and not (root / rel).is_file():
+        for field in ("image", "saliency", "gt_mask"):
+            rel = getattr(rec, field)
+            if rel is None:
+                continue
+            if not isinstance(rel, str) or Path(rel).is_absolute() or ".." in Path(rel).parts:
+                raise ValueError(
+                    f"{manifest_path}:{lineno}: {field} {rel!r} is not a path under the "
+                    "dataset root"
+                )
+            if not (root / rel).is_file():
                 raise ValueError(f"record {rec.image!r}: missing file {root / rel}")
         records.append(rec)
     return DatasetManifest(root, records)

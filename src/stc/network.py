@@ -8,7 +8,8 @@ from parameter shapes, so a checkpoint alone is enough to run inference.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor, wait
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,6 +87,20 @@ def output_stride(params: ParamSet) -> int:
     return 2 ** min(_MAX_POOLS, num_blocks(params))
 
 
+def worker_count() -> int:
+    """Worker cap from STC_THREADS; defaults to the machine core count."""
+    env = os.environ.get("STC_THREADS")
+    if env is None:
+        return os.cpu_count() or 1
+    try:
+        n = int(env)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise ValueError(f"STC_THREADS must be an integer >= 1, got {env!r}")
+    return n
+
+
 def row_ranges(n: int, workers: int) -> list[slice]:
     """min(workers, n) contiguous, disjoint row ranges covering 0..n in
     order, their sizes differing by at most one (one empty range if n is 0)."""
@@ -93,23 +108,53 @@ def row_ranges(n: int, workers: int) -> list[slice]:
     return [slice(j * n // parts, (j + 1) * n // parts) for j in range(parts)]
 
 
-class StepBuffers:
-    """The arrays a train step writes its large temporaries into, and the
-    threads that run its row ranges, reused by every step of one
-    `train_stage`, as Caffe keeps a layer's blobs.
+def _parallel_map(fn, items) -> list:
+    """[fn(x) for x in items], on up to `worker_count()` threads: the one
+    way `stc` runs work on threads.
 
-    Row ranges: `run_rows` cuts a batch of n images into min(workers, n)
-    contiguous row ranges (`row_ranges`). The calling thread runs the first
-    and a pool of workers - 1 threads the others; the training forward, and
-    later the backward, runs whole on each range, into that range's rows of
-    the full-batch arrays below. The calling thread takes every full-batch
-    array before the ranges start, so `take` needs no lock and no two
-    threads write one row. What mixes images runs in the calling thread,
-    over the full arrays, once the ranges have joined: the loss, and the
-    batch sums of each parameter gradient (`ops.conv2d_batch_sums`), added
-    in the order of a single range. So a step gives the same bits for any
-    number of workers; with one worker there is one range and no pool.
-    `close`, or leaving a `with` block, shuts the pool down.
+    `items` is cut into the contiguous chunks `row_ranges` gives. The calling
+    thread runs the first chunk and a helper thread each other one; the
+    helpers live only for this call. Returns the results in order once every
+    chunk has ended, or then re-raises the first error, the calling thread's
+    own first. With one chunk it creates no thread.
+
+    A train step maps over the row ranges of its batch: each range runs the
+    whole training forward, and later the whole backward, into its rows of
+    the full-batch arrays, which the calling thread takes from `StepBuffers`
+    first, so `take` needs no lock and no two threads write one row. What
+    mixes images runs on the calling thread, over the full arrays, once the
+    ranges have ended: the loss, and the batch sums of each parameter
+    gradient (`ops.conv2d_batch_sums`), added in the order of a single
+    range. So a step gives the same bits for any number of workers.
+    """
+    items = list(items)
+    own, *rest = [items[r] for r in row_ranges(len(items), worker_count())]
+    done = [(None, None)] * len(rest)  # each helper's (results, error)
+
+    def run(j: int, chunk: list) -> None:
+        try:
+            done[j] = [fn(x) for x in chunk], None
+        except BaseException as e:
+            done[j] = None, e
+
+    helpers = [threading.Thread(target=run, args=(j, c)) for j, c in enumerate(rest)]
+    for t in helpers:
+        t.start()
+    try:
+        results = [fn(x) for x in own]
+    finally:
+        for t in helpers:
+            t.join()
+    for chunk, error in done:
+        if error is not None:
+            raise error
+        results += chunk
+    return results
+
+
+class StepBuffers:
+    """The arrays a train step writes its large temporaries into, reused by
+    every step of one `train_stage`, as Caffe keeps a layer's blobs.
 
     An array is allocated on first use (the first step, at full batch size)
     and again only if its trailing shape changes or a larger batch asks for
@@ -144,12 +189,8 @@ class StepBuffers:
     loss stay new arrays: they are small, and the caller keeps the logits.
     """
 
-    def __init__(self, workers: int = 1) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        self._workers = workers
+    def __init__(self) -> None:
         self._arrays: dict[str, np.ndarray] = {}
-        self._pool: ThreadPoolExecutor | None = None
 
     def take(self, name: str, shape) -> np.ndarray:
         """The leading shape[0] rows of the array called `name`."""
@@ -162,33 +203,6 @@ class StepBuffers:
     def arrays(self) -> dict[str, np.ndarray]:
         """Name -> the whole array, as allocated."""
         return dict(self._arrays)
-
-    def run_rows(self, n: int, fn) -> None:
-        """Calls fn(rows) for each row range of a batch of n and returns once
-        every call has ended. Re-raises an error of any call, the calling
-        thread's own first."""
-        own, *rest = row_ranges(n, self._workers)
-        if rest and self._pool is None:
-            self._pool = ThreadPoolExecutor(self._workers - 1, thread_name_prefix="stc-step")
-        futures = [self._pool.submit(fn, rows) for rows in rest]
-        try:
-            fn(own)
-        finally:
-            wait(futures)
-        for f in futures:
-            f.result()
-
-    def close(self) -> None:
-        """Shuts the pool down and waits for its threads to end."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def __enter__(self) -> "StepBuffers":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
 
 def _padded(buffers: StepBuffers, layer: str, shape, k: int) -> np.ndarray:
@@ -273,10 +287,9 @@ def _forward_rows(params: ParamSet, images: np.ndarray, arrays, rows: slice) -> 
 def _forward_cached(params: ParamSet, images: np.ndarray, buffers: StepBuffers | None = None):
     """Training forward: logits plus the cache `backward` consumes.
 
-    Each row range of the batch (see StepBuffers) runs the whole forward
-    into its rows of the full-batch arrays, which the calling thread takes
-    from `buffers` (fresh ones, with one worker, if None) first. Each
-    conv's patch matrix is built once and kept in the cache, so backward
+    Each row range of the batch (see `_parallel_map`) runs the whole
+    forward into its rows of the full-batch arrays, which the calling thread
+    takes from `buffers` (fresh ones if None) first. Each conv's patch matrix is built once and kept in the cache, so backward
     reuses it for the kernel gradient instead of rebuilding it. Pass the
     same buffers to `backward`. Their contents, the cache's arrays among
     them, stay valid until the next step that uses them.
@@ -284,7 +297,10 @@ def _forward_cached(params: ParamSet, images: np.ndarray, buffers: StepBuffers |
     images = _checked_images(params, images)
     buffers = buffers or StepBuffers()
     arrays = _step_arrays(params, images.shape, buffers)
-    buffers.run_rows(images.shape[0], lambda rows: _forward_rows(params, images, arrays, rows))
+    _parallel_map(
+        lambda rows: _forward_rows(params, images, arrays, rows),
+        row_ranges(images.shape[0], worker_count()),
+    )
     cache = [
         (arrays[f"conv{i}.in"], arrays[f"conv{i}.out"], arrays[f"conv{i}.cols"])
         for i in range(1, num_blocks(params) + 1)
@@ -303,7 +319,7 @@ def backward(
 ) -> None:
     """Accumulates parameter gradients (+=) for the cached forward pass.
 
-    Consumes the cache. Each row range of the batch (see StepBuffers) runs
+    Consumes the cache. Each row range of the batch (see `_parallel_map`) runs
     the whole backward on its rows, up to each layer's per-image
     kernel-gradient products; once the ranges have joined, the calling
     thread sums those and the upstream gradients over the whole batch
@@ -352,7 +368,7 @@ def backward(
                 kernel_out=kernel_grad[rows], cols_out=cols_rows, input_out=padded[rows],
             )
 
-    buffers.run_rows(n, backward_rows)
+    _parallel_map(backward_rows, row_ranges(n, worker_count()))
     for name, products, upstream in sums:
         gk, gb = conv2d_batch_sums(products, upstream, params[f"{name}.weight"].value.shape)
         params[f"{name}.weight"].grad += gk

@@ -22,13 +22,14 @@ Ops whose results are large take keyword-only `out=` arguments (like numpy's
 ufuncs): float64 arrays of the result's shape (C-contiguous where the op
 reshapes them or multiplies into them) that receive the result in place of
 a new array, so that a train step can reuse the same arrays every step
-(`network.StepBuffers` says which array holds what). The arithmetic, and so
-every bit of the result, is the same with or without them. `im2col(padded=)`
-is the zero-padded copy of the input it reads; `col2im(out=)` is the padded
-grid it scatter-adds onto and returns the interior of. One array may serve
-both: col2im leaves the border of the grid nonzero, and im2col zeroes it
-again before use. Likewise `conv2d_backward` may write `W^T @ upstream` over
-the patch matrix it has just used for the kernel gradient.
+(`network.StepBuffers` says which array holds what; it holds arrays only,
+and no threads). The arithmetic, and so every bit of the result, is the
+same with or without them. `im2col(padded=)` is the zero-padded copy of the
+input it reads; `col2im(out=)` is the padded grid it scatter-adds onto and
+returns the interior of. One array may serve both: col2im leaves the border
+of the grid nonzero, and im2col zeroes it again before use. Likewise
+`conv2d_backward` may write `W^T @ upstream` over the patch matrix it has
+just used for the kernel gradient.
 
 Array conventions: feature maps are (N, C, H, W), kernels (Cout, Cin, k, k),
 probability/logit maps (..., C+1, h, w). All math is float64.

@@ -7,6 +7,7 @@ the binary checkpoint format (magic "STCP").
 """
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -76,9 +77,6 @@ class ParamSet:
             out.add(name, p.value)
         return out
 
-    def num_values(self) -> int:
-        return sum(p.value.size for p in self._entries.values())
-
 
 def sgd_step(params: ParamSet, lr: float, momentum: float, weight_decay: float) -> None:
     """One momentum-SGD update over every entry; gradients are zeroed afterward.
@@ -125,19 +123,27 @@ def finite_diff_check(
 def save_params(params: ParamSet, path) -> None:
     """Binary checkpoint: magic, version u32, count u32, then per entry
     name (u16 length + UTF-8), rank u8, dims u32 each, little-endian f64 values.
-    Gradient and velocity are not serialized."""
+    Gradient and velocity are not serialized. Written to a temporary file
+    beside `path`, then renamed over it, so a failed write leaves the
+    previous checkpoint as it was."""
     path = Path(path)
-    with path.open("wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(params)))
-        for name, p in params.items():
-            nb = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(nb)))
-            fh.write(nb)
-            dims = p.value.shape
-            fh.write(struct.pack("<B", len(dims)))
-            fh.write(struct.pack(f"<{len(dims)}I", *dims))
-            fh.write(np.ascontiguousarray(p.value, dtype="<f8").tobytes())
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with tmp.open("wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(params)))
+            for name, p in params.items():
+                nb = name.encode("utf-8")
+                fh.write(struct.pack("<H", len(nb)))
+                fh.write(nb)
+                dims = p.value.shape
+                fh.write(struct.pack("<B", len(dims)))
+                fh.write(struct.pack(f"<{len(dims)}I", *dims))
+                fh.write(np.ascontiguousarray(p.value, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_params(path) -> ParamSet:

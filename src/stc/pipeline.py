@@ -10,9 +10,7 @@ C+1 classes. All randomness flows from one root seed.
 from __future__ import annotations
 
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -25,11 +23,13 @@ from .network import (
     NetworkConfig,
     StepBuffers,
     _forward_cached,
+    _parallel_map,
     backward,
     init_network,
     num_classes_of,
     output_stride,
     predict,
+    worker_count,  # callers read STC_THREADS through pipeline.worker_count
 )
 from .params import ParamSet, sgd_step
 from .pseudolabel import argmax_full, relabel_complex, relabel_simple
@@ -72,30 +72,6 @@ class PipelineError(RuntimeError):
         self.stage = stage
 
 
-def worker_count() -> int:
-    """Worker cap from STC_THREADS, for the inference passes and for the row
-    ranges of a train step; defaults to the machine core count."""
-    env = os.environ.get("STC_THREADS")
-    if env is None:
-        return os.cpu_count() or 1
-    try:
-        n = int(env)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise ValueError(f"STC_THREADS must be an integer >= 1, got {env!r}")
-    return n
-
-
-def _parallel_map(fn, items):
-    items = list(items)
-    n = min(worker_count(), len(items))
-    if n <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as ex:
-        return list(ex.map(fn, items))
-
-
 def _derive_seed(root_seed: int, salt: int) -> int:
     return int(np.random.SeedSequence([root_seed, salt]).generate_state(1)[0])
 
@@ -132,9 +108,9 @@ def train_stage(
     maps for SUPERVISION_SALIENCY, integer masks for SUPERVISION_MASKS.
     Returns (params, per-epoch mean losses); params are updated in place.
     The step's large temporaries live in one `StepBuffers`, dropped on
-    return. It also splits each step's batch into up to `worker_count()`
-    row ranges, run on a pool that is shut down on return or error; the
-    result is bit-identical for any worker count.
+    return. Each step's forward and backward split the batch into up to
+    `worker_count()` row ranges; the result is bit-identical for any worker
+    count.
     """
     _validate_config(config)
     dataset = list(dataset)
@@ -167,45 +143,43 @@ def train_stage(
     rng = np.random.default_rng(config.seed)
     epoch_losses = []
     step = 0
-    with StepBuffers(worker_count()) as buffers:
-        for epoch in range(config.epochs):
-            lr = config.initial_lr / config.lr_decay_factor ** (
-                epoch // config.lr_decay_every_epochs
+    buffers = StepBuffers()
+    for epoch in range(config.epochs):
+        lr = config.initial_lr / config.lr_decay_factor ** (
+            epoch // config.lr_decay_every_epochs
+        )
+        order = rng.permutation(len(dataset))
+        step_losses = []
+        for start in range(0, len(order), config.batch_size):
+            idxs = order[start : start + config.batch_size]
+            xs, tgts = [], []
+            for i in idxs:
+                _, ih, iw = images[i].shape
+                oy = int(rng.integers(0, ih - crop + 1))
+                ox = int(rng.integers(0, iw - crop + 1))
+                xs.append(images[i][:, oy : oy + crop, ox : ox + crop])
+                window = targets[i][oy : oy + crop, ox : ox + crop]
+                if supervision == SUPERVISION_SALIENCY:
+                    tgts.append(build_simple_target(window, class_ids[i], th, tw, num_classes))
+                else:
+                    m = downsample_mask_nearest(window, th, tw)
+                    tgts.append(one_hot(m, num_classes))
+            batch = np.stack(xs, out=buffers.take("images", (len(xs), *xs[0].shape)))
+            logits, cache = _forward_cached(params, batch, buffers)
+            loss, grad = batch_ce_and_grad(logits, np.stack(tgts))
+            if not np.isfinite(loss):
+                raise ValueError(f"non-finite loss at step {step}")
+            backward(params, cache, grad, buffers)
+            sgd_step(trunk, lr, config.momentum, config.weight_decay)
+            sgd_step(
+                head,
+                lr * config.final_layer_lr_multiplier,
+                config.momentum,
+                config.weight_decay,
             )
-            order = rng.permutation(len(dataset))
-            step_losses = []
-            for start in range(0, len(order), config.batch_size):
-                idxs = order[start : start + config.batch_size]
-                xs, tgts = [], []
-                for i in idxs:
-                    _, ih, iw = images[i].shape
-                    oy = int(rng.integers(0, ih - crop + 1))
-                    ox = int(rng.integers(0, iw - crop + 1))
-                    xs.append(images[i][:, oy : oy + crop, ox : ox + crop])
-                    window = targets[i][oy : oy + crop, ox : ox + crop]
-                    if supervision == SUPERVISION_SALIENCY:
-                        tgts.append(
-                            build_simple_target(window, class_ids[i], th, tw, num_classes)
-                        )
-                    else:
-                        m = downsample_mask_nearest(window, th, tw)
-                        tgts.append(one_hot(m, num_classes))
-                batch = np.stack(xs, out=buffers.take("images", (len(xs), *xs[0].shape)))
-                logits, cache = _forward_cached(params, batch, buffers)
-                loss, grad = batch_ce_and_grad(logits, np.stack(tgts))
-                if not np.isfinite(loss):
-                    raise ValueError(f"non-finite loss at step {step}")
-                backward(params, cache, grad, buffers)
-                sgd_step(trunk, lr, config.momentum, config.weight_decay)
-                sgd_step(
-                    head,
-                    lr * config.final_layer_lr_multiplier,
-                    config.momentum,
-                    config.weight_decay,
-                )
-                step_losses.append(loss)
-                step += 1
-            epoch_losses.append(float(np.mean(step_losses)))
+            step_losses.append(loss)
+            step += 1
+        epoch_losses.append(float(np.mean(step_losses)))
     return params, epoch_losses
 
 

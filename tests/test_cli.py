@@ -1,4 +1,5 @@
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -115,6 +116,18 @@ class TestRun:
         )
         assert rc != 0
         assert "bogus_knob" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["simple", "complex", "eval"])
+    def test_corpus_size_key_rejected_as_unknown(self, dataset_dir, tmp_path, capsys, key):
+        # corpus sizes are `stc gen` flags; `run` and `stage` never read them
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({key: 5}))
+        rc = main(
+            ["run", "--data", str(dataset_dir), "--out", str(tmp_path), "--config", str(cfg)]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert str(cfg) in err and f"unknown config keys [{key!r}]" in err
 
     @pytest.mark.parametrize(
         "key, value",
@@ -325,3 +338,20 @@ def test_run_is_byte_identical_for_any_stc_threads(dataset_dir, tmp_path, monkey
         assert masks and masks == sorted(p.name for p in (outs[1] / sub).glob("*.pgm"))
         for name in masks:
             assert (outs[0] / sub / name).read_bytes() == (outs[1] / sub / name).read_bytes()
+
+
+@pytest.mark.parametrize("fails", [False, True], ids=["returns", "stage-fails"])
+def test_no_thread_outlives_a_run(dataset_dir, tmp_path, monkeypatch, fails):
+    monkeypatch.setenv("STC_THREADS", "3")
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(TINY_CONFIG))
+    if fails:
+        def broken_train_stage(*args, **kwargs):
+            raise RuntimeError("training broke")
+
+        monkeypatch.setattr(pipeline, "train_stage", broken_train_stage)
+    before = threading.active_count()
+    rc = main(["run", "--data", str(dataset_dir), "--out", str(tmp_path / "out"),
+               "--config", str(cfg)])
+    assert rc == (2 if fails else 0)
+    assert threading.active_count() == before

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,30 @@ class TestDatasetRoundTrip:
         manifest_path.write_text(line)
         with pytest.raises(ValueError, match="exactly one label"):
             data.read_dataset(tmp_path)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("image", "{outside}/outside.ppm"),
+            ("image", "../outside.ppm"),
+            ("gt_mask", "masks/../../outside.pgm"),
+            ("saliency", "{outside}/outside.pgm"),
+            ("image", 5),
+        ],
+    )
+    def test_path_outside_the_dataset_root_rejected(self, tmp_path, field, value):
+        root = tmp_path / "data"
+        data.write_dataset(data.build_dataset(1, 0, 1, seed=0), root)
+        (tmp_path / "outside.ppm").write_bytes((root / "images/simple_0000.ppm").read_bytes())
+        (tmp_path / "outside.pgm").write_bytes((root / "masks/eval_0000.pgm").read_bytes())
+        manifest_path = root / "manifest.jsonl"
+        lines = manifest_path.read_text().splitlines()
+        entry = json.loads(lines[1])
+        entry[field] = value.format(outside=tmp_path) if isinstance(value, str) else value
+        lines[1] = json.dumps(entry)
+        manifest_path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"manifest\.jsonl:2: .*{field}"):
+            data.read_dataset(root)
 
     def test_eval_record_without_gt_rejected(self, tmp_path):
         data.write_dataset(data.build_dataset(1, 0, 1, seed=0), tmp_path)

@@ -1,3 +1,4 @@
+import sys
 import threading
 import time
 
@@ -10,6 +11,7 @@ from stc.network import (
     NetworkConfig,
     StepBuffers,
     _forward_cached,
+    _parallel_map,
     backward,
     forward,
     init_network,
@@ -140,6 +142,7 @@ class TestBackward:
         return ps, x, targets
 
     def test_skipping_conv1_input_grad_leaves_param_grads_unchanged(self, rng, monkeypatch):
+        monkeypatch.setenv("STC_THREADS", "1")  # one row range: one call per layer, in order
         ps, x, targets = self._batch(rng)
         skipped = self._grads(ps, x, targets)
         calls = []
@@ -237,6 +240,7 @@ class TestStepBuffers:
                 assert buf.shape[0] == 8 and np.shares_memory(buf, first[name]), name
 
     def test_backward_writes_into_buffers_the_forward_is_done_with(self, rng, monkeypatch):
+        monkeypatch.setenv("STC_THREADS", "1")  # one row range: one call per layer, in order
         ps, [(x, t)] = self._inputs(rng, [2])
         shared = StepBuffers()
         calls = []
@@ -283,17 +287,17 @@ class TestRowRanges:
             t = np.stack([one_hot(m, 3) for m in rng.integers(0, 4, size=(n, 4, 3))])
         return ps, x, t
 
-    def _step(self, ps, x, t, buffers):
-        with buffers:
-            return train_step(ps, x, t, buffers)
+    def _step(self, monkeypatch, workers, ps, x, t, buffers):
+        monkeypatch.setenv("STC_THREADS", str(workers))
+        return train_step(ps, x, t, buffers)
 
     @pytest.mark.parametrize("soft", [True, False], ids=["soft", "masks"])
     @pytest.mark.parametrize("n, workers", [(8, 2), (8, 3), (5, 3), (1, 2), (2, 3)])
-    def test_step_bitwise_equal_for_any_worker_count(self, rng, soft, n, workers):
+    def test_step_bitwise_equal_for_any_worker_count(self, rng, monkeypatch, soft, n, workers):
         ps, x, t = self._inputs(rng, n, soft)
-        want = self._step(ps, x, t, StepBuffers(1))
-        assert_same_step(self._step(ps, x, t, StepBuffers(workers)), want)
-        assert_same_step(self._step(ps, x, t, NaNBuffers(workers)), want)
+        want = self._step(monkeypatch, 1, ps, x, t, StepBuffers())
+        assert_same_step(self._step(monkeypatch, workers, ps, x, t, StepBuffers()), want)
+        assert_same_step(self._step(monkeypatch, workers, ps, x, t, NaNBuffers()), want)
 
     def test_each_row_runs_once_per_layer_across_threads(self, rng, monkeypatch):
         ps, x, t = self._inputs(rng, 8, False)
@@ -301,23 +305,25 @@ class TestRowRanges:
 
         def spy(fn):
             def wrapped(*args, **kwargs):
-                calls.append((fn.__name__, threading.get_ident(), args[0].shape[0]))
+                calls.append((fn.__name__, threading.current_thread(), args[0].shape[0]))
                 return fn(*args, **kwargs)
             return wrapped
 
         monkeypatch.setattr(network, "conv2d_forward", spy(ops.conv2d_forward))
         monkeypatch.setattr(network, "conv2d_backward", spy(ops.conv2d_backward))
-        self._step(ps, x, t, StepBuffers(3))
+        self._step(monkeypatch, 3, ps, x, t, StepBuffers())
         for name in ("conv2d_forward", "conv2d_backward"):
             rows = sorted(r for fn, _, r in calls if fn == name)
             assert rows == [2] * 4 + [3] * 8, name  # 4 convs x ranges of 3, 3, 2
-        assert len({tid for _, tid, _ in calls}) == 3
+            # the forward call, then the backward call, each on 3 threads (Thread
+            # objects: an ident may be reused once its thread has ended)
+            assert len({th for fn, th, _ in calls if fn == name}) == 3, name
 
     def test_results_are_read_only_after_every_range_has_joined(self, rng, monkeypatch):
         # pool threads run slowly, so a result read before its range is done
         # (a range never joined, a batch sum taken early) reads NaN rows
         ps, x, t = self._inputs(rng, 8, False)
-        want = self._step(ps, x, t, StepBuffers(1))
+        want = self._step(monkeypatch, 1, ps, x, t, StepBuffers())
 
         def slow(fn):
             def wrapped(*args, **kwargs):
@@ -328,9 +334,23 @@ class TestRowRanges:
 
         for name in ("conv2d_forward", "conv2d_backward", "relu_backward"):
             monkeypatch.setattr(network, name, slow(getattr(ops, name)))
-        assert_same_step(self._step(ps, x, t, NaNBuffers(2)), want)
+        assert_same_step(self._step(monkeypatch, 2, ps, x, t, NaNBuffers()), want)
 
-    def test_error_in_a_range_is_raised_after_all_ranges_end(self):
+    def test_parallel_map_results_in_item_order(self, monkeypatch):
+        # up to more workers than cores, switching threads as often as it can
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 2, 3, 4, 8):
+                monkeypatch.setenv("STC_THREADS", str(workers))
+                for n in range(10):
+                    got = _parallel_map(lambda v: v * v, range(n))
+                    assert got == [v * v for v in range(n)], (workers, n)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_error_in_a_range_is_raised_after_all_ranges_end(self, monkeypatch):
+        monkeypatch.setenv("STC_THREADS", "3")
         ended = []
 
         def fn(rows):
@@ -339,17 +359,34 @@ class TestRowRanges:
             time.sleep(0.05)
             ended.append(rows)
 
-        with StepBuffers(3) as buffers:
-            with pytest.raises(RuntimeError, match="range failed"):
-                buffers.run_rows(6, fn)
-            assert ended and len(ended) == 2
+        with pytest.raises(RuntimeError, match="range failed"):
+            _parallel_map(fn, row_ranges(6, 3))
+        assert ended and len(ended) == 2
 
-    def test_close_ends_the_pool_threads(self):
+    def test_parallel_map_raises_the_first_error_the_callers_first(self, monkeypatch):
+        monkeypatch.setenv("STC_THREADS", "3")
+
+        def failing(*starts):
+            def fn(rows):
+                if rows.start in starts:
+                    raise RuntimeError(f"range {rows.start} failed")
+            return fn
+
+        with pytest.raises(RuntimeError, match="range 0 failed"):
+            _parallel_map(failing(0, 2, 4), row_ranges(6, 3))
+        with pytest.raises(RuntimeError, match="range 2 failed"):
+            _parallel_map(failing(2, 4), row_ranges(6, 3))
+
+    def test_threads_end_when_parallel_map_returns(self, monkeypatch):
+        monkeypatch.setenv("STC_THREADS", "3")
         before = threading.active_count()
-        buffers = StepBuffers(3)
-        buffers.run_rows(6, lambda rows: time.sleep(0.01))
-        assert threading.active_count() > before
-        buffers.close()
+
+        def count(rows):
+            time.sleep(0.01)
+            return threading.active_count()
+
+        assert max(_parallel_map(count, row_ranges(6, 3))) > before
         assert threading.active_count() == before
-        buffers.run_rows(1, lambda rows: None)  # one range: no pool
+        # one range: no thread
+        assert _parallel_map(count, row_ranges(1, 3)) == [before]
         assert threading.active_count() == before

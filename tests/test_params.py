@@ -143,6 +143,28 @@ class TestCheckpoint:
         save_params(ps, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_failed_save_leaves_the_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "net.stcp"
+        save_params(make_params(a=np.ones((2, 3)), b=[1.5]), path)
+        before = path.read_bytes()
+        update = make_params(a=np.zeros((2, 3)), b=[2.5])
+        to_bytes = np.ascontiguousarray
+        calls = []
+
+        def fail_on_second_entry(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            return to_bytes(*args, **kwargs)
+
+        monkeypatch.setattr(np, "ascontiguousarray", fail_on_second_entry)
+        with pytest.raises(OSError, match="disk full"):
+            save_params(update, path)
+        monkeypatch.undo()
+        assert len(calls) == 2  # the first entry was written before the failure
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["net.stcp"]
+
 
 def test_duplicate_name_rejected():
     ps = make_params(w=[1.0])

@@ -1,12 +1,13 @@
 import re
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers import brute_force_iou
-from stc import data
+from stc import data, network, ops
 from stc import pipeline
 from stc.imageio import read_pgm
 from stc.network import NetworkConfig, StepBuffers, init_network
@@ -226,20 +227,23 @@ class TestTrainStage:
         pairs = simple_pairs(corpus)
         maps = [_saliency_for(corpus, r) for _, r in pairs]
         during = []
-        loss = pipeline.batch_ce_and_grad
+        caller = threading.get_ident()
 
-        def counting_loss(*args):
-            during.append(threading.active_count())
-            return loss(*args)
+        def counting_conv(*args, **kwargs):
+            if threading.get_ident() == caller:
+                during.append(threading.active_count())
+            else:  # keep the helpers alive while the calling thread counts
+                time.sleep(0.005)
+            return ops.conv2d_forward(*args, **kwargs)
 
-        monkeypatch.setattr(pipeline, "batch_ce_and_grad", counting_loss)
+        monkeypatch.setattr(network, "conv2d_forward", counting_conv)
         before = threading.active_count()
         if fails:
             with pytest.raises(ValueError, match="step 0"):
                 train_stage(net, pairs, SUPERVISION_SALIENCY, maps, TINY, num_classes=4)
         else:
             train_stage(net, pairs, SUPERVISION_SALIENCY, maps, TINY, num_classes=4)
-        assert max(during) == before + 2  # the pool ran
+        assert max(during) == before + 2  # two helper threads ran
         assert threading.active_count() == before
 
     def test_training_changes_parameters(self, corpus):
