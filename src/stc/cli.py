@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import data, pipeline
-from .imageio import write_saliency_pgm
+from .imageio import write_atomic, write_saliency_pgm
 from .network import num_blocks, num_classes_of
 from .params import load_params, save_params
 from .pipeline import PipelineError, TrainConfig
@@ -152,7 +152,7 @@ def _write_checkpoint(out: Path, stage: str, net, seed: int) -> Path:
         "kernel_size": kernels[0][2],
         "seed": seed,
     }
-    path.with_suffix(".json").write_text(json.dumps(sidecar, indent=2) + "\n")
+    write_atomic(path.with_suffix(".json"), json.dumps(sidecar, indent=2) + "\n")
     return path
 
 

@@ -21,6 +21,7 @@ from .imageio import (
     read_pgm,
     read_ppm,
     read_saliency_pgm,
+    write_atomic,
     write_pgm,
     write_ppm,
 )
@@ -308,15 +309,39 @@ class DatasetManifest:
         return len(self.records)
 
 
-def _validate_record(rec: DatasetRecord) -> None:
+def _record_from(entry, where: str) -> DatasetRecord:
+    """The record a manifest line holds; errors start with `where`, the
+    manifest's path and line."""
+    if not isinstance(entry, dict):
+        raise ValueError(f"{where}: a record must be a JSON object, got {json.dumps(entry)}")
+    for field in ("image", "labels", "split"):
+        if field not in entry:
+            raise ValueError(f"{where}: missing field {field!r}")
+    labels = entry["labels"]
+    if not (
+        isinstance(labels, list)
+        and labels
+        and all(isinstance(c, int) and not isinstance(c, bool) for c in labels)
+    ):
+        raise ValueError(
+            f"{where}: labels must be a non-empty list of integers, got {json.dumps(labels)}"
+        )
+    rec = DatasetRecord(
+        image=entry["image"],
+        labels=frozenset(labels),
+        split=entry["split"],
+        saliency=entry.get("saliency"),
+        gt_mask=entry.get("gt_mask"),
+    )
     if rec.split not in SPLITS:
-        raise ValueError(f"record {rec.image!r}: unknown split {rec.split!r}")
-    if not rec.labels or min(rec.labels) < 1:
-        raise ValueError(f"record {rec.image!r}: label set must be non-empty ids >= 1")
+        raise ValueError(f"{where}: unknown split {rec.split!r}")
+    if min(rec.labels) < 1:
+        raise ValueError(f"{where}: labels must be class ids >= 1, got {sorted(rec.labels)}")
     if rec.split == "simple" and len(rec.labels) != 1:
-        raise ValueError(f"record {rec.image!r}: simple images carry exactly one label")
+        raise ValueError(f"{where}: labels: simple images carry exactly one label")
     if rec.split == "eval" and rec.gt_mask is None:
-        raise ValueError(f"record {rec.image!r}: eval records require a gt mask")
+        raise ValueError(f"{where}: gt_mask: eval records require a gt mask")
+    return rec
 
 
 def build_dataset(
@@ -352,14 +377,14 @@ def build_dataset(
 
 
 def write_manifest(root, records) -> None:
-    """Writes manifest.jsonl under `root`: one DatasetRecord per line, its
-    fields in declaration order, unset optional paths left out."""
+    """Writes manifest.jsonl under `root` atomically: one DatasetRecord per
+    line, its fields in declaration order, unset optional paths left out."""
     lines = []
     for rec in records:
         entry = {k: v for k, v in asdict(rec).items() if v is not None}
         entry["labels"] = sorted(int(c) for c in rec.labels)
         lines.append(json.dumps(entry, separators=(",", ":")))
-    (Path(root) / "manifest.jsonl").write_text("\n".join(lines) + "\n")
+    write_atomic(Path(root) / "manifest.jsonl", "\n".join(lines) + "\n")
 
 
 def write_dataset(examples, directory) -> None:
@@ -388,28 +413,19 @@ def read_dataset(directory) -> DatasetManifest:
     for lineno, line in enumerate(manifest_path.read_text().splitlines(), 1):
         if not line.strip():
             continue
+        where = f"{manifest_path}:{lineno}"
         try:
             entry = json.loads(line)
         except json.JSONDecodeError as e:
-            raise ValueError(f"{manifest_path}:{lineno}: bad JSON ({e})") from e
-        rec = DatasetRecord(
-            image=entry["image"],
-            labels=frozenset(int(c) for c in entry["labels"]),
-            split=entry["split"],
-            saliency=entry.get("saliency"),
-            gt_mask=entry.get("gt_mask"),
-        )
-        _validate_record(rec)
+            raise ValueError(f"{where}: bad JSON ({e})") from e
+        rec = _record_from(entry, where)
         for field in ("image", "saliency", "gt_mask"):
             rel = getattr(rec, field)
             if rel is None:
                 continue
             if not isinstance(rel, str) or Path(rel).is_absolute() or ".." in Path(rel).parts:
-                raise ValueError(
-                    f"{manifest_path}:{lineno}: {field} {rel!r} is not a path under the "
-                    "dataset root"
-                )
+                raise ValueError(f"{where}: {field} {rel!r} is not a path under the dataset root")
             if not (root / rel).is_file():
-                raise ValueError(f"record {rec.image!r}: missing file {root / rel}")
+                raise ValueError(f"{where}: {field}: missing file {root / rel}")
         records.append(rec)
     return DatasetManifest(root, records)

@@ -1,4 +1,5 @@
-"""Binary PPM (P6) and PGM (P5) readers and writers, maxval 255.
+"""Binary PPM (P6) and PGM (P5) readers and writers, maxval 255, and the
+atomic file writer.
 
 Images are float arrays in [0,1]; on disk a pixel v is stored as
 round(v*255) and read back as byte/255. Masks store raw label ids.
@@ -6,9 +7,27 @@ Errors always name the offending file.
 """
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import numpy as np
+
+
+def write_atomic(path, data: str | bytes) -> None:
+    """Writes `data` to a temporary file beside `path`, then renames it over
+    `path`, so a failed write leaves the previous file as it was and no
+    temporary file behind."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        if isinstance(data, str):
+            tmp.write_text(data)
+        else:
+            tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def quantize01(values: np.ndarray) -> np.ndarray:

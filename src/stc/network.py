@@ -120,12 +120,11 @@ def _parallel_map(fn, items) -> list:
 
     A train step maps over the row ranges of its batch: each range runs the
     whole training forward, and later the whole backward, into its rows of
-    the full-batch arrays, which the calling thread takes from `StepBuffers`
-    first, so `take` needs no lock and no two threads write one row. What
-    mixes images runs on the calling thread, over the full arrays, once the
-    ranges have ended: the loss, and the batch sums of each parameter
-    gradient (`ops.conv2d_batch_sums`), added in the order of a single
-    range. So a step gives the same bits for any number of workers.
+    the full-batch arrays `step_arrays` gives, so no two threads write one
+    row. What mixes images runs on the calling thread, over the full
+    arrays, once the ranges have ended: the loss, and the batch sums of each
+    parameter gradient (`ops.conv2d_batch_sums`), added in the order of a
+    single range. So a step gives the same bits for any number of workers.
     """
     items = list(items)
     own, *rest = [items[r] for r in row_ranges(len(items), worker_count())]
@@ -152,65 +151,6 @@ def _parallel_map(fn, items) -> list:
     return results
 
 
-class StepBuffers:
-    """The arrays a train step writes its large temporaries into, reused by
-    every step of one `train_stage`, as Caffe keeps a layer's blobs.
-
-    An array is allocated on first use (the first step, at full batch size)
-    and again only if its trailing shape changes or a larger batch asks for
-    it. A smaller batch gets the leading rows (`buf[:n]`, still contiguous).
-    Without reuse, glibc hands the freed temporaries back to the OS and each
-    step page-faults them in again.
-
-    For conv i, named `conv{i}.*` (n = batch, c/cout = in/out channels,
-    (h, w) = the conv's input size, p = k//2):
-
-    - `padded` (n, c, h+2p, w+2p): the conv's input, zero-padded. The layer
-      before writes its output (the standardized images, for conv1) into the
-      interior, unless it is an unpooled conv whose output im2col copies
-      there. Dead once im2col has read it; backward's col2im then
-      scatter-adds onto it, so the input gradient is its interior, and the
-      next step's im2col zeroes its border again.
-    - `cols` (n, c*k*k, h*w): the patch matrix (k > 1; at k == 1 it is a
-      reshape of the input). Kept for the kernel gradient, then overwritten
-      by `W^T @ g` in backward.
-    - `out` (n, cout, h, w): the conv output, ReLU applied in place. The
-      cache keeps this ReLU output `r` for the ReLU mask (r > 0 iff z > 0).
-    - `grad` (n, cout, h, w), pooled blocks only: the gradient at the conv
-      output. Pool backward writes it, then ReLU backward runs in place.
-    - `kernel_grad` (n, cout, c*k*k): per-image kernel-gradient products,
-      summed into the parameter gradient.
-
-    The head (1x1) has `head.kernel_grad` and `head.input_grad`, its
-    `W^T @ g`, which an unpooled last block takes as its `grad`: the head's
-    patch matrix is its input itself, the ReLU output that backward still
-    needs. `head.padded` is the head's input when the last block pools.
-    `images` is the batch of crops `train_stage` stacks. The logits and the
-    loss stay new arrays: they are small, and the caller keeps the logits.
-    """
-
-    def __init__(self) -> None:
-        self._arrays: dict[str, np.ndarray] = {}
-
-    def take(self, name: str, shape) -> np.ndarray:
-        """The leading shape[0] rows of the array called `name`."""
-        shape = tuple(shape)
-        buf = self._arrays.get(name)
-        if buf is None or buf.shape[1:] != shape[1:] or buf.shape[0] < shape[0]:
-            buf = self._arrays[name] = np.empty(shape)
-        return buf[: shape[0]]
-
-    def arrays(self) -> dict[str, np.ndarray]:
-        """Name -> the whole array, as allocated."""
-        return dict(self._arrays)
-
-
-def _padded(buffers: StepBuffers, layer: str, shape, k: int) -> np.ndarray:
-    n, c, h, w = shape
-    p = k // 2
-    return buffers.take(f"{layer}.padded", (n, c, h + 2 * p, w + 2 * p))
-
-
 def _interior(padded: np.ndarray, k: int) -> np.ndarray:
     p = k // 2
     return padded[:, :, p : padded.shape[2] - p, p : padded.shape[3] - p]
@@ -225,38 +165,71 @@ def _checked_images(params: ParamSet, images) -> np.ndarray:
     return images
 
 
-def _step_arrays(params: ParamSet, shape, buffers: StepBuffers) -> dict[str, np.ndarray]:
-    """The full-batch arrays of one training forward, taken from `buffers`:
-    per conv i, `conv{i}.padded`, `.cols` and `.out` (see StepBuffers) and
-    `.in`, the view the layer before writes conv i's input into; `head.in`
-    likewise; and `logits`, a new array."""
+def step_arrays(params: ParamSet, shape) -> dict[str, np.ndarray]:
+    """Every array of a train step on a batch of `shape` (n, 3, h, w), by
+    name. `train_stage` allocates them once, at full batch size, and every
+    step writes into them, as Caffe keeps a layer's blobs; a smaller batch
+    takes the leading rows (`a[:n]`, still contiguous). Without reuse,
+    glibc hands the freed temporaries back to the OS and each step
+    page-faults them in again. The forward's arrays are the cache that
+    `backward` reads.
+
+    `images` is the batch of crops. For conv i, named `conv{i}.*` (c/cout =
+    in/out channels, (h, w) = the conv's input size, p = k//2):
+
+    - `padded` (n, c, h+2p, w+2p): the conv's input, zero-padded. The layer
+      before writes its output (the standardized images, for conv1) into the
+      interior, unless it is an unpooled conv whose output im2col copies
+      there. Dead once im2col has read it; backward's col2im then
+      scatter-adds onto it, so the input gradient is its interior, and the
+      next step's im2col zeroes its border again.
+    - `in`: the view the layer before writes conv i's input into.
+    - `cols` (n, c*k*k, h*w): the patch matrix (at k == 1 a reshape of
+      `in`). Kept for the kernel gradient, then overwritten by `W^T @ g` in
+      backward.
+    - `out` (n, cout, h, w): the conv output, ReLU applied in place. Backward
+      takes the ReLU mask from it (r > 0 iff z > 0).
+    - `grad` (n, cout, h, w), pooled blocks only: the gradient at the conv
+      output. Pool backward writes it, then ReLU backward runs in place.
+    - `kernel_grad` (n, cout, c*k*k): per-image kernel-gradient products,
+      summed into the parameter gradient.
+
+    The head (1x1) has `head.in` (the last conv's `out`, or a new array when
+    the last block pools), `head.kernel_grad` and `head.input_grad`, its
+    `W^T @ g`, which an unpooled last block takes as its `grad`: the head's
+    patch matrix is its input itself, the ReLU output that backward still
+    needs. `logits` (n, C+1, h/s, w/s), s the output stride, is the
+    forward's result.
+    """
     n, _, h, w = shape
-    arrays = {}
+    arrays = {"images": np.empty(shape)}
     src = None  # the output of the block before, when it does not pool
     for i in range(1, num_blocks(params) + 1):
         cout, c, k, _ = params[f"conv{i}.weight"].value.shape
-        padded = arrays[f"conv{i}.padded"] = _padded(buffers, f"conv{i}", (n, c, h, w), k)
+        p = k // 2
+        padded = arrays[f"conv{i}.padded"] = np.empty((n, c, h + 2 * p, w + 2 * p))
         a = arrays[f"conv{i}.in"] = _interior(padded, k) if src is None else src
         # im2col's patch matrix at k == 1 is a reshape of its input
         arrays[f"conv{i}.cols"] = (
-            buffers.take(f"conv{i}.cols", (n, c * k * k, h * w)) if k > 1
-            else a.reshape(n, c, h * w)
+            np.empty((n, c * k * k, h * w)) if k > 1 else a.reshape(n, c, h * w)
         )
-        src = arrays[f"conv{i}.out"] = buffers.take(f"conv{i}.out", (n, cout, h, w))
+        src = arrays[f"conv{i}.out"] = np.empty((n, cout, h, w))
+        arrays[f"conv{i}.kernel_grad"] = np.empty((n, cout, c * k * k))
         if i <= _MAX_POOLS:
+            arrays[f"conv{i}.grad"] = np.empty((n, cout, h, w))
             h, w = h // 2, w // 2
             src = None
-    classes, c, k, _ = params["head.weight"].value.shape
-    if src is None:
-        src = _interior(_padded(buffers, "head", (n, c, h, w), k), k)
-    arrays["head.in"] = src
+    classes, c, _, _ = params["head.weight"].value.shape
+    arrays["head.in"] = np.empty((n, c, h, w)) if src is None else src
+    arrays["head.kernel_grad"] = np.empty((n, classes, c))
+    arrays["head.input_grad"] = np.empty((n, c, h * w))
     arrays["logits"] = np.empty((n, classes, h, w))
     return arrays
 
 
 def _forward_rows(params: ParamSet, images: np.ndarray, arrays, rows: slice) -> np.ndarray:
     """The forward pass of images[rows]; returns their logits. With `arrays`
-    (from _step_arrays) every result goes into these rows of them; with None
+    (from step_arrays) every result goes into these rows of them; with None
     (inference) into new arrays, and no patch matrix is kept."""
 
     def into(name: str):
@@ -284,29 +257,22 @@ def _forward_rows(params: ParamSet, images: np.ndarray, arrays, rows: slice) -> 
     )
 
 
-def _forward_cached(params: ParamSet, images: np.ndarray, buffers: StepBuffers | None = None):
-    """Training forward: logits plus the cache `backward` consumes.
+def _forward_cached(params: ParamSet, images: np.ndarray, arrays) -> np.ndarray:
+    """Training forward into `arrays` (`step_arrays`, cut to the batch's
+    rows); returns `arrays["logits"]`.
 
-    Each row range of the batch (see `_parallel_map`) runs the whole
-    forward into its rows of the full-batch arrays, which the calling thread
-    takes from `buffers` (fresh ones if None) first. Each conv's patch matrix is built once and kept in the cache, so backward
-    reuses it for the kernel gradient instead of rebuilding it. Pass the
-    same buffers to `backward`. Their contents, the cache's arrays among
-    them, stay valid until the next step that uses them.
+    Each row range of the batch (see `_parallel_map`) runs the whole forward
+    into its rows of the arrays. Each conv's patch matrix is built once and
+    kept in `cols`, so backward reuses it for the kernel gradient instead of
+    rebuilding it. Pass the same arrays to `backward`; their contents stay
+    valid until the next step writes them.
     """
     images = _checked_images(params, images)
-    buffers = buffers or StepBuffers()
-    arrays = _step_arrays(params, images.shape, buffers)
     _parallel_map(
         lambda rows: _forward_rows(params, images, arrays, rows),
         row_ranges(images.shape[0], worker_count()),
     )
-    cache = [
-        (arrays[f"conv{i}.in"], arrays[f"conv{i}.out"], arrays[f"conv{i}.cols"])
-        for i in range(1, num_blocks(params) + 1)
-    ]
-    cache.append(arrays["head.in"])
-    return arrays["logits"], cache
+    return arrays["logits"]
 
 
 def forward(params: ParamSet, images: np.ndarray) -> np.ndarray:
@@ -314,61 +280,51 @@ def forward(params: ParamSet, images: np.ndarray) -> np.ndarray:
     return _forward_rows(params, _checked_images(params, images), None, slice(None))
 
 
-def backward(
-    params: ParamSet, cache, grad_logits: np.ndarray, buffers: StepBuffers | None = None
-) -> None:
-    """Accumulates parameter gradients (+=) for the cached forward pass.
+def backward(params: ParamSet, arrays, grad_logits: np.ndarray) -> None:
+    """Accumulates parameter gradients (+=) for the forward pass whose
+    `arrays` `_forward_cached` filled.
 
-    Consumes the cache. Each row range of the batch (see `_parallel_map`) runs
-    the whole backward on its rows, up to each layer's per-image
-    kernel-gradient products; once the ranges have joined, the calling
-    thread sums those and the upstream gradients over the whole batch
-    (`conv2d_batch_sums`). The input gradient of conv1 is not computed:
-    the image has no parameters. With the buffers the forward used, each
-    layer's large temporaries land in arrays the forward is done with (see
-    StepBuffers); with None they are new arrays.
+    Each row range of the batch (see `_parallel_map`) runs the whole
+    backward on its rows, up to each layer's per-image kernel-gradient
+    products; once the ranges have joined, the calling thread sums those and
+    the upstream gradients over the whole batch (`conv2d_batch_sums`). The
+    input gradient of conv1 is not computed: the image has no parameters.
+    Each layer's large temporaries land in arrays the forward is done with
+    (see `step_arrays`).
     """
-    buffers = buffers or StepBuffers()
-    take = buffers.take
-    n = grad_logits.shape[0]
-    head_in = cache.pop()
-    _, c, h, w = head_in.shape
-    head_weight = params["head.weight"].value
-    head_kernel_grad = take("head.kernel_grad", (n, head_weight.shape[0], c))
-    head_input_grad = take("head.input_grad", (n, c, h * w))
+    nb = num_blocks(params)
     # per layer: (name, kernel-gradient products, upstream gradient), full batch
-    sums = [("head", head_kernel_grad, grad_logits)]
-    layers = []
+    sums = [("head", arrays["head.kernel_grad"], grad_logits)]
     # the input gradient of the layer above, where its col2im leaves it (at
-    # k == 1, a reshape of its patch matrix): an unpooled block's upstream
-    above = head_input_grad.reshape(head_in.shape)
-    for i in range(num_blocks(params), 0, -1):
-        a_in, r, cols = cache.pop()
-        weight = params[f"conv{i}.weight"].value
-        cout, c, k, _ = weight.shape
-        grad = take(f"conv{i}.grad", r.shape) if i <= _MAX_POOLS else None
-        kernel_grad = take(f"conv{i}.kernel_grad", (n, cout, c * k * k))
-        padded = _padded(buffers, f"conv{i}", a_in.shape, k)
-        layers.append((i, weight, a_in, r, cols, grad, kernel_grad, padded))
-        sums.append((f"conv{i}", kernel_grad, above if grad is None else grad))
-        above = cols.reshape(a_in.shape) if k == 1 else _interior(padded, k)
+    # k == 1, in its patch matrix, a reshape of its input): an unpooled
+    # block's upstream
+    above = arrays["head.input_grad"].reshape(arrays["head.in"].shape)
+    for i in range(nb, 0, -1):
+        name, k = f"conv{i}", params[f"conv{i}.weight"].value.shape[2]
+        sums.append((name, arrays[f"{name}.kernel_grad"], arrays.get(f"{name}.grad", above)))
+        above = arrays[f"{name}.in"] if k == 1 else _interior(arrays[f"{name}.padded"], k)
 
     def backward_rows(rows: slice) -> None:
+        def rows_of(name: str) -> np.ndarray:
+            return arrays[name][rows]
+
         g, _, _ = conv2d_backward(
-            head_in[rows], head_weight, grad_logits[rows], batch_sums=False,
-            kernel_out=head_kernel_grad[rows], cols_out=head_input_grad[rows],
+            rows_of("head.in"), params["head.weight"].value, grad_logits[rows],
+            batch_sums=False, kernel_out=rows_of("head.kernel_grad"),
+            cols_out=rows_of("head.input_grad"),
         )
-        for i, weight, a_in, r, cols, grad, kernel_grad, padded in layers:
-            if grad is not None:
-                g = avgpool2_backward(g, out=grad[rows])
-            g = relu_backward(r[rows], g, out=g)
-            cols_rows = cols[rows]
+        for i in range(nb, 0, -1):
+            if i <= _MAX_POOLS:
+                g = avgpool2_backward(g, out=rows_of(f"conv{i}.grad"))
+            g = relu_backward(rows_of(f"conv{i}.out"), g, out=g)
+            cols = rows_of(f"conv{i}.cols")
             g, _, _ = conv2d_backward(
-                a_in[rows], weight, g, cols=cols_rows, input_grad=i > 1, batch_sums=False,
-                kernel_out=kernel_grad[rows], cols_out=cols_rows, input_out=padded[rows],
+                rows_of(f"conv{i}.in"), params[f"conv{i}.weight"].value, g, cols=cols,
+                input_grad=i > 1, batch_sums=False, kernel_out=rows_of(f"conv{i}.kernel_grad"),
+                cols_out=cols, input_out=rows_of(f"conv{i}.padded"),
             )
 
-    _parallel_map(backward_rows, row_ranges(n, worker_count()))
+    _parallel_map(backward_rows, row_ranges(grad_logits.shape[0], worker_count()))
     for name, products, upstream in sums:
         gk, gb = conv2d_batch_sums(products, upstream, params[f"{name}.weight"].value.shape)
         params[f"{name}.weight"].grad += gk

@@ -3,8 +3,9 @@
 Everything the segmentation net and its losses need: same-padded stride-1
 cross-correlation, ReLU, 2x2 mean pooling, align-corners bilinear resize,
 and a numerically stabilized per-pixel channel softmax. Each backward
-function is the exact gradient of its forward counterpart; the
-finite-difference checker in `params` is the independent referee.
+function is the exact gradient of its forward counterpart; central finite
+differences (`numeric_grad` and `rel_err` in the test suite's helpers) are
+the independent referee.
 
 Convolution is im2col + matrix multiply, paired with col2im for the input
 gradient, as in Caffe (Jia et al. 2014). `im2col` copies each k x k window
@@ -14,7 +15,7 @@ and so is the kernel gradient. `col2im` is its adjoint: it scatter-adds
 the columns of `W^T @ upstream` back onto the padded input grid (k*k
 slice-adds), which is the input gradient. The training forward
 (`network._forward_cached`) builds each conv's patch matrix once, passes it
-to `conv2d_forward` as `cols=` and caches it for `conv2d_backward`, so a
+to `conv2d_forward` as `cols=` and keeps it for `conv2d_backward`, so a
 train step builds one patch matrix per conv. Inference (`network.forward`,
 `predict`) builds it inside `conv2d_forward` and keeps none.
 
@@ -22,9 +23,8 @@ Ops whose results are large take keyword-only `out=` arguments (like numpy's
 ufuncs): float64 arrays of the result's shape (C-contiguous where the op
 reshapes them or multiplies into them) that receive the result in place of
 a new array, so that a train step can reuse the same arrays every step
-(`network.StepBuffers` says which array holds what; it holds arrays only,
-and no threads). The arithmetic, and so every bit of the result, is the
-same with or without them. `im2col(padded=)` is the zero-padded copy of the
+(`network.step_arrays` says which array holds what). The arithmetic, and
+so every bit of the result, is the same with or without them. `im2col(padded=)` is the zero-padded copy of the
 input it reads; `col2im(out=)` is the padded grid it scatter-adds onto and
 returns the interior of. One array may serve both: col2im leaves the border
 of the grid nonzero, and im2col zeroes it again before use. Likewise

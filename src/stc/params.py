@@ -2,18 +2,20 @@
 
 Holds the network weights as an insertion-ordered mapping of name ->
 (value, gradient, velocity), all float64 arrays of identical shape. Also
-provides momentum SGD, a central finite-difference gradient checker, and
-the binary checkpoint format (magic "STCP").
+provides momentum SGD and the binary checkpoint format (magic "STCP").
+Gradients are checked against central finite differences in the test
+suite (`numeric_grad` and `rel_err` in its helpers).
 """
 from __future__ import annotations
 
-import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
+
+from .imageio import write_atomic
 
 CHECKPOINT_MAGIC = b"STCP"
 CHECKPOINT_VERSION = 1
@@ -94,56 +96,23 @@ def sgd_step(params: ParamSet, lr: float, momentum: float, weight_decay: float) 
         p.grad[...] = 0.0
 
 
-def finite_diff_check(
-    f: Callable[[ParamSet], float], params: ParamSet, eps: float = 1e-5
-) -> float:
-    """Worst relative error between params' stored analytic grads and central
-    finite differences of f, with denominator max(|analytic|, |numeric|, 1e-8).
-
-    The analytic gradients must already be populated in params.grad; f is
-    evaluated twice per scalar coordinate.
-    """
-    worst = 0.0
-    for _, p in params.items():
-        flat = p.value.reshape(-1)
-        gflat = p.grad.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            fp = f(params)
-            flat[i] = orig - eps
-            fm = f(params)
-            flat[i] = orig
-            numeric = (fp - fm) / (2.0 * eps)
-            err = abs(gflat[i] - numeric) / max(abs(gflat[i]), abs(numeric), 1e-8)
-            worst = max(worst, err)
-    return worst
-
-
 def save_params(params: ParamSet, path) -> None:
     """Binary checkpoint: magic, version u32, count u32, then per entry
     name (u16 length + UTF-8), rank u8, dims u32 each, little-endian f64 values.
-    Gradient and velocity are not serialized. Written to a temporary file
-    beside `path`, then renamed over it, so a failed write leaves the
-    previous checkpoint as it was."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with tmp.open("wb") as fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(params)))
-            for name, p in params.items():
-                nb = name.encode("utf-8")
-                fh.write(struct.pack("<H", len(nb)))
-                fh.write(nb)
-                dims = p.value.shape
-                fh.write(struct.pack("<B", len(dims)))
-                fh.write(struct.pack(f"<{len(dims)}I", *dims))
-                fh.write(np.ascontiguousarray(p.value, dtype="<f8").tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    Gradient and velocity are not serialized. Written atomically
+    (`write_atomic`), so a failed write leaves the previous checkpoint as
+    it was."""
+    parts = [CHECKPOINT_MAGIC, struct.pack("<II", CHECKPOINT_VERSION, len(params))]
+    for name, p in params.items():
+        nb = name.encode("utf-8")
+        dims = p.value.shape
+        parts += [
+            struct.pack("<H", len(nb)),
+            nb,
+            struct.pack(f"<B{len(dims)}I", len(dims), *dims),
+            np.ascontiguousarray(p.value, dtype="<f8").tobytes(),
+        ]
+    write_atomic(path, b"".join(parts))
 
 
 def load_params(path) -> ParamSet:

@@ -17,11 +17,10 @@ from pathlib import Path
 import numpy as np
 
 from .data import DatasetManifest, DatasetRecord
-from .imageio import quantize01, write_pgm
+from .imageio import quantize01, write_atomic, write_pgm
 from .losses import batch_ce_and_grad, build_simple_target, downsample_mask_nearest, one_hot
 from .network import (
     NetworkConfig,
-    StepBuffers,
     _forward_cached,
     _parallel_map,
     backward,
@@ -29,6 +28,7 @@ from .network import (
     num_classes_of,
     output_stride,
     predict,
+    step_arrays,
     worker_count,  # callers read STC_THREADS through pipeline.worker_count
 )
 from .params import ParamSet, sgd_step
@@ -107,10 +107,10 @@ def train_stage(
     pairs). `targets` is aligned with the dataset: full-resolution saliency
     maps for SUPERVISION_SALIENCY, integer masks for SUPERVISION_MASKS.
     Returns (params, per-epoch mean losses); params are updated in place.
-    The step's large temporaries live in one `StepBuffers`, dropped on
-    return. Each step's forward and backward split the batch into up to
-    `worker_count()` row ranges; the result is bit-identical for any worker
-    count.
+    Every step writes into one set of `step_arrays`, allocated at full batch
+    size and dropped on return. Each step's forward and backward split the
+    batch into up to `worker_count()` row ranges; the result is
+    bit-identical for any worker count.
     """
     _validate_config(config)
     dataset = list(dataset)
@@ -143,7 +143,7 @@ def train_stage(
     rng = np.random.default_rng(config.seed)
     epoch_losses = []
     step = 0
-    buffers = StepBuffers()
+    full = step_arrays(params, (min(config.batch_size, len(dataset)), 3, crop, crop))
     for epoch in range(config.epochs):
         lr = config.initial_lr / config.lr_decay_factor ** (
             epoch // config.lr_decay_every_epochs
@@ -164,12 +164,13 @@ def train_stage(
                 else:
                     m = downsample_mask_nearest(window, th, tw)
                     tgts.append(one_hot(m, num_classes))
-            batch = np.stack(xs, out=buffers.take("images", (len(xs), *xs[0].shape)))
-            logits, cache = _forward_cached(params, batch, buffers)
+            arrays = {name: a[: len(idxs)] for name, a in full.items()}
+            batch = np.stack(xs, out=arrays["images"])
+            logits = _forward_cached(params, batch, arrays)
             loss, grad = batch_ce_and_grad(logits, np.stack(tgts))
             if not np.isfinite(loss):
                 raise ValueError(f"non-finite loss at step {step}")
-            backward(params, cache, grad, buffers)
+            backward(params, arrays, grad)
             sgd_step(trunk, lr, config.momentum, config.weight_decay)
             sgd_step(
                 head,
@@ -216,6 +217,12 @@ def evaluate(params: ParamSet, eval_manifest: DatasetManifest):
     def one(rec: DatasetRecord) -> np.ndarray:
         img = eval_manifest.load_image(rec)
         gt = eval_manifest.load_gt_mask(rec)
+        if gt.shape != img.shape[:2]:
+            raise ValueError(
+                f"{eval_manifest.root / rec.gt_mask}: ground-truth mask is "
+                f"{gt.shape[0]}x{gt.shape[1]}, its image {rec.image!r} is "
+                f"{img.shape[0]}x{img.shape[1]}"
+            )
         bad = gt[(gt < 0) | (gt >= n)]
         if bad.size:
             raise ValueError(
@@ -308,6 +315,13 @@ def run_stage(
     """
     if not eval_manifest.records:
         raise ValueError(f"no eval records in {eval_manifest.root}: every stage is evaluated")
+    for m in (simple_manifest, complex_manifest, eval_manifest):
+        for rec in m.records:
+            if not all(1 <= c <= num_classes for c in rec.labels):
+                raise ValueError(
+                    f"{m.root / 'manifest.jsonl'}: record {rec.image!r} has labels "
+                    f"{sorted(rec.labels)}, outside 1..{num_classes}"
+                )
     if enhance_rounds < 1:
         raise ValueError(f"enhance_rounds must be >= 1, got {enhance_rounds}")
     init_salt, train_salt = _SALTS[name]
@@ -402,7 +416,7 @@ def write_report_json(reports, path, seed: int) -> None:
             for r in reports
         ],
     }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    write_atomic(path, json.dumps(doc, indent=2) + "\n")
 
 
 def write_report_csv(reports, path) -> None:
@@ -410,4 +424,4 @@ def write_report_csv(reports, path) -> None:
     for r in reports:
         for k, v in enumerate(r.per_class_iou):
             lines.append(f"{r.stage},{k},{v:.6f},{r.miou:.6f},{r.seconds:.3f}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")

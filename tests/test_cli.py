@@ -1,10 +1,11 @@
 import json
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from stc import data, pipeline
+from stc import cli, data, pipeline
 from stc.cli import load_run_config, main
 from stc.network import NetworkConfig, init_network
 from stc.params import save_params
@@ -89,6 +90,45 @@ class TestSaliencyCommand:
         assert main(["saliency", "--data", str(d)]) == 0
         for p, blob in snapshot.items():
             assert p.read_bytes() == blob
+
+
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (lambda e: e.pop("image"), "image"),
+            (lambda e: e.pop("labels"), "labels"),
+            (lambda e: e.pop("split"), "split"),
+            (lambda e: e.update(labels=3), "labels"),
+            (lambda e: e.update(labels="ab"), "labels"),
+            (lambda e: e.update(labels=[1.7]), "labels"),
+            (lambda e: e.update(labels=[True]), "labels"),
+            (lambda e: e.update(labels=[]), "labels"),
+            (lambda e: e.update(labels=None), "labels"),
+            ([1, 2], "object"),
+        ],
+        ids=[
+            "no-image", "no-labels", "no-split", "labels-int", "labels-str",
+            "labels-float", "labels-bool", "labels-empty", "labels-null", "array",
+        ],
+    )
+    def test_bad_manifest_line_names_file_line_and_field(self, tmp_path, capsys, edit, field):
+        d = tmp_path / "data"
+        assert main(["gen", "--out", str(d), "--simple", "2", "--complex", "0",
+                     "--eval", "0", "--seed", "2"]) == 0
+        manifest_path = d / "manifest.jsonl"
+        lines = manifest_path.read_text().splitlines()
+        entry = json.loads(lines[1])
+        if callable(edit):
+            edit(entry)
+        else:
+            entry = edit
+        lines[1] = json.dumps(entry)
+        manifest_path.write_text("\n".join(lines) + "\n")
+        before = manifest_path.read_bytes()
+        assert main(["saliency", "--data", str(d)]) == 1
+        err = capsys.readouterr().err
+        assert f"{manifest_path}:2: " in err and field in err, err
+        assert manifest_path.read_bytes() == before
 
 
 class TestRun:
@@ -355,3 +395,77 @@ def test_no_thread_outlives_a_run(dataset_dir, tmp_path, monkeypatch, fails):
                "--config", str(cfg)])
     assert rc == (2 if fails else 0)
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("command", ["run", "stage"])
+def test_label_above_num_classes_rejected_before_training(
+    tmp_path, capsys, monkeypatch, command
+):
+    d = tmp_path / "data"
+    assert main(["gen", "--out", str(d), "--simple", "4", "--complex", "2",
+                 "--eval", "1", "--seed", "5"]) == 0
+    manifest_path = d / "manifest.jsonl"
+    lines = manifest_path.read_text().splitlines()
+    entry = json.loads(lines[4])
+    assert entry["split"] == "complex"
+    entry["labels"] = [min(entry["labels"]), 7]
+    lines[4] = json.dumps(entry)
+    manifest_path.write_text("\n".join(lines) + "\n")
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained although a label id is out of range")
+
+    monkeypatch.setattr(pipeline, "train_stage", no_training)
+    argv = [command, "--data", str(d), "--out", str(tmp_path / "out")]
+    if command == "stage":
+        argv += ["--stage", "initial"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert str(manifest_path) in err and entry["image"] in err and "7" in err, err
+
+
+def _write(writer: str, out: Path, seed: int) -> None:
+    """One atomic writer of `stc`, writing content that depends on `seed`."""
+    net = init_network(NetworkConfig(4, channels=(6, 8, 10), seed=seed))
+    reports = [pipeline.StageReport("initial", [1.0], [0.5] * 5, 0.5, 1.0)] * (seed + 1)
+    if writer == "manifest.jsonl":
+        rec = data.DatasetRecord(f"images/{seed}.ppm", frozenset({1}), "simple")
+        data.write_manifest(out, [rec])
+    elif writer == "net.stcp":
+        save_params(net, out / writer)
+    elif writer == "checkpoint_initial.json":  # the sidecar, after its checkpoint
+        cli._write_checkpoint(out, "initial", net, seed)
+    elif writer == "report.json":
+        pipeline.write_report_json(reports, out / writer, seed)
+    else:
+        pipeline.write_report_csv(reports, out / writer)
+
+
+@pytest.mark.parametrize(
+    "writer, method",
+    [
+        ("manifest.jsonl", "write_text"),
+        ("net.stcp", "write_bytes"),
+        ("checkpoint_initial.json", "write_text"),
+        ("report.json", "write_text"),
+        ("report.csv", "write_text"),
+    ],
+)
+def test_failed_write_leaves_the_previous_file(tmp_path, monkeypatch, writer, method):
+    _write(writer, tmp_path, 0)
+    before = (tmp_path / writer).read_bytes()
+    files = sorted(tmp_path.iterdir())
+    write = getattr(Path, method)
+
+    def half_then_fail(self, data, *args, **kwargs):
+        write(self, data[: len(data) // 2], *args, **kwargs)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, method, half_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        _write(writer, tmp_path, 1)
+    monkeypatch.undo()
+    assert (tmp_path / writer).read_bytes() == before
+    assert sorted(tmp_path.iterdir()) == files  # no temporary file left
+    _write(writer, tmp_path, 1)
+    assert (tmp_path / writer).read_bytes() != before

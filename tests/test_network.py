@@ -9,7 +9,6 @@ from stc import network, ops
 from stc.losses import batch_ce_and_grad, one_hot
 from stc.network import (
     NetworkConfig,
-    StepBuffers,
     _forward_cached,
     _parallel_map,
     backward,
@@ -19,6 +18,7 @@ from stc.network import (
     output_stride,
     predict,
     row_ranges,
+    step_arrays,
 )
 
 
@@ -130,10 +130,7 @@ class TestPredict:
 
 class TestBackward:
     def _grads(self, ps, x, targets):
-        logits, cache = _forward_cached(ps, x)
-        ps.zero_grads()
-        backward(ps, cache, batch_ce_and_grad(logits, targets)[1])
-        return {n: ps[n].grad.copy() for n in ps.names()}
+        return train_step(ps, x, targets)[1]
 
     def _batch(self, rng):
         ps = init_network(NetworkConfig(num_classes=3, channels=(4, 6, 8), seed=8))
@@ -171,28 +168,36 @@ class TestBackward:
 
     def test_training_forward_matches_forward_and_backward_consumes_cache(self, rng):
         ps, x, _ = self._batch(rng)
-        logits, cache = _forward_cached(ps, x)
+        arrays = step_arrays(ps, x.shape)
+        logits = _forward_cached(ps, x, arrays)
+        assert logits is arrays["logits"]
         assert np.array_equal(logits, forward(ps, x))
-        a_in, _, cols = cache[0]
-        assert np.array_equal(cols, ops.im2col(a_in, 3))
-        backward(ps, cache, np.zeros_like(logits))
-        assert cache == []
+        assert np.array_equal(arrays["conv1.cols"], ops.im2col(arrays["conv1.in"], 3))
+        backward(ps, arrays, np.zeros_like(logits))
+        # W^T @ g, zero here, is written over the patch matrices it is done with
+        for i in (2, 3):
+            assert not arrays[f"conv{i}.cols"].any(), i
 
 
-class NaNBuffers(StepBuffers):
-    """New NaN-filled arrays on every take: a read before a write shows,
-    also a read of rows another range has not written yet."""
+def nan_filled(arrays):
+    """`arrays` with every one but the stacked `images` filled with NaN: a
+    read before a write shows, also a read of rows another range has not
+    written yet."""
+    for name, a in arrays.items():
+        if name != "images":
+            a[...] = np.nan
+    return arrays
 
-    def take(self, name, shape):
-        return np.full(shape, np.nan)
 
-
-def train_step(ps, x, targets, buffers):
-    """Logits and gradients of one step."""
-    logits, cache = _forward_cached(ps, x, buffers)
+def train_step(ps, x, targets, arrays=None):
+    """Logits and gradients of one step through `arrays`, or through new
+    NaN-filled ones if None."""
+    if arrays is None:
+        arrays = nan_filled(step_arrays(ps, x.shape))
+    logits = _forward_cached(ps, x, arrays)
     ps.zero_grads()
-    backward(ps, cache, batch_ce_and_grad(logits, targets)[1], buffers)
-    return logits, {n: ps[n].grad.copy() for n in ps.names()}
+    backward(ps, arrays, batch_ce_and_grad(logits, targets)[1])
+    return logits.copy(), {n: ps[n].grad.copy() for n in ps.names()}
 
 
 def assert_same_step(got, want):
@@ -201,10 +206,7 @@ def assert_same_step(got, want):
         assert np.array_equal(got[1][name], g), name
 
 
-class TestStepBuffers:
-    def _step(self, ps, x, targets, buffers):
-        return train_step(ps, x, targets, buffers)
-
+class TestStepArrays:
     def _inputs(self, rng, sizes):
         ps = init_network(NetworkConfig(num_classes=3, channels=(4, 6, 8), seed=8))
         batches = [
@@ -216,33 +218,29 @@ class TestStepBuffers:
         ]
         return ps, batches
 
-    def _assert_same(self, got, want):
-        assert_same_step(got, want)
-
-    def test_shared_buffers_match_fresh_ones_each_step(self, rng):
+    def test_shared_arrays_match_fresh_ones_each_step(self, rng):
         ps, batches = self._inputs(rng, [2, 2, 2])
-        shared = StepBuffers()
+        shared = step_arrays(ps, batches[0][0].shape)
         for x, t in batches:
-            self._assert_same(self._step(ps, x, t, shared), self._step(ps, x, t, NaNBuffers()))
+            assert_same_step(train_step(ps, x, t, shared), train_step(ps, x, t))
 
     def test_smaller_batch_reuses_leading_rows(self, rng):
         ps, batches = self._inputs(rng, [8, 4, 8])
-        shared = StepBuffers()
-        first = None
+        full = step_arrays(ps, batches[0][0].shape)
+        before = None
         for x, t in batches:
-            got = self._step(ps, x, t, shared)
-            self._assert_same(got, self._step(ps, x, t, NaNBuffers()))
-            if first is None:
-                first = shared.arrays()
-            now = shared.arrays()
-            assert now.keys() == first.keys()
-            for name, buf in now.items():
-                assert buf.shape[0] == 8 and np.shares_memory(buf, first[name]), name
+            n = x.shape[0]
+            got = train_step(ps, x, t, {name: a[:n] for name, a in full.items()})
+            assert_same_step(got, train_step(ps, x, t))
+            assert np.array_equal(full["logits"][:n], got[0])
+            if before is not None:  # the rows past the batch keep the last step's logits
+                assert np.array_equal(full["logits"][n:], before[n:])
+            before = full["logits"].copy()
 
-    def test_backward_writes_into_buffers_the_forward_is_done_with(self, rng, monkeypatch):
+    def test_backward_writes_into_arrays_the_forward_is_done_with(self, rng, monkeypatch):
         monkeypatch.setenv("STC_THREADS", "1")  # one row range: one call per layer, in order
         ps, [(x, t)] = self._inputs(rng, [2])
-        shared = StepBuffers()
+        arrays = step_arrays(ps, x.shape)
         calls = []
 
         def spy(*args, **kwargs):
@@ -250,20 +248,11 @@ class TestStepBuffers:
             return ops.conv2d_backward(*args, **kwargs)
 
         monkeypatch.setattr(network, "conv2d_backward", spy)
-        self._step(ps, x, t, shared)
-        bufs = shared.arrays()
+        train_step(ps, x, t, arrays)
         for i, kw in zip((3, 2), calls[1:3]):  # head, conv3, conv2, conv1
             assert kw["cols_out"] is kw["cols"]
-            assert np.shares_memory(kw["cols"], bufs[f"conv{i}.cols"])
-            assert np.shares_memory(kw["input_out"], bufs[f"conv{i}.padded"])
-
-    def test_take_reallocates_only_for_a_new_shape(self):
-        b = StepBuffers()
-        a = b.take("x", (4, 3))
-        assert b.take("x", (2, 3)).shape == (2, 3)
-        assert np.shares_memory(b.take("x", (4, 3)), a)
-        assert not np.shares_memory(b.take("x", (6, 3)), a)
-        assert b.take("x", (6, 2)).shape == (6, 2)
+            assert np.shares_memory(kw["cols"], arrays[f"conv{i}.cols"])
+            assert np.shares_memory(kw["input_out"], arrays[f"conv{i}.padded"])
 
 
 class TestRowRanges:
@@ -287,17 +276,18 @@ class TestRowRanges:
             t = np.stack([one_hot(m, 3) for m in rng.integers(0, 4, size=(n, 4, 3))])
         return ps, x, t
 
-    def _step(self, monkeypatch, workers, ps, x, t, buffers):
+    def _step(self, monkeypatch, workers, ps, x, t, arrays=None):
         monkeypatch.setenv("STC_THREADS", str(workers))
-        return train_step(ps, x, t, buffers)
+        return train_step(ps, x, t, arrays)
 
     @pytest.mark.parametrize("soft", [True, False], ids=["soft", "masks"])
     @pytest.mark.parametrize("n, workers", [(8, 2), (8, 3), (5, 3), (1, 2), (2, 3)])
     def test_step_bitwise_equal_for_any_worker_count(self, rng, monkeypatch, soft, n, workers):
         ps, x, t = self._inputs(rng, n, soft)
-        want = self._step(monkeypatch, 1, ps, x, t, StepBuffers())
-        assert_same_step(self._step(monkeypatch, workers, ps, x, t, StepBuffers()), want)
-        assert_same_step(self._step(monkeypatch, workers, ps, x, t, NaNBuffers()), want)
+        want = self._step(monkeypatch, 1, ps, x, t, step_arrays(ps, x.shape))
+        got = self._step(monkeypatch, workers, ps, x, t, step_arrays(ps, x.shape))
+        assert_same_step(got, want)
+        assert_same_step(self._step(monkeypatch, workers, ps, x, t), want)
 
     def test_each_row_runs_once_per_layer_across_threads(self, rng, monkeypatch):
         ps, x, t = self._inputs(rng, 8, False)
@@ -311,7 +301,7 @@ class TestRowRanges:
 
         monkeypatch.setattr(network, "conv2d_forward", spy(ops.conv2d_forward))
         monkeypatch.setattr(network, "conv2d_backward", spy(ops.conv2d_backward))
-        self._step(monkeypatch, 3, ps, x, t, StepBuffers())
+        self._step(monkeypatch, 3, ps, x, t)
         for name in ("conv2d_forward", "conv2d_backward"):
             rows = sorted(r for fn, _, r in calls if fn == name)
             assert rows == [2] * 4 + [3] * 8, name  # 4 convs x ranges of 3, 3, 2
@@ -323,7 +313,7 @@ class TestRowRanges:
         # pool threads run slowly, so a result read before its range is done
         # (a range never joined, a batch sum taken early) reads NaN rows
         ps, x, t = self._inputs(rng, 8, False)
-        want = self._step(monkeypatch, 1, ps, x, t, StepBuffers())
+        want = self._step(monkeypatch, 1, ps, x, t, step_arrays(ps, x.shape))
 
         def slow(fn):
             def wrapped(*args, **kwargs):
@@ -334,7 +324,7 @@ class TestRowRanges:
 
         for name in ("conv2d_forward", "conv2d_backward", "relu_backward"):
             monkeypatch.setattr(network, name, slow(getattr(ops, name)))
-        assert_same_step(self._step(monkeypatch, 2, ps, x, t, NaNBuffers()), want)
+        assert_same_step(self._step(monkeypatch, 2, ps, x, t), want)
 
     def test_parallel_map_results_in_item_order(self, monkeypatch):
         # up to more workers than cores, switching threads as often as it can

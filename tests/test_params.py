@@ -4,7 +4,6 @@ import pytest
 from stc.params import (
     CHECKPOINT_MAGIC,
     ParamSet,
-    finite_diff_check,
     load_params,
     save_params,
     sgd_step,
@@ -74,20 +73,6 @@ class TestSgdStep:
         sgd_step(sub, lr=1.0, momentum=0.0, weight_decay=0.0)
         assert ps["b"].value[0] == 1.0
         assert ps["a"].value[0] == 1.0
-
-
-class TestFiniteDiffCheck:
-    def test_quadratic_gradient_matches(self):
-        ps = make_params(w=[3.0])
-        ps["w"].grad[:] = 6.0  # d/dw w^2 at w=3
-        err = finite_diff_check(lambda p: float(p["w"].value[0] ** 2), ps)
-        assert err < 1e-9
-
-    def test_corrupted_gradient_detected(self):
-        ps = make_params(w=[3.0])
-        ps["w"].grad[:] = 12.0  # doubled on purpose
-        err = finite_diff_check(lambda p: float(p["w"].value[0] ** 2), ps)
-        assert err == pytest.approx(0.5, abs=1e-6)
 
 
 class TestCheckpoint:
@@ -161,7 +146,7 @@ class TestCheckpoint:
         with pytest.raises(OSError, match="disk full"):
             save_params(update, path)
         monkeypatch.undo()
-        assert len(calls) == 2  # the first entry was written before the failure
+        assert len(calls) == 2  # the failure came after the first entry
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["net.stcp"]
 

@@ -10,7 +10,7 @@ from helpers import brute_force_iou
 from stc import data, network, ops
 from stc import pipeline
 from stc.imageio import read_pgm
-from stc.network import NetworkConfig, StepBuffers, init_network
+from stc.network import NetworkConfig, init_network
 from stc.pipeline import (
     SUPERVISION_MASKS,
     SUPERVISION_SALIENCY,
@@ -141,6 +141,21 @@ class TestEvaluate:
         with pytest.raises(ValueError, match=rf"{re.escape(bad)}.*label 9"):
             evaluate(net, manifest.split("eval"))
 
+    @pytest.mark.parametrize("shape", [(32, 32), (1, 1), (64, 32)])
+    def test_gt_mask_of_another_shape_names_file(self, tmp_path, shape):
+        examples = data.build_dataset(0, 0, 2, seed=4)
+        gt = np.zeros(shape, dtype=np.int64)
+        examples[1] = data.DatasetExample(
+            examples[1].name, examples[1].image, examples[1].labels, "eval", gt
+        )
+        data.write_dataset(examples, tmp_path)
+        manifest = data.read_dataset(tmp_path)
+        bad = manifest.records[1].gt_mask
+        net = init_network(NetworkConfig(4, seed=0))
+        with pytest.raises(ValueError, match=rf"{re.escape(bad)}.*{shape[0]}x{shape[1]}"):
+            evaluate(net, manifest.split("eval"))
+
+
 class TestTrainStage:
     def test_zero_epochs_returns_params_unchanged(self, corpus):
         net = init_network(NetworkConfig(4, channels=TINY_CHANNELS, seed=1))
@@ -171,7 +186,7 @@ class TestTrainStage:
 
     def test_partial_last_batch_matches_fresh_buffers(self, corpus, monkeypatch):
         # 8 records at batch 3: every epoch ends with a batch of 2, which
-        # trains on leading rows of the full-size step buffers
+        # trains on leading rows of the full-size step arrays
         pairs = simple_pairs(corpus)
         maps = [_saliency_for(corpus, r) for _, r in pairs]
         config = TrainConfig(batch_size=3, epochs=2, crop_size=48, seed=5)
@@ -183,11 +198,15 @@ class TestTrainStage:
 
         shared = [run(), run()]
 
-        class FreshEachTake(StepBuffers):
-            def take(self, name, shape):
-                return np.full(shape, np.nan)
+        forward_cached = pipeline._forward_cached
 
-        monkeypatch.setattr(pipeline, "StepBuffers", FreshEachTake)
+        def nan_filled_first(params, images, arrays):
+            for name, a in arrays.items():
+                if name != "images":
+                    a[...] = np.nan
+            return forward_cached(params, images, arrays)
+
+        monkeypatch.setattr(pipeline, "_forward_cached", nan_filled_first)
         fresh = run()
         for losses, values in (shared[1], fresh):
             assert losses == shared[0][0]
