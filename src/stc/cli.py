@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import data, pipeline
 from .imageio import write_atomic, write_saliency_pgm
-from .network import num_blocks, num_classes_of
+from .network import _INPUT_CHANNELS, num_blocks, num_classes_of
 from .params import load_params, save_params
 from .pipeline import PipelineError, TrainConfig
 from .saliency import compute_saliency
@@ -95,12 +95,76 @@ def _resolve_path(flag_value, cfg: dict, key: str):
 
 
 def _load_network(path):
-    """A checkpoint that holds a whole network: conv blocks and head."""
+    """A checkpoint that holds a whole network whose layers chain, checked
+    against its JSON sidecar (`<ckpt>.json`) when there is one."""
     net = load_params(path)
     missing = [n for n in ("conv1.weight", "head.weight", "head.bias") if n not in net]
     if missing:
         raise ValueError(f"{path}: not a network checkpoint, missing {missing}")
+    _check_layers(net, path)
+    sidecar = Path(path).with_suffix(".json")
+    if sidecar.is_file():
+        _check_sidecar(net, sidecar)
     return net
+
+
+def _check_layers(net, path) -> None:
+    """Each conv takes the channels the layer before gives (3 for conv1),
+    with an odd square kernel and one bias per output channel; the head is
+    a 1x1 conv on the last conv's output to at least 2 channels."""
+    layers = [f"conv{i}" for i in range(1, num_blocks(net) + 1)] + ["head"]
+    expected = {f"{layer}.{part}" for layer in layers for part in ("weight", "bias")}
+    unexpected = sorted(set(net) - expected)
+    if unexpected:
+        raise ValueError(f"{path}: parameters {unexpected} are not part of the layer stack")
+    cin = _INPUT_CHANNELS
+    for layer in layers:
+        shape = net[f"{layer}.weight"].value.shape
+        if layer == "head":
+            ok = len(shape) == 4 and shape[0] >= 2 and shape[1:] == (cin, 1, 1)
+            want = f"(C+1, {cin}, 1, 1) with C+1 >= 2"
+        else:
+            ok = len(shape) == 4 and shape[1] == cin and shape[2] == shape[3] and shape[2] % 2 == 1
+            want = f"(cout, {cin}, k, k) with k odd"
+        if not ok:
+            raise ValueError(f"{path}: {layer}.weight has shape {shape}, expected {want}")
+        if f"{layer}.bias" not in net:
+            raise ValueError(f"{path}: missing {layer}.bias")
+        bias = net[f"{layer}.bias"].value.shape
+        if bias != shape[:1]:
+            raise ValueError(
+                f"{path}: {layer}.bias has shape {bias}, {layer}.weight has {shape[0]} "
+                f"output channels"
+            )
+        cin = shape[0]
+
+
+def _check_sidecar(net, path) -> None:
+    """The sidecar's architecture fields equal those of the weights."""
+    try:
+        doc = json.loads(path.read_text())
+    except json.JSONDecodeError as e:
+        raise ValueError(f"{path}: not valid JSON ({e})") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: checkpoint sidecar must be a JSON object")
+    for field, value in _architecture(net).items():
+        if field not in doc:
+            raise ValueError(f"{path}: missing field {field!r}")
+        if doc[field] != value:
+            raise ValueError(
+                f"{path}: field {field!r} is {json.dumps(doc[field])}, but the "
+                f"checkpoint's weights give {json.dumps(value)}"
+            )
+
+
+def _architecture(net) -> dict:
+    """The sidecar fields read off the weight shapes."""
+    kernels = [net[f"conv{i}.weight"].value.shape for i in range(1, num_blocks(net) + 1)]
+    return {
+        "num_classes": num_classes_of(net),
+        "channels": [k[0] for k in kernels],
+        "kernel_size": kernels[0][2],
+    }
 
 
 def cmd_gen(args) -> int:
@@ -145,13 +209,7 @@ def _write_checkpoint(out: Path, stage: str, net, seed: int) -> Path:
     are read off the network's weight shapes."""
     path = out / f"checkpoint_{stage}.stcp"
     save_params(net, path)
-    kernels = [net[f"conv{i}.weight"].value.shape for i in range(1, num_blocks(net) + 1)]
-    sidecar = {
-        "num_classes": num_classes_of(net),
-        "channels": [k[0] for k in kernels],
-        "kernel_size": kernels[0][2],
-        "seed": seed,
-    }
+    sidecar = {**_architecture(net), "seed": seed}
     write_atomic(path.with_suffix(".json"), json.dumps(sidecar, indent=2) + "\n")
     return path
 

@@ -8,6 +8,8 @@ from parameter shapes, so a checkpoint alone is enough to run inference.
 """
 from __future__ import annotations
 
+import math
+import mmap
 import os
 import threading
 from dataclasses import dataclass
@@ -108,6 +110,10 @@ def row_ranges(n: int, workers: int) -> list[slice]:
     return [slice(j * n // parts, (j + 1) * n // parts) for j in range(parts)]
 
 
+# this thread's inference plan, (key, arrays) or None: see _inference_plan
+_plans = threading.local()
+
+
 def _parallel_map(fn, items) -> list:
     """[fn(x) for x in items], on up to `worker_count()` threads: the one
     way `stc` runs work on threads.
@@ -125,6 +131,11 @@ def _parallel_map(fn, items) -> list:
     arrays, once the ranges have ended: the loss, and the batch sums of each
     parameter gradient (`ops.conv2d_batch_sums`), added in the order of a
     single range. So a step gives the same bits for any number of workers.
+
+    An inference pass maps over images: each thread's `predict` calls reuse
+    that thread's plan. A plan lives for one call: the helpers' plans end
+    with their threads, and the calling thread drops its own on return, so
+    no plan is held while a stage trains.
     """
     items = list(items)
     own, *rest = [items[r] for r in row_ranges(len(items), worker_count())]
@@ -144,6 +155,7 @@ def _parallel_map(fn, items) -> list:
     finally:
         for t in helpers:
             t.join()
+        _plans.plan = None
     for chunk, error in done:
         if error is not None:
             raise error
@@ -186,7 +198,10 @@ def step_arrays(params: ParamSet, shape) -> dict[str, np.ndarray]:
     - `in`: the view the layer before writes conv i's input into.
     - `cols` (n, c*k*k, h*w): the patch matrix (at k == 1 a reshape of
       `in`). Kept for the kernel gradient, then overwritten by `W^T @ g` in
-      backward.
+      backward, unless the conv has an `input_grad`.
+    - `input_grad` (n, c, h*w), only at k == 1 after an unpooled conv: the
+      conv's `W^T @ g`. Its patch matrix is then the ReLU output of the conv
+      before, whose mask that conv's backward still reads.
     - `out` (n, cout, h, w): the conv output, ReLU applied in place. Backward
       takes the ReLU mask from it (r > 0 iff z > 0).
     - `grad` (n, cout, h, w), pooled blocks only: the gradient at the conv
@@ -200,40 +215,62 @@ def step_arrays(params: ParamSet, shape) -> dict[str, np.ndarray]:
     patch matrix is its input itself, the ReLU output that backward still
     needs. `logits` (n, C+1, h/s, w/s), s the output stride, is the
     forward's result.
+
+    At n == 1 the same layout is the inference plan `predict` runs its
+    forward into (see `_parallel_map`), with each array in a memory mapping
+    of its own (`_mapped`), so that a dropped plan leaves no resident memory
+    behind. The inference forward writes only `in`, `padded`, `cols`, `out`,
+    `head.in` and `logits`; the pages of the others are never touched.
     """
+    return _plan_arrays(params, shape, np.empty)
+
+
+def _mapped(shape) -> np.ndarray:
+    """An uninitialised float64 array in an anonymous memory mapping of its
+    own, whose pages go back to the OS as soon as the array is freed. Freed
+    heap memory that lies below blocks still in use stays resident, and an
+    inference pass keeps its results in use."""
+    size = math.prod(shape)
+    buf = mmap.mmap(-1, max(8 * size, 1))
+    return np.frombuffer(buf, dtype=np.float64, count=size).reshape(shape)
+
+
+def _plan_arrays(params: ParamSet, shape, empty) -> dict[str, np.ndarray]:
+    """`step_arrays`, each new array made by `empty(shape)`."""
     n, _, h, w = shape
-    arrays = {"images": np.empty(shape)}
+    arrays = {"images": empty(shape)}
     src = None  # the output of the block before, when it does not pool
     for i in range(1, num_blocks(params) + 1):
         cout, c, k, _ = params[f"conv{i}.weight"].value.shape
         p = k // 2
-        padded = arrays[f"conv{i}.padded"] = np.empty((n, c, h + 2 * p, w + 2 * p))
+        padded = arrays[f"conv{i}.padded"] = empty((n, c, h + 2 * p, w + 2 * p))
         a = arrays[f"conv{i}.in"] = _interior(padded, k) if src is None else src
-        # im2col's patch matrix at k == 1 is a reshape of its input
-        arrays[f"conv{i}.cols"] = (
-            np.empty((n, c * k * k, h * w)) if k > 1 else a.reshape(n, c, h * w)
-        )
-        src = arrays[f"conv{i}.out"] = np.empty((n, cout, h, w))
-        arrays[f"conv{i}.kernel_grad"] = np.empty((n, cout, c * k * k))
+        if k > 1:
+            arrays[f"conv{i}.cols"] = empty((n, c * k * k, h * w))
+        else:  # im2col's patch matrix at k == 1 is a reshape of its input
+            arrays[f"conv{i}.cols"] = a.reshape(n, c, h * w)
+            if src is not None:
+                arrays[f"conv{i}.input_grad"] = empty((n, c, h * w))
+        src = arrays[f"conv{i}.out"] = empty((n, cout, h, w))
+        arrays[f"conv{i}.kernel_grad"] = empty((n, cout, c * k * k))
         if i <= _MAX_POOLS:
-            arrays[f"conv{i}.grad"] = np.empty((n, cout, h, w))
+            arrays[f"conv{i}.grad"] = empty((n, cout, h, w))
             h, w = h // 2, w // 2
             src = None
     classes, c, _, _ = params["head.weight"].value.shape
-    arrays["head.in"] = np.empty((n, c, h, w)) if src is None else src
-    arrays["head.kernel_grad"] = np.empty((n, classes, c))
-    arrays["head.input_grad"] = np.empty((n, c, h * w))
-    arrays["logits"] = np.empty((n, classes, h, w))
+    arrays["head.in"] = empty((n, c, h, w)) if src is None else src
+    arrays["head.kernel_grad"] = empty((n, classes, c))
+    arrays["head.input_grad"] = empty((n, c, h * w))
+    arrays["logits"] = empty((n, classes, h, w))
     return arrays
 
 
 def _forward_rows(params: ParamSet, images: np.ndarray, arrays, rows: slice) -> np.ndarray:
-    """The forward pass of images[rows]; returns their logits. With `arrays`
-    (from step_arrays) every result goes into these rows of them; with None
-    (inference) into new arrays, and no patch matrix is kept."""
+    """The forward pass of images[rows] into these rows of `arrays` (from
+    step_arrays); returns their logits."""
 
     def into(name: str):
-        return None if arrays is None else arrays[name][rows]
+        return arrays[name][rows]
 
     nb = num_blocks(params)
     a = np.subtract(images[rows], _INPUT_MEAN, out=into("conv1.in"))
@@ -241,9 +278,7 @@ def _forward_rows(params: ParamSet, images: np.ndarray, arrays, rows: slice) -> 
     for i in range(1, nb + 1):
         weight = params[f"conv{i}.weight"].value
         k = weight.shape[2]
-        cols = None
-        if arrays is not None:
-            cols = im2col(a, k, out=into(f"conv{i}.cols"), padded=into(f"conv{i}.padded"))
+        cols = im2col(a, k, out=into(f"conv{i}.cols"), padded=into(f"conv{i}.padded"))
         z = conv2d_forward(
             a, weight, params[f"conv{i}.bias"].value, cols=cols, out=into(f"conv{i}.out")
         )
@@ -277,7 +312,8 @@ def _forward_cached(params: ParamSet, images: np.ndarray, arrays) -> np.ndarray:
 
 def forward(params: ParamSet, images: np.ndarray) -> np.ndarray:
     """images: (N, 3, H, W) with H, W divisible by 4 -> logits (N, C+1, h, w)."""
-    return _forward_rows(params, _checked_images(params, images), None, slice(None))
+    images = _checked_images(params, images)
+    return _forward_rows(params, images, step_arrays(params, images.shape), slice(None))
 
 
 def backward(params: ParamSet, arrays, grad_logits: np.ndarray) -> None:
@@ -296,13 +332,16 @@ def backward(params: ParamSet, arrays, grad_logits: np.ndarray) -> None:
     # per layer: (name, kernel-gradient products, upstream gradient), full batch
     sums = [("head", arrays["head.kernel_grad"], grad_logits)]
     # the input gradient of the layer above, where its col2im leaves it (at
-    # k == 1, in its patch matrix, a reshape of its input): an unpooled
-    # block's upstream
+    # k == 1, in its `W^T @ g`): an unpooled block's upstream
     above = arrays["head.input_grad"].reshape(arrays["head.in"].shape)
     for i in range(nb, 0, -1):
         name, k = f"conv{i}", params[f"conv{i}.weight"].value.shape[2]
         sums.append((name, arrays[f"{name}.kernel_grad"], arrays.get(f"{name}.grad", above)))
-        above = arrays[f"{name}.in"] if k == 1 else _interior(arrays[f"{name}.padded"], k)
+        if k == 1:
+            wt_g = arrays.get(f"{name}.input_grad", arrays[f"{name}.cols"])
+            above = wt_g.reshape(arrays[f"{name}.in"].shape)
+        else:
+            above = _interior(arrays[f"{name}.padded"], k)
 
     def backward_rows(rows: slice) -> None:
         def rows_of(name: str) -> np.ndarray:
@@ -318,10 +357,12 @@ def backward(params: ParamSet, arrays, grad_logits: np.ndarray) -> None:
                 g = avgpool2_backward(g, out=rows_of(f"conv{i}.grad"))
             g = relu_backward(rows_of(f"conv{i}.out"), g, out=g)
             cols = rows_of(f"conv{i}.cols")
+            # W^T @ g goes over the patch matrix, unless the conv has its own array
+            wt_g = rows_of(f"conv{i}.input_grad") if f"conv{i}.input_grad" in arrays else cols
             g, _, _ = conv2d_backward(
                 rows_of(f"conv{i}.in"), params[f"conv{i}.weight"].value, g, cols=cols,
                 input_grad=i > 1, batch_sums=False, kernel_out=rows_of(f"conv{i}.kernel_grad"),
-                cols_out=cols, input_out=rows_of(f"conv{i}.padded"),
+                cols_out=wt_g, input_out=rows_of(f"conv{i}.padded"),
             )
 
     _parallel_map(backward_rows, row_ranges(grad_logits.shape[0], worker_count()))
@@ -331,17 +372,32 @@ def backward(params: ParamSet, arrays, grad_logits: np.ndarray) -> None:
         params[f"{name}.bias"].grad += gb
 
 
+def _inference_plan(params: ParamSet, shape) -> dict[str, np.ndarray]:
+    """This thread's plan (`step_arrays(params, shape)` in mapped arrays),
+    made again only when the weight shapes or the image shape change."""
+    key = (tuple((name, p.value.shape) for name, p in params.items()), shape)
+    plan = getattr(_plans, "plan", None)
+    if plan is None or plan[0] != key:
+        plan = _plans.plan = key, _plan_arrays(params, shape, _mapped)
+    return plan[1]
+
+
 def predict(params: ParamSet, image: np.ndarray) -> np.ndarray:
     """Full-resolution class distribution for one (H, W, 3) image.
 
     Softmax at the logit resolution, bilinear upsample per channel, then
-    per-pixel renormalization to sum exactly 1.
+    per-pixel renormalization to sum exactly 1. The forward runs into this
+    thread's inference plan (see `_parallel_map`), so after the first call
+    the forward allocates nothing; the softmax makes a new array,
+    so the result never shares memory with the plan.
     """
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 3 or image.shape[2] != 3:
         raise ValueError(f"expected (H, W, 3) image, got shape {image.shape}")
     h, w, _ = image.shape
-    logits = forward(params, image.transpose(2, 0, 1)[None])[0]
+    images = _checked_images(params, image.transpose(2, 0, 1)[None])
+    plan = _inference_plan(params, images.shape)
+    logits = _forward_rows(params, images, plan, slice(None))[0]
     probs = channel_softmax(logits)
     up = bilinear_resize(probs, h, w)
     return up / up.sum(axis=0, keepdims=True)

@@ -13,21 +13,24 @@ of the zero-padded input into one column of a (C*k*k, H*W) patch matrix
 per image; the forward pass is one matmul of the flattened kernel with it,
 and so is the kernel gradient. `col2im` is its adjoint: it scatter-adds
 the columns of `W^T @ upstream` back onto the padded input grid (k*k
-slice-adds), which is the input gradient. The training forward
-(`network._forward_cached`) builds each conv's patch matrix once, passes it
-to `conv2d_forward` as `cols=` and keeps it for `conv2d_backward`, so a
-train step builds one patch matrix per conv. Inference (`network.forward`,
-`predict`) builds it inside `conv2d_forward` and keeps none.
+slice-adds), which is the input gradient. Every forward pass
+(`network._forward_rows`) builds each conv's patch matrix once, into an
+array of its plan (`network.step_arrays`), and passes it to
+`conv2d_forward` as `cols=`; training keeps it for `conv2d_backward`, so a
+train step builds one patch matrix per conv. Inference (`network.predict`)
+reuses one plan per thread, so its patch matrices land in the same arrays
+on every call.
 
 Ops whose results are large take keyword-only `out=` arguments (like numpy's
 ufuncs): float64 arrays of the result's shape (C-contiguous where the op
 reshapes them or multiplies into them) that receive the result in place of
-a new array, so that a train step can reuse the same arrays every step
-(`network.step_arrays` says which array holds what). The arithmetic, and
-so every bit of the result, is the same with or without them. `im2col(padded=)` is the zero-padded copy of the
-input it reads; `col2im(out=)` is the padded grid it scatter-adds onto and
-returns the interior of. One array may serve both: col2im leaves the border
-of the grid nonzero, and im2col zeroes it again before use. Likewise
+a new array, so that a train step can reuse the same arrays every step, and
+an inference pass every image (`network.step_arrays` says which array holds
+what). The arithmetic, and so every bit of the result, is the same with or
+without them. `im2col(padded=)` is the zero-padded copy of the input it
+reads; `col2im(out=)` is the padded grid it scatter-adds onto and returns
+the interior of. One array may serve both: col2im leaves the border of the
+grid nonzero, and im2col zeroes it again before use. Likewise
 `conv2d_backward` may write `W^T @ upstream` over the patch matrix it has
 just used for the kernel gradient.
 
@@ -35,6 +38,8 @@ Array conventions: feature maps are (N, C, H, W), kernels (Cout, Cin, k, k),
 probability/logit maps (..., C+1, h, w). All math is float64.
 """
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -256,29 +261,45 @@ def avgpool2_backward(upstream, *, out=None) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=64)
+def _taps(n: int, target: int):
+    """Align-corners taps that resample an axis of length n to `target`
+    samples: (i0, i1, 1 - f, f), the source index at or below each sample,
+    the one above it (clamped) and their weights. Read-only, as cached."""
+    s = np.linspace(0.0, n - 1.0, target)
+    i0 = np.floor(s).astype(np.intp)
+    i1 = np.minimum(i0 + 1, n - 1)
+    f = s - i0
+    taps = i0, i1, 1.0 - f, f
+    for a in taps:
+        a.flags.writeable = False
+    return taps
+
+
 def bilinear_resize(m, target_h: int, target_w: int) -> np.ndarray:
     """Align-corners bilinear interpolation over the trailing two axes.
 
     Exact identity when the target equals the source size. A target axis of 1
-    samples the source origin.
+    samples the source origin. Separable: each source row is interpolated
+    along x once, then each target row blends two of those rows along y.
     """
     m = _f64(m)
     *lead, h, w = m.shape
     if target_h < 1 or target_w < 1:
         raise ValueError(f"target size must be >= 1, got {target_h}x{target_w}")
-    ys = np.linspace(0.0, h - 1.0, target_h)
-    xs = np.linspace(0.0, w - 1.0, target_w)
-    y0 = np.floor(ys).astype(np.intp)
-    x0 = np.floor(xs).astype(np.intp)
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    fy = (ys - y0).reshape(-1, 1)
-    fx = (xs - x0).reshape(1, -1)
-    r0 = m[..., y0, :]
-    r1 = m[..., y1, :]
-    top = r0[..., x0] * (1.0 - fx) + r0[..., x1] * fx
-    bot = r1[..., x0] * (1.0 - fx) + r1[..., x1] * fx
-    return top * (1.0 - fy) + bot * fy
+    y0, y1, gy, fy = _taps(h, target_h)
+    x0, x1, gx, fx = _taps(w, target_w)
+    rows = m[..., x0]
+    rows *= gx
+    right = m[..., x1]
+    right *= fx
+    rows += right
+    out = rows[..., y0, :]
+    out *= gy[:, None]
+    below = rows[..., y1, :]
+    below *= fy[:, None]
+    out += below
+    return out
 
 
 def channel_softmax(logits) -> np.ndarray:

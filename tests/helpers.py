@@ -1,7 +1,8 @@
 """Independent reference implementations used as test oracles.
 
-Everything here is deliberately naive (explicit loops) and shares no code
-with the package under test.
+Everything here is deliberately naive (explicit loops), or an earlier
+formula of an op that has since been rewritten for speed, and shares no
+code with the package under test.
 """
 from __future__ import annotations
 
@@ -89,3 +90,25 @@ def restricted_argmax_scan(pred, allowed):
                     best, best_v = k, pred[k, i, j]
             out[i, j] = best
     return out
+
+
+def gathered_bilinear_resize(m, target_h, target_w):
+    """Align-corners bilinear resize over the trailing two axes, as the
+    gathered-rows formula computes it: gather both source rows of every
+    target row, interpolate each along x, then blend the two along y. The
+    bitwise reference for `ops.bilinear_resize`."""
+    m = np.asarray(m, dtype=np.float64)
+    h, w = m.shape[-2:]
+    ys = np.linspace(0.0, h - 1.0, target_h)
+    xs = np.linspace(0.0, w - 1.0, target_w)
+    y0 = np.floor(ys).astype(np.intp)
+    x0 = np.floor(xs).astype(np.intp)
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    fy = (ys - y0).reshape(-1, 1)
+    fx = (xs - x0).reshape(1, -1)
+    r0 = m[..., y0, :]
+    r1 = m[..., y1, :]
+    top = r0[..., x0] * (1.0 - fx) + r0[..., x1] * fx
+    bot = r1[..., x0] * (1.0 - fx) + r1[..., x1] * fx
+    return top * (1.0 - fy) + bot * fy

@@ -8,7 +8,7 @@ import pytest
 from stc import cli, data, pipeline
 from stc.cli import load_run_config, main
 from stc.network import NetworkConfig, init_network
-from stc.params import save_params
+from stc.params import ParamSet, save_params
 
 
 TINY_CONFIG = {
@@ -238,6 +238,90 @@ class TestEval:
         captured = capsys.readouterr()
         assert str(path) in captured.err and "conv1.weight" in captured.err
         assert "miou" not in captured.out
+
+
+def _with_shape(net, name, shape):
+    """A copy of `net` whose parameter `name` is zeros of `shape` (added if
+    `net` lacks it), or lacks it if `shape` is None."""
+    out = ParamSet()
+    for n, p in net.items():
+        if n != name:
+            out.add(n, p.value)
+    if shape is not None:
+        out.add(name, np.zeros(shape))
+    return out
+
+
+def _command_loading(command, ckpt, dataset_dir, out):
+    if command == "eval":
+        return ["eval", "--checkpoint", str(ckpt), "--data", str(dataset_dir)]
+    return ["stage", "--data", str(dataset_dir), "--out", str(out), "--stage", "enhanced",
+            "--params", str(ckpt)]
+
+
+# defect -> (parameter, shape it gets) in the default 16/32/64 network, 4 classes
+BAD_STACKS = {
+    "conv1-input-channels": ("conv1.weight", (16, 4, 3, 3)),
+    "chain": ("conv2.weight", (32, 8, 3, 3)),
+    "even-kernel": ("conv2.weight", (32, 16, 2, 2)),
+    "non-square-kernel": ("conv3.weight", (64, 32, 3, 1)),
+    "weight-rank": ("conv1.weight", (16, 3, 9)),
+    "bias-length": ("conv2.bias", (31,)),
+    "head-input": ("head.weight", (5, 32, 1, 1)),
+    "head-kernel": ("head.weight", (5, 64, 3, 3)),
+    "head-bias": ("head.bias", (4,)),
+    "missing-bias": ("conv2.bias", None),
+    "stray-parameter": ("conv5.weight", (8, 64, 3, 3)),
+}
+
+
+@pytest.mark.parametrize("command", ["eval", "stage"])
+@pytest.mark.parametrize("defect", list(BAD_STACKS))
+def test_checkpoint_whose_layers_do_not_chain_names_file_and_field(
+    dataset_dir, tmp_path, capsys, command, defect
+):
+    name, shape = BAD_STACKS[defect]
+    path = tmp_path / "bad.stcp"
+    save_params(_with_shape(init_network(NetworkConfig(4, seed=0)), name, shape), path)
+    out = tmp_path / "stage_out"
+    assert main(_command_loading(command, path, dataset_dir, out)) == 1
+    captured = capsys.readouterr()
+    assert str(path) in captured.err and name in captured.err
+    assert "miou" not in captured.out
+    assert not out.exists()
+
+
+# field -> value that disagrees with the default 16/32/64 network, 4 classes
+SIDECAR_EDITS = {
+    "num_classes": 3,
+    "channels": [16, 32],
+    "kernel_size": 5,
+}
+
+
+@pytest.mark.parametrize("command", ["eval", "stage"])
+@pytest.mark.parametrize("edit", [*SIDECAR_EDITS, "missing-field", "not-json"])
+def test_sidecar_that_disagrees_with_the_weights_names_file_and_field(
+    dataset_dir, tmp_path, capsys, command, edit
+):
+    path = tmp_path / "ckpt.stcp"
+    save_params(init_network(NetworkConfig(4, seed=0)), path)
+    sidecar = {"num_classes": 4, "channels": [16, 32, 64], "kernel_size": 3, "seed": 0}
+    field = edit
+    if edit == "missing-field":
+        field = "channels"
+        del sidecar[field]
+    elif edit != "not-json":
+        sidecar[field] = SIDECAR_EDITS[field]
+    text = "{not json" if edit == "not-json" else json.dumps(sidecar)
+    path.with_suffix(".json").write_text(text)
+    out = tmp_path / "stage_out"
+    assert main(_command_loading(command, path, dataset_dir, out)) == 1
+    err = capsys.readouterr().err
+    assert str(path.with_suffix(".json")) in err
+    if edit != "not-json":
+        assert repr(field) in err
+    assert not out.exists()
 
 
 class TestStageCommand:

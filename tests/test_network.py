@@ -1,3 +1,4 @@
+import resource
 import sys
 import threading
 import time
@@ -5,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from helpers import gathered_bilinear_resize, numeric_grad, rel_err
 from stc import network, ops
 from stc.losses import batch_ce_and_grad, one_hot
 from stc.network import (
@@ -128,6 +130,77 @@ class TestPredict:
             predict(ps, np.zeros((3, 8, 8)))
 
 
+def held_plan():
+    """The inference plan the calling thread holds, or None."""
+    return getattr(network._plans, "plan", None)
+
+
+class TestInferencePlan:
+    def test_predict_is_softmax_upsample_renormalise_of_forward(self, rng):
+        ps = init_network(NetworkConfig(num_classes=3, seed=4))
+        for size in ((16, 12), (8, 8), (16, 12)):
+            img = rng.uniform(size=(*size, 3))
+            probs = ops.channel_softmax(forward(ps, img.transpose(2, 0, 1)[None])[0])
+            up = gathered_bilinear_resize(probs, *size)
+            assert np.array_equal(predict(ps, img), up / up.sum(axis=0, keepdims=True)), size
+
+    def test_second_predict_leaves_the_first_result_unchanged(self, rng):
+        ps = init_network(NetworkConfig(num_classes=3, seed=4))
+        other = init_network(NetworkConfig(num_classes=2, channels=(4, 6), seed=5))
+        img = rng.uniform(size=(16, 12, 3))
+        first = predict(ps, img)
+        kept = first.copy()
+        for net, size in ((ps, (16, 12)), (ps, (8, 8)), (other, (16, 12))):
+            later = predict(net, rng.uniform(size=(*size, 3)))
+            assert not np.shares_memory(later, first)
+        assert np.array_equal(first, kept)
+        assert np.array_equal(predict(ps, img), kept)
+
+    def test_one_plan_per_thread_reused_while_the_shapes_match(self, rng):
+        ps = init_network(NetworkConfig(num_classes=3, seed=4))
+        predict(ps, rng.uniform(size=(16, 12, 3)))
+        plan = held_plan()
+        predict(ps, rng.uniform(size=(16, 12, 3)))
+        assert held_plan() is plan
+        predict(ps, rng.uniform(size=(8, 8, 3)))
+        assert held_plan() is not plan
+
+    @pytest.mark.parametrize("workers", ["1", "2", "3"])
+    def test_calling_thread_holds_no_plan_after_parallel_map(self, rng, monkeypatch, workers):
+        monkeypatch.setenv("STC_THREADS", workers)
+        ps = init_network(NetworkConfig(num_classes=3, seed=4))
+        imgs = [rng.uniform(size=(16, 12, 3)) for _ in range(4)]
+        predict(ps, imgs[0])
+        assert held_plan() is not None
+        got = _parallel_map(lambda im: predict(ps, im), imgs)
+        assert held_plan() is None
+        for im, p in zip(imgs, got):
+            assert np.array_equal(p, predict(ps, im))
+
+    def test_plan_is_dropped_when_parallel_map_raises(self, rng, monkeypatch):
+        monkeypatch.setenv("STC_THREADS", "1")
+        ps = init_network(NetworkConfig(num_classes=3, seed=4))
+
+        def fail_after_predict(im):
+            predict(ps, im)
+            raise RuntimeError("task failed")
+
+        with pytest.raises(RuntimeError, match="task failed"):
+            _parallel_map(fail_after_predict, [rng.uniform(size=(16, 12, 3))])
+        assert held_plan() is None
+
+    def test_predict_takes_no_page_faults_after_its_first_call(self, rng):
+        ps = init_network(NetworkConfig(num_classes=4, seed=4))
+        img = rng.uniform(size=(128, 128, 3))
+        predict(ps, img)
+        predict(ps, img)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(5):
+            predict(ps, img)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults <= 20, f"{faults} minor page faults in 5 predict calls"
+
+
 class TestBackward:
     def _grads(self, ps, x, targets):
         return train_step(ps, x, targets)[1]
@@ -177,6 +250,28 @@ class TestBackward:
         # W^T @ g, zero here, is written over the patch matrices it is done with
         for i in (2, 3):
             assert not arrays[f"conv{i}.cols"].any(), i
+
+
+    def test_unpooled_kernel_size_1_convs_match_finite_differences(self, rng):
+        # conv3 and conv4 are unpooled 1x1 convs: conv4's patch matrix is a
+        # reshape of conv3's ReLU output, whose mask conv3's backward reads
+        net = init_network(
+            NetworkConfig(num_classes=2, channels=(4, 6, 8, 5), kernel_size=1, seed=7)
+        )
+        image = rng.uniform(size=(1, 3, 8, 8))
+        target = rng.uniform(size=(1, 3, 2, 2))
+        target /= target.sum(axis=1, keepdims=True)
+        arrays = step_arrays(net, image.shape)
+        logits = _forward_cached(net, image, arrays)
+        net.zero_grads()
+        backward(net, arrays, batch_ce_and_grad(logits, target)[1])
+
+        def loss_fn(_):  # numeric_grad perturbs a parameter of `net` in place
+            return batch_ce_and_grad(forward(net, image), target)[0]
+
+        for name, p in net.items():
+            numeric = numeric_grad(loss_fn, p.value)
+            assert rel_err(p.grad, numeric).max() < 1e-4, name
 
 
 def nan_filled(arrays):

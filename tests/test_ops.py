@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import naive_conv2d, numeric_grad, rel_err
+from helpers import gathered_bilinear_resize, naive_conv2d, numeric_grad, rel_err
 from stc import ops
 
 
@@ -315,6 +315,34 @@ class TestBilinearResize:
     def test_bad_target_rejected(self):
         with pytest.raises(ValueError):
             ops.bilinear_resize(np.zeros((2, 2)), 0, 3)
+
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)], ids=["0-lead", "1-lead", "2-lead"])
+    @pytest.mark.parametrize("h, w", [(1, 1), (2, 3), (5, 4), (7, 9), (16, 16)])
+    @pytest.mark.parametrize(
+        "target",
+        [
+            lambda h, w: (1, 1),
+            lambda h, w: (h, w),
+            lambda h, w: (max(1, h // 2), max(1, w // 3)),
+            lambda h, w: (4 * h, 4 * w),
+            lambda h, w: (2 * h + 1, 1),
+            lambda h, w: (1, 3 * w - 1 if w > 1 else 5),
+        ],
+        ids=["to-1x1", "identity", "down", "up-4x", "up-h-1-w", "1-h-up-w"],
+    )
+    def test_bitwise_equal_to_gathered_rows_formula(self, rng, lead, h, w, target):
+        m = rng.uniform(size=(*lead, h, w))
+        th, tw = target(h, w)
+        got = ops.bilinear_resize(m, th, tw)
+        assert got.shape == (*lead, th, tw)
+        assert np.array_equal(got, gathered_bilinear_resize(m, th, tw))
+
+    def test_cached_taps_are_read_only(self):
+        ops.bilinear_resize(np.zeros((4, 6)), 9, 11)
+        for taps in (ops._taps(4, 9), ops._taps(6, 11)):
+            for a in taps:
+                with pytest.raises(ValueError):
+                    a[...] = 0
 
 
 class TestChannelSoftmax:

@@ -1,0 +1,78 @@
+"""The benchmark's tracer (`perfbench/spans.py`) reaches into `stc` by name:
+it wraps the functions its LAYERS table lists at every binding, and the
+thread-pool wrapper calls `_parallel_map(task_fn, items)`. These tests load
+the tracer as it is and check that the names still resolve and that
+tracing leaves the program's results and bindings as they were."""
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from stc import network, pipeline, pseudolabel
+from stc.network import NetworkConfig, init_network
+
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+@pytest.fixture(scope="module")
+def spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans_under_test", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def stc_bindings() -> dict:
+    """Every (module, attribute) -> value in the loaded stc modules."""
+    return {
+        (name, attr): value
+        for name, m in list(sys.modules.items())
+        if name == "stc" or name.startswith("stc.")
+        for attr, value in vars(m).items()
+    }
+
+
+def test_every_traced_function_resolves_in_stc(spans):
+    for mod, fns in spans.LAYERS.items():
+        owner = importlib.import_module(f"stc.{mod}")
+        for fn in fns:
+            assert callable(getattr(owner, fn, None)), f"stc.{mod}.{fn}"
+    for (mod, fn), bindings in spans.ONLY_BINDINGS.items():
+        assert fn in spans.LAYERS[mod], (mod, fn)
+        original = getattr(importlib.import_module(f"stc.{mod}"), fn)
+        for binding in bindings:
+            assert getattr(importlib.import_module(binding), fn, None) is original, binding
+    assert spans.POOL == "pipeline._parallel_map"
+
+
+def test_tracer_spans_predict_and_parallel_map_then_restores_them(spans, monkeypatch):
+    monkeypatch.setenv("STC_THREADS", "2")
+    ps = init_network(NetworkConfig(num_classes=2, channels=(4, 6, 8), seed=1))
+    rng = np.random.default_rng(5)
+    imgs = [rng.uniform(size=(16, 12, 3)) for _ in range(3)]
+    want = ([network.predict(ps, imgs[0])],
+            [pseudolabel.relabel_complex(ps, im, {1}) for im in imgs])
+    before = stc_bindings()
+    tracer = spans.Tracer()
+    with tracer.installed():
+        assert pipeline._parallel_map is not before[("stc.pipeline", "_parallel_map")]
+        first = [network.predict(ps, imgs[0])]
+        masks = pipeline._parallel_map(lambda im: pseudolabel.relabel_complex(ps, im, {1}), imgs)
+        assert getattr(network._plans, "plan", None) is None
+    assert stc_bindings() == before
+    assert np.array_equal(first[0], want[0][0])
+    assert all(np.array_equal(m, w) for m, w in zip(masks, want[1]))
+
+    metrics = spans.layer_metrics(tracer.spans)
+    assert metrics["network.predict.calls"] == 4
+    assert metrics["ops.conv2d_forward.calls"] == 4 * 4  # 3 convs and the head
+    assert metrics["ops.bilinear_resize.calls"] == 4
+    assert metrics["pipeline._parallel_map.calls"] == 1
+    assert metrics["pipeline.pool.busy_s"] > 0.0
+    by_id = {s[0]: s for s in tracer.spans}
+    tasks = [s for s in tracer.spans if s[1] == spans.POOL_TASK]
+    assert len(tasks) == 3
+    assert all(by_id[t[2]][1] == spans.POOL for t in tasks)

@@ -421,6 +421,31 @@ class TestWeakSupervisionAudit:
         assert reads["train"] == 0
 
 
+def test_relabel_masks_and_eval_confusion_identical_for_any_stc_threads(corpus, monkeypatch):
+    net = init_network(NetworkConfig(4, channels=TINY_CHANNELS, seed=3))
+    simple = simple_pairs(corpus)
+    complex_ = [(corpus.split("complex"), r) for r in corpus.split("complex").records]
+    confusions = []
+    monkeypatch.setattr(
+        pipeline, "iou_from_confusion",
+        lambda conf: (confusions.append(conf), iou_from_confusion(conf))[1],
+    )
+    runs = []
+    for threads in ("1", "2", "3"):
+        monkeypatch.setenv("STC_THREADS", threads)
+        masks = [
+            pipeline._stage_data(stage, net, simple, complex_, True)[2]
+            for stage in ("enhanced", "powerful")
+        ]
+        runs.append((masks, evaluate(net, corpus.split("eval"))))
+    for (masks, scores), conf in zip(runs[1:], confusions[1:]):
+        assert scores == runs[0][1]
+        assert np.array_equal(conf, confusions[0])
+        for got, want in zip(masks, runs[0][0]):
+            assert len(got) == len(want)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", ""])
 def test_worker_count_error_names_the_variable(monkeypatch, value):
     monkeypatch.setenv("STC_THREADS", value)
