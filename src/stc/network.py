@@ -178,30 +178,38 @@ def _checked_images(params: ParamSet, images) -> np.ndarray:
 
 
 def step_arrays(params: ParamSet, shape) -> dict[str, np.ndarray]:
-    """Every array of a train step on a batch of `shape` (n, 3, h, w), by
-    name. `train_stage` allocates them once, at full batch size, and every
-    step writes into them, as Caffe keeps a layer's blobs; a smaller batch
-    takes the leading rows (`a[:n]`, still contiguous). Without reuse,
-    glibc hands the freed temporaries back to the OS and each step
-    page-faults them in again. The forward's arrays are the cache that
+    """Every array of a forward and backward pass on a batch of `shape`
+    (n, 3, h, w), by name. `train_stage` allocates them once, at full batch
+    size, and every step writes into them, as Caffe keeps a layer's blobs; a
+    smaller batch takes the leading rows (`a[:n]`, still contiguous).
+    Without reuse, glibc hands the freed temporaries back to the OS and each
+    step page-faults them in again. The forward's arrays are the cache that
     `backward` reads.
 
-    `images` is the batch of crops. For conv i, named `conv{i}.*` (c/cout =
-    in/out channels, (h, w) = the conv's input size, p = k//2):
+    Each array lies in a memory mapping of its own (`_mapped`): its pages
+    become resident only once written, and go back to the OS as soon as the
+    array is freed, so a pass that writes only some of the arrays (the
+    inference forward writes `in`, `padded`, `cols`, `out`, `head.in` and
+    `logits`) costs only those, and a dropped plan leaves no resident memory
+    behind.
+
+    `images` is the batch of crops, which `train_stage` stacks into it. For
+    conv i, named `conv{i}.*` (c/cout = in/out channels, (h, w) = the conv's
+    input size, p = k//2):
 
     - `padded` (n, c, h+2p, w+2p): the conv's input, zero-padded. The layer
       before writes its output (the standardized images, for conv1) into the
       interior, unless it is an unpooled conv whose output im2col copies
       there. Dead once im2col has read it; backward's col2im then
       scatter-adds onto it, so the input gradient is its interior, and the
-      next step's im2col zeroes its border again.
+      next step's im2col zeroes its border again. At k == 1 backward writes
+      `W^T @ g`, which is then the input gradient, into it instead.
     - `in`: the view the layer before writes conv i's input into.
     - `cols` (n, c*k*k, h*w): the patch matrix (at k == 1 a reshape of
       `in`). Kept for the kernel gradient, then overwritten by `W^T @ g` in
-      backward, unless the conv has an `input_grad`.
-    - `input_grad` (n, c, h*w), only at k == 1 after an unpooled conv: the
-      conv's `W^T @ g`. Its patch matrix is then the ReLU output of the conv
-      before, whose mask that conv's backward still reads.
+      backward at k > 1. At k == 1 after an unpooled conv it is the ReLU
+      output of the conv before, whose mask that conv's backward still
+      reads, so backward leaves it alone.
     - `out` (n, cout, h, w): the conv output, ReLU applied in place. Backward
       takes the ReLU mask from it (r > 0 iff z > 0).
     - `grad` (n, cout, h, w), pooled blocks only: the gradient at the conv
@@ -217,52 +225,40 @@ def step_arrays(params: ParamSet, shape) -> dict[str, np.ndarray]:
     forward's result.
 
     At n == 1 the same layout is the inference plan `predict` runs its
-    forward into (see `_parallel_map`), with each array in a memory mapping
-    of its own (`_mapped`), so that a dropped plan leaves no resident memory
-    behind. The inference forward writes only `in`, `padded`, `cols`, `out`,
-    `head.in` and `logits`; the pages of the others are never touched.
+    forward into (see `_parallel_map`).
     """
-    return _plan_arrays(params, shape, np.empty)
-
-
-def _mapped(shape) -> np.ndarray:
-    """An uninitialised float64 array in an anonymous memory mapping of its
-    own, whose pages go back to the OS as soon as the array is freed. Freed
-    heap memory that lies below blocks still in use stays resident, and an
-    inference pass keeps its results in use."""
-    size = math.prod(shape)
-    buf = mmap.mmap(-1, max(8 * size, 1))
-    return np.frombuffer(buf, dtype=np.float64, count=size).reshape(shape)
-
-
-def _plan_arrays(params: ParamSet, shape, empty) -> dict[str, np.ndarray]:
-    """`step_arrays`, each new array made by `empty(shape)`."""
     n, _, h, w = shape
-    arrays = {"images": empty(shape)}
+    arrays = {"images": _mapped(shape)}
     src = None  # the output of the block before, when it does not pool
     for i in range(1, num_blocks(params) + 1):
         cout, c, k, _ = params[f"conv{i}.weight"].value.shape
         p = k // 2
-        padded = arrays[f"conv{i}.padded"] = empty((n, c, h + 2 * p, w + 2 * p))
+        padded = arrays[f"conv{i}.padded"] = _mapped((n, c, h + 2 * p, w + 2 * p))
         a = arrays[f"conv{i}.in"] = _interior(padded, k) if src is None else src
-        if k > 1:
-            arrays[f"conv{i}.cols"] = empty((n, c * k * k, h * w))
-        else:  # im2col's patch matrix at k == 1 is a reshape of its input
-            arrays[f"conv{i}.cols"] = a.reshape(n, c, h * w)
-            if src is not None:
-                arrays[f"conv{i}.input_grad"] = empty((n, c, h * w))
-        src = arrays[f"conv{i}.out"] = empty((n, cout, h, w))
-        arrays[f"conv{i}.kernel_grad"] = empty((n, cout, c * k * k))
+        # im2col's patch matrix at k == 1 is a reshape of its input
+        cols = _mapped((n, c * k * k, h * w)) if k > 1 else a.reshape(n, c, h * w)
+        arrays[f"conv{i}.cols"] = cols
+        src = arrays[f"conv{i}.out"] = _mapped((n, cout, h, w))
+        arrays[f"conv{i}.kernel_grad"] = _mapped((n, cout, c * k * k))
         if i <= _MAX_POOLS:
-            arrays[f"conv{i}.grad"] = empty((n, cout, h, w))
+            arrays[f"conv{i}.grad"] = _mapped((n, cout, h, w))
             h, w = h // 2, w // 2
             src = None
     classes, c, _, _ = params["head.weight"].value.shape
-    arrays["head.in"] = empty((n, c, h, w)) if src is None else src
-    arrays["head.kernel_grad"] = empty((n, classes, c))
-    arrays["head.input_grad"] = empty((n, c, h * w))
-    arrays["logits"] = empty((n, classes, h, w))
+    arrays["head.in"] = _mapped((n, c, h, w)) if src is None else src
+    arrays["head.kernel_grad"] = _mapped((n, classes, c))
+    arrays["head.input_grad"] = _mapped((n, c, h * w))
+    arrays["logits"] = _mapped((n, classes, h, w))
     return arrays
+
+
+def _mapped(shape) -> np.ndarray:
+    """An uninitialised float64 array in a private anonymous memory mapping
+    of its own. Freed heap memory that lies below blocks still in use stays
+    resident; a mapping goes back to the OS when the array is freed."""
+    size = math.prod(shape)
+    buf = mmap.mmap(-1, max(8 * size, 1), flags=mmap.MAP_PRIVATE)
+    return np.frombuffer(buf, dtype=np.float64, count=size).reshape(shape)
 
 
 def _forward_rows(params: ParamSet, images: np.ndarray, arrays, rows: slice) -> np.ndarray:
@@ -311,7 +307,14 @@ def _forward_cached(params: ParamSet, images: np.ndarray, arrays) -> np.ndarray:
 
 
 def forward(params: ParamSet, images: np.ndarray) -> np.ndarray:
-    """images: (N, 3, H, W) with H, W divisible by 4 -> logits (N, C+1, h, w)."""
+    """images: (N, 3, H, W) with H, W divisible by 4 -> logits (N, C+1, h, w).
+
+    Runs into a fresh `step_arrays`, so every conv's padded input, patch
+    matrix and output stay resident until it returns: about 15 MB per
+    128-px image with the default channels, where freeing each patch matrix
+    after its conv would hold about 8 MB. `predict` takes one image at a
+    time into a reused plan.
+    """
     images = _checked_images(params, images)
     return _forward_rows(params, images, step_arrays(params, images.shape), slice(None))
 
@@ -331,17 +334,13 @@ def backward(params: ParamSet, arrays, grad_logits: np.ndarray) -> None:
     nb = num_blocks(params)
     # per layer: (name, kernel-gradient products, upstream gradient), full batch
     sums = [("head", arrays["head.kernel_grad"], grad_logits)]
-    # the input gradient of the layer above, where its col2im leaves it (at
-    # k == 1, in its `W^T @ g`): an unpooled block's upstream
+    # the input gradient of the layer above, where its col2im leaves it: an
+    # unpooled block's upstream
     above = arrays["head.input_grad"].reshape(arrays["head.in"].shape)
     for i in range(nb, 0, -1):
         name, k = f"conv{i}", params[f"conv{i}.weight"].value.shape[2]
         sums.append((name, arrays[f"{name}.kernel_grad"], arrays.get(f"{name}.grad", above)))
-        if k == 1:
-            wt_g = arrays.get(f"{name}.input_grad", arrays[f"{name}.cols"])
-            above = wt_g.reshape(arrays[f"{name}.in"].shape)
-        else:
-            above = _interior(arrays[f"{name}.padded"], k)
+        above = _interior(arrays[f"{name}.padded"], k)
 
     def backward_rows(rows: slice) -> None:
         def rows_of(name: str) -> np.ndarray:
@@ -356,13 +355,16 @@ def backward(params: ParamSet, arrays, grad_logits: np.ndarray) -> None:
             if i <= _MAX_POOLS:
                 g = avgpool2_backward(g, out=rows_of(f"conv{i}.grad"))
             g = relu_backward(rows_of(f"conv{i}.out"), g, out=g)
-            cols = rows_of(f"conv{i}.cols")
-            # W^T @ g goes over the patch matrix, unless the conv has its own array
-            wt_g = rows_of(f"conv{i}.input_grad") if f"conv{i}.input_grad" in arrays else cols
+            weight = params[f"conv{i}.weight"].value
+            cols, padded = rows_of(f"conv{i}.cols"), rows_of(f"conv{i}.padded")
+            # W^T @ g goes over the patch matrix, dead once the kernel
+            # gradient is taken; at k == 1, where col2im is a reshape, into
+            # the padded grid, so that it is the input gradient
+            wt_g = cols if weight.shape[2] > 1 else padded.reshape(cols.shape)
             g, _, _ = conv2d_backward(
-                rows_of(f"conv{i}.in"), params[f"conv{i}.weight"].value, g, cols=cols,
+                rows_of(f"conv{i}.in"), weight, g, cols=cols,
                 input_grad=i > 1, batch_sums=False, kernel_out=rows_of(f"conv{i}.kernel_grad"),
-                cols_out=wt_g, input_out=rows_of(f"conv{i}.padded"),
+                cols_out=wt_g, input_out=padded,
             )
 
     _parallel_map(backward_rows, row_ranges(grad_logits.shape[0], worker_count()))
@@ -373,12 +375,12 @@ def backward(params: ParamSet, arrays, grad_logits: np.ndarray) -> None:
 
 
 def _inference_plan(params: ParamSet, shape) -> dict[str, np.ndarray]:
-    """This thread's plan (`step_arrays(params, shape)` in mapped arrays),
-    made again only when the weight shapes or the image shape change."""
+    """This thread's plan, `step_arrays(params, shape)`, made again only
+    when the weight shapes or the image shape change."""
     key = (tuple((name, p.value.shape) for name, p in params.items()), shape)
     plan = getattr(_plans, "plan", None)
     if plan is None or plan[0] != key:
-        plan = _plans.plan = key, _plan_arrays(params, shape, _mapped)
+        plan = _plans.plan = key, step_arrays(params, shape)
     return plan[1]
 
 
@@ -388,8 +390,8 @@ def predict(params: ParamSet, image: np.ndarray) -> np.ndarray:
     Softmax at the logit resolution, bilinear upsample per channel, then
     per-pixel renormalization to sum exactly 1. The forward runs into this
     thread's inference plan (see `_parallel_map`), so after the first call
-    the forward allocates nothing; the softmax makes a new array,
-    so the result never shares memory with the plan.
+    the forward allocates nothing; the upsample makes a new array, which is
+    renormalized in place, so the result never shares memory with the plan.
     """
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 3 or image.shape[2] != 3:
@@ -400,4 +402,5 @@ def predict(params: ParamSet, image: np.ndarray) -> np.ndarray:
     logits = _forward_rows(params, images, plan, slice(None))[0]
     probs = channel_softmax(logits)
     up = bilinear_resize(probs, h, w)
-    return up / up.sum(axis=0, keepdims=True)
+    up /= up.sum(axis=0, keepdims=True)
+    return up

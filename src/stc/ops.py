@@ -294,11 +294,15 @@ def bilinear_resize(m, target_h: int, target_w: int) -> np.ndarray:
     right = m[..., x1]
     right *= fx
     rows += right
-    out = rows[..., y0, :]
-    out *= gy[:, None]
-    below = rows[..., y1, :]
-    below *= fy[:, None]
-    out += below
+    del right
+    out = np.empty((*lead, target_h, target_w))
+    # one leading slice at a time: temporaries as large as the result, once
+    # freed, make glibc trim its heap, and the next call faults it in again
+    for src, dst in zip(rows.reshape(-1, h, target_w), out.reshape(-1, target_h, target_w)):
+        np.multiply(src[y0], gy[:, None], out=dst)
+        below = src[y1]
+        below *= fy[:, None]
+        dst += below
     return out
 
 
