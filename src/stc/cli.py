@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import data, pipeline
 from .imageio import write_atomic, write_saliency_pgm
-from .network import _INPUT_CHANNELS, num_blocks, num_classes_of
+from .network import _INPUT_CHANNELS, _KERNEL_SIZE, num_blocks, num_classes_of
 from .params import load_params, save_params
 from .pipeline import PipelineError, TrainConfig
 from .saliency import compute_saliency
@@ -109,9 +109,9 @@ def _load_network(path):
 
 
 def _check_layers(net, path) -> None:
-    """Each conv takes the channels the layer before gives (3 for conv1),
-    with an odd square kernel and one bias per output channel; the head is
-    a 1x1 conv on the last conv's output to at least 2 channels."""
+    """Each conv is 3x3 and takes the channels the layer before gives (3 for
+    conv1), with one bias per output channel; the head is a 1x1 conv on the
+    last conv's output to at least 2 channels."""
     layers = [f"conv{i}" for i in range(1, num_blocks(net) + 1)] + ["head"]
     expected = {f"{layer}.{part}" for layer in layers for part in ("weight", "bias")}
     unexpected = sorted(set(net) - expected)
@@ -124,8 +124,9 @@ def _check_layers(net, path) -> None:
             ok = len(shape) == 4 and shape[0] >= 2 and shape[1:] == (cin, 1, 1)
             want = f"(C+1, {cin}, 1, 1) with C+1 >= 2"
         else:
-            ok = len(shape) == 4 and shape[1] == cin and shape[2] == shape[3] and shape[2] % 2 == 1
-            want = f"(cout, {cin}, k, k) with k odd"
+            k = _KERNEL_SIZE
+            ok = len(shape) == 4 and shape[1:] == (cin, k, k)
+            want = f"(cout, {cin}, {k}, {k})"
         if not ok:
             raise ValueError(f"{path}: {layer}.weight has shape {shape}, expected {want}")
         if f"{layer}.bias" not in net:
@@ -214,15 +215,18 @@ def _write_checkpoint(out: Path, stage: str, net, seed: int) -> Path:
     return path
 
 
-def _prepare(args):
-    """The run config, the dataset's simple/complex/eval splits, the output
-    directory (created) and the TrainConfig of `run` and `stage`."""
-    cfg = load_run_config(args.config) if args.config else _default_run_config()
+def _run_config(args) -> dict:
+    return load_run_config(args.config) if args.config else _default_run_config()
+
+
+def _prepare(args, cfg: dict):
+    """The dataset's simple/complex/eval splits, the output directory
+    (created) and the TrainConfig of `run` and `stage` under run config cfg."""
     manifest = data.read_dataset(_resolve_path(args.data, cfg, "data"))
     out = Path(_resolve_path(args.out, cfg, "out"))
     out.mkdir(parents=True, exist_ok=True)
     splits = [manifest.split(s) for s in ("simple", "complex", "eval")]
-    return cfg, splits, out, _train_config_from(cfg, args.seed)
+    return splits, out, _train_config_from(cfg, args.seed)
 
 
 def _pipeline_flags(cfg: dict) -> dict:
@@ -236,7 +240,8 @@ def _pipeline_flags(cfg: dict) -> dict:
 
 
 def cmd_run(args) -> int:
-    cfg, splits, out, config = _prepare(args)
+    cfg = _run_config(args)
+    splits, out, config = _prepare(args, cfg)
     nets, reports = pipeline.run_stc(*splits, config, **_pipeline_flags(cfg), out_dir=out)
     for stage in pipeline.STAGES:
         _write_checkpoint(out, stage, nets[stage], config.seed)
@@ -253,7 +258,13 @@ def cmd_stage(args) -> int:
     if args.stage != "initial" and not args.params:
         raise ValueError(f"stage {args.stage!r} needs --params from the previous stage")
     prior = _load_network(args.params) if args.params else None
-    cfg, splits, out, config = _prepare(args)
+    cfg = _run_config(args)
+    if prior is not None and num_classes_of(prior) != cfg["num_classes"]:
+        raise ValueError(
+            f"{args.params}: checkpoint has num_classes {num_classes_of(prior)}, "
+            f"the run config has num_classes {cfg['num_classes']}"
+        )
+    splits, out, config = _prepare(args, cfg)
     net, r = pipeline.run_stage(
         args.stage, prior, *splits, config, **_pipeline_flags(cfg), out_dir=out
     )

@@ -1,5 +1,5 @@
 """Binary PPM (P6) and PGM (P5) readers and writers, maxval 255, and the
-atomic file writer.
+atomic file writer that every output file of `stc` goes through.
 
 Images are float arrays in [0,1]; on disk a pixel v is stored as
 round(v*255) and read back as byte/255. Masks store raw label ids.
@@ -74,12 +74,9 @@ def _read_pnm(path: Path, magic: bytes) -> np.ndarray:
 
 
 def write_ppm(path, image: np.ndarray) -> None:
-    """image: (H, W, 3) floats in [0,1]."""
-    path = Path(path)
+    """image: (H, W, 3) floats in [0,1]. Written atomically (`write_atomic`)."""
     h, w, _ = image.shape
-    with path.open("wb") as fh:
-        fh.write(f"P6\n{w} {h}\n255\n".encode())
-        fh.write(_to_bytes01(image).tobytes())
+    write_atomic(path, f"P6\n{w} {h}\n255\n".encode() + _to_bytes01(image).tobytes())
 
 
 def read_ppm(path) -> np.ndarray:
@@ -88,15 +85,13 @@ def read_ppm(path) -> np.ndarray:
 
 
 def write_pgm(path, values: np.ndarray) -> None:
-    """values: (H, W) integers in 0..255, written verbatim."""
-    path = Path(path)
+    """values: (H, W) integers in 0..255, written verbatim and atomically
+    (`write_atomic`)."""
     v = np.asarray(values)
     if v.min() < 0 or v.max() > 255:
         raise ValueError(f"{path}: values outside 0..255 cannot be stored in PGM")
     h, w = v.shape
-    with path.open("wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode())
-        fh.write(v.astype(np.uint8).tobytes())
+    write_atomic(path, f"P5\n{w} {h}\n255\n".encode() + v.astype(np.uint8).tobytes())
 
 
 def read_pgm(path) -> np.ndarray:

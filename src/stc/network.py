@@ -1,10 +1,11 @@
 """Tiny fully-convolutional segmentation network trained from scratch.
 
-Architecture: [conv -> relu -> 2x2 mean pool] x 2 -> conv -> relu -> 1x1 conv
-to C+1 channels, so logits come out at 1/4 of the input resolution. Inputs
-are RGB in [0,1] and are standardized inside the forward pass: centered at
-0.5 and divided by a nominal pixel std of 0.25. The layer stack is recovered
-from parameter shapes, so a checkpoint alone is enough to run inference.
+Architecture: [3x3 conv -> relu -> 2x2 mean pool] x 2 -> 3x3 conv -> relu ->
+1x1 conv to C+1 channels, so logits come out at 1/4 of the input resolution.
+Inputs are RGB in [0,1] and are standardized inside the forward pass:
+centered at 0.5 and divided by a nominal pixel std of 0.25. The layer stack
+is recovered from parameter shapes, so a checkpoint alone is enough to run
+inference.
 """
 from __future__ import annotations
 
@@ -31,6 +32,7 @@ from .ops import (
 from .params import ParamSet
 
 _INPUT_CHANNELS = 3
+_KERNEL_SIZE = 3  # every conv block is 3x3, as every conv of VGG-16 (DeepLab's trunk)
 _MAX_POOLS = 2
 _INPUT_MEAN = 0.5
 _INPUT_STD = 0.25
@@ -40,7 +42,6 @@ _INPUT_STD = 0.25
 class NetworkConfig:
     num_classes: int
     channels: tuple[int, ...] = (16, 32, 64)
-    kernel_size: int = 3
     seed: int = 0
 
     def __post_init__(self):
@@ -48,15 +49,15 @@ class NetworkConfig:
             raise ValueError("num_classes must be >= 1")
         if not self.channels:
             raise ValueError("need at least one block")
-        if self.kernel_size < 1 or self.kernel_size % 2 == 0:
-            raise ValueError("kernel_size must be odd and positive")
+        if min(self.channels) < 1:
+            raise ValueError(f"channels must all be >= 1, got {self.channels}")
 
 
 def init_network(config: NetworkConfig) -> ParamSet:
     """He-scaled random conv weights (variance 2/fan_in), zero biases."""
     rng = np.random.default_rng(config.seed)
     params = ParamSet()
-    k = config.kernel_size
+    k = _KERNEL_SIZE
     cin = _INPUT_CHANNELS
     for i, cout in enumerate(config.channels, start=1):
         fan_in = cin * k * k
@@ -132,10 +133,10 @@ def _parallel_map(fn, items) -> list:
     parameter gradient (`ops.conv2d_batch_sums`), added in the order of a
     single range. So a step gives the same bits for any number of workers.
 
-    An inference pass maps over images: each thread's `predict` calls reuse
-    that thread's plan. A plan lives for one call: the helpers' plans end
-    with their threads, and the calling thread drops its own on return, so
-    no plan is held while a stage trains.
+    An inference pass maps over images: each thread's `forward` calls (one
+    per `predict`) reuse that thread's plan. A plan lives for one call: the
+    helpers' plans end with their threads, and the calling thread drops its
+    own on return, so no plan is held while a stage trains.
     """
     items = list(items)
     own, *rest = [items[r] for r in row_ranges(len(items), worker_count())]
@@ -163,11 +164,6 @@ def _parallel_map(fn, items) -> list:
     return results
 
 
-def _interior(padded: np.ndarray, k: int) -> np.ndarray:
-    p = k // 2
-    return padded[:, :, p : padded.shape[2] - p, p : padded.shape[3] - p]
-
-
 def _checked_images(params: ParamSet, images) -> np.ndarray:
     images = np.asarray(images, dtype=np.float64)
     stride = output_stride(params)
@@ -184,7 +180,8 @@ def step_arrays(params: ParamSet, shape) -> dict[str, np.ndarray]:
     smaller batch takes the leading rows (`a[:n]`, still contiguous).
     Without reuse, glibc hands the freed temporaries back to the OS and each
     step page-faults them in again. The forward's arrays are the cache that
-    `backward` reads.
+    `backward` reads. At n == 1 the same layout is the inference plan that
+    `forward` runs each image into.
 
     Each array lies in a memory mapping of its own (`_mapped`): its pages
     become resident only once written, and go back to the OS as soon as the
@@ -193,51 +190,50 @@ def step_arrays(params: ParamSet, shape) -> dict[str, np.ndarray]:
     `logits`) costs only those, and a dropped plan leaves no resident memory
     behind.
 
-    `images` is the batch of crops, which `train_stage` stacks into it. For
-    conv i, named `conv{i}.*` (c/cout = in/out channels, (h, w) = the conv's
-    input size, p = k//2):
+    `images` is the batch of crops, which `train_stage` stacks into it.
+    Every conv is 3x3; a weight of another shape is rejected here. For conv
+    i, named `conv{i}.*` (c/cout = in/out channels, (h, w) = its input size):
 
-    - `padded` (n, c, h+2p, w+2p): the conv's input, zero-padded. The layer
+    - `padded` (n, c, h+2, w+2): the conv's input, zero-padded. The layer
       before writes its output (the standardized images, for conv1) into the
       interior, unless it is an unpooled conv whose output im2col copies
       there. Dead once im2col has read it; backward's col2im then
       scatter-adds onto it, so the input gradient is its interior, and the
-      next step's im2col zeroes its border again. At k == 1 backward writes
-      `W^T @ g`, which is then the input gradient, into it instead.
+      next step's im2col zeroes its border again.
     - `in`: the view the layer before writes conv i's input into.
-    - `cols` (n, c*k*k, h*w): the patch matrix (at k == 1 a reshape of
-      `in`). Kept for the kernel gradient, then overwritten by `W^T @ g` in
-      backward at k > 1. At k == 1 after an unpooled conv it is the ReLU
-      output of the conv before, whose mask that conv's backward still
-      reads, so backward leaves it alone.
+    - `cols` (n, c*9, h*w): the patch matrix, kept for the kernel gradient,
+      then overwritten by `W^T @ g` in backward.
     - `out` (n, cout, h, w): the conv output, ReLU applied in place. Backward
       takes the ReLU mask from it (r > 0 iff z > 0).
-    - `grad` (n, cout, h, w), pooled blocks only: the gradient at the conv
-      output. Pool backward writes it, then ReLU backward runs in place.
-    - `kernel_grad` (n, cout, c*k*k): per-image kernel-gradient products,
+    - `grad` (n, cout, h, w): the gradient at the conv output, on which ReLU
+      backward runs in place. Pool backward writes it; an unpooled block's
+      is the view the layer above writes its input gradient into, the
+      interior of the next conv's `padded` or `head.input_grad` reshaped.
+    - `kernel_grad` (n, cout, c*9): per-image kernel-gradient products,
       summed into the parameter gradient.
 
     The head (1x1) has `head.in` (the last conv's `out`, or a new array when
     the last block pools), `head.kernel_grad` and `head.input_grad`, its
-    `W^T @ g`, which an unpooled last block takes as its `grad`: the head's
-    patch matrix is its input itself, the ReLU output that backward still
-    needs. `logits` (n, C+1, h/s, w/s), s the output stride, is the
-    forward's result.
-
-    At n == 1 the same layout is the inference plan `predict` runs its
-    forward into (see `_parallel_map`).
+    `W^T @ g`: its patch matrix is its input itself, the ReLU output that
+    backward still needs. `logits` (n, C+1, h/s, w/s), s the output stride,
+    is the forward's result.
     """
     n, _, h, w = shape
+    k = _KERNEL_SIZE
     arrays = {"images": _mapped(shape)}
+    nb = num_blocks(params)
     src = None  # the output of the block before, when it does not pool
-    for i in range(1, num_blocks(params) + 1):
-        cout, c, k, _ = params[f"conv{i}.weight"].value.shape
-        p = k // 2
-        padded = arrays[f"conv{i}.padded"] = _mapped((n, c, h + 2 * p, w + 2 * p))
-        a = arrays[f"conv{i}.in"] = _interior(padded, k) if src is None else src
-        # im2col's patch matrix at k == 1 is a reshape of its input
-        cols = _mapped((n, c * k * k, h * w)) if k > 1 else a.reshape(n, c, h * w)
-        arrays[f"conv{i}.cols"] = cols
+    for i in range(1, nb + 1):
+        wshape = params[f"conv{i}.weight"].value.shape
+        if len(wshape) != 4 or wshape[2:] != (k, k):
+            raise ValueError(f"conv{i}.weight has shape {wshape}: conv blocks are {k}x{k}")
+        cout, c, _, _ = wshape
+        padded = arrays[f"conv{i}.padded"] = _mapped((n, c, h + 2, w + 2))
+        inner = padded[:, :, 1:-1, 1:-1]  # a 3x3 conv pads by one pixel
+        arrays[f"conv{i}.in"] = inner if src is None else src
+        if src is not None:
+            arrays[f"conv{i - 1}.grad"] = inner
+        arrays[f"conv{i}.cols"] = _mapped((n, c * k * k, h * w))
         src = arrays[f"conv{i}.out"] = _mapped((n, cout, h, w))
         arrays[f"conv{i}.kernel_grad"] = _mapped((n, cout, c * k * k))
         if i <= _MAX_POOLS:
@@ -245,9 +241,11 @@ def step_arrays(params: ParamSet, shape) -> dict[str, np.ndarray]:
             h, w = h // 2, w // 2
             src = None
     classes, c, _, _ = params["head.weight"].value.shape
-    arrays["head.in"] = _mapped((n, c, h, w)) if src is None else src
-    arrays["head.kernel_grad"] = _mapped((n, classes, c))
     arrays["head.input_grad"] = _mapped((n, c, h * w))
+    arrays["head.in"] = _mapped((n, c, h, w)) if src is None else src
+    if src is not None:
+        arrays[f"conv{nb}.grad"] = arrays["head.input_grad"].reshape(src.shape)
+    arrays["head.kernel_grad"] = _mapped((n, classes, c))
     arrays["logits"] = _mapped((n, classes, h, w))
     return arrays
 
@@ -261,31 +259,30 @@ def _mapped(shape) -> np.ndarray:
     return np.frombuffer(buf, dtype=np.float64, count=size).reshape(shape)
 
 
-def _forward_rows(params: ParamSet, images: np.ndarray, arrays, rows: slice) -> np.ndarray:
-    """The forward pass of images[rows] into these rows of `arrays` (from
-    step_arrays); returns their logits."""
-
-    def into(name: str):
-        return arrays[name][rows]
-
+def _forward_into(params: ParamSet, images: np.ndarray, arrays) -> np.ndarray:
+    """The forward pass of `images` into `arrays` (from step_arrays, or
+    their rows for these images); returns the logits."""
     nb = num_blocks(params)
-    a = np.subtract(images[rows], _INPUT_MEAN, out=into("conv1.in"))
+    a = np.subtract(images, _INPUT_MEAN, out=arrays["conv1.in"])
     a /= _INPUT_STD
     for i in range(1, nb + 1):
-        weight = params[f"conv{i}.weight"].value
-        k = weight.shape[2]
-        cols = im2col(a, k, out=into(f"conv{i}.cols"), padded=into(f"conv{i}.padded"))
+        im2col(a, _KERNEL_SIZE, out=arrays[f"conv{i}.cols"], padded=arrays[f"conv{i}.padded"])
         z = conv2d_forward(
-            a, weight, params[f"conv{i}.bias"].value, cols=cols, out=into(f"conv{i}.out")
+            a, params[f"conv{i}.weight"].value, params[f"conv{i}.bias"].value,
+            cols=arrays[f"conv{i}.cols"], out=arrays[f"conv{i}.out"],
         )
         r = relu_forward(z, out=z)
         if i <= _MAX_POOLS:
-            a = avgpool2_forward(r, out=into(f"conv{i + 1}.in" if i < nb else "head.in"))
+            a = avgpool2_forward(r, out=arrays[f"conv{i + 1}.in" if i < nb else "head.in"])
         else:
             a = r
     return conv2d_forward(
-        a, params["head.weight"].value, params["head.bias"].value, out=into("logits")
+        a, params["head.weight"].value, params["head.bias"].value, out=arrays["logits"]
     )
+
+
+def _rows(arrays, rows: slice) -> dict[str, np.ndarray]:
+    return {name: a[rows] for name, a in arrays.items()}
 
 
 def _forward_cached(params: ParamSet, images: np.ndarray, arrays) -> np.ndarray:
@@ -300,7 +297,7 @@ def _forward_cached(params: ParamSet, images: np.ndarray, arrays) -> np.ndarray:
     """
     images = _checked_images(params, images)
     _parallel_map(
-        lambda rows: _forward_rows(params, images, arrays, rows),
+        lambda rows: _forward_into(params, images[rows], _rows(arrays, rows)),
         row_ranges(images.shape[0], worker_count()),
     )
     return arrays["logits"]
@@ -309,14 +306,18 @@ def _forward_cached(params: ParamSet, images: np.ndarray, arrays) -> np.ndarray:
 def forward(params: ParamSet, images: np.ndarray) -> np.ndarray:
     """images: (N, 3, H, W) with H, W divisible by 4 -> logits (N, C+1, h, w).
 
-    Runs into a fresh `step_arrays`, so every conv's padded input, patch
-    matrix and output stay resident until it returns: about 15 MB per
-    128-px image with the default channels, where freeing each patch matrix
-    after its conv would hold about 8 MB. `predict` takes one image at a
-    time into a reused plan.
+    Runs one image at a time into this thread's inference plan (see
+    `_parallel_map`) and copies its logits out, so the result never shares
+    memory with the plan.
     """
     images = _checked_images(params, images)
-    return _forward_rows(params, images, step_arrays(params, images.shape), slice(None))
+    n, _, h, w = images.shape
+    s = output_stride(params)
+    logits = np.empty((n, params["head.weight"].value.shape[0], h // s, w // s))
+    for j in range(n):
+        image = images[j : j + 1]
+        logits[j] = _forward_into(params, image, _inference_plan(params, image.shape))[0]
+    return logits
 
 
 def backward(params: ParamSet, arrays, grad_logits: np.ndarray) -> None:
@@ -326,51 +327,37 @@ def backward(params: ParamSet, arrays, grad_logits: np.ndarray) -> None:
     Each row range of the batch (see `_parallel_map`) runs the whole
     backward on its rows, up to each layer's per-image kernel-gradient
     products; once the ranges have joined, the calling thread sums those and
-    the upstream gradients over the whole batch (`conv2d_batch_sums`). The
-    input gradient of conv1 is not computed: the image has no parameters.
-    Each layer's large temporaries land in arrays the forward is done with
-    (see `step_arrays`).
+    the upstream gradients (`grad`) over the whole batch
+    (`conv2d_batch_sums`). The input gradient of conv1 is not computed: the
+    image has no parameters. Each layer's large temporaries land in arrays
+    the forward is done with (see `step_arrays`).
     """
     nb = num_blocks(params)
-    # per layer: (name, kernel-gradient products, upstream gradient), full batch
-    sums = [("head", arrays["head.kernel_grad"], grad_logits)]
-    # the input gradient of the layer above, where its col2im leaves it: an
-    # unpooled block's upstream
-    above = arrays["head.input_grad"].reshape(arrays["head.in"].shape)
-    for i in range(nb, 0, -1):
-        name, k = f"conv{i}", params[f"conv{i}.weight"].value.shape[2]
-        sums.append((name, arrays[f"{name}.kernel_grad"], arrays.get(f"{name}.grad", above)))
-        above = _interior(arrays[f"{name}.padded"], k)
 
     def backward_rows(rows: slice) -> None:
-        def rows_of(name: str) -> np.ndarray:
-            return arrays[name][rows]
-
+        a = _rows(arrays, rows)
         g, _, _ = conv2d_backward(
-            rows_of("head.in"), params["head.weight"].value, grad_logits[rows],
-            batch_sums=False, kernel_out=rows_of("head.kernel_grad"),
-            cols_out=rows_of("head.input_grad"),
+            a["head.in"], params["head.weight"].value, grad_logits[rows], batch_sums=False,
+            kernel_out=a["head.kernel_grad"], cols_out=a["head.input_grad"],
         )
         for i in range(nb, 0, -1):
             if i <= _MAX_POOLS:
-                g = avgpool2_backward(g, out=rows_of(f"conv{i}.grad"))
-            g = relu_backward(rows_of(f"conv{i}.out"), g, out=g)
-            weight = params[f"conv{i}.weight"].value
-            cols, padded = rows_of(f"conv{i}.cols"), rows_of(f"conv{i}.padded")
-            # W^T @ g goes over the patch matrix, dead once the kernel
-            # gradient is taken; at k == 1, where col2im is a reshape, into
-            # the padded grid, so that it is the input gradient
-            wt_g = cols if weight.shape[2] > 1 else padded.reshape(cols.shape)
+                g = avgpool2_backward(g, out=a[f"conv{i}.grad"])
+            g = relu_backward(a[f"conv{i}.out"], g, out=g)
+            # W^T @ g goes over the patch matrix, dead once the kernel gradient is taken
+            cols = a[f"conv{i}.cols"]
             g, _, _ = conv2d_backward(
-                rows_of(f"conv{i}.in"), weight, g, cols=cols,
-                input_grad=i > 1, batch_sums=False, kernel_out=rows_of(f"conv{i}.kernel_grad"),
-                cols_out=wt_g, input_out=padded,
+                a[f"conv{i}.in"], params[f"conv{i}.weight"].value, g, cols=cols,
+                input_grad=i > 1, batch_sums=False, kernel_out=a[f"conv{i}.kernel_grad"],
+                cols_out=cols, input_out=a[f"conv{i}.padded"],
             )
 
     _parallel_map(backward_rows, row_ranges(grad_logits.shape[0], worker_count()))
-    for name, products, upstream in sums:
-        gk, gb = conv2d_batch_sums(products, upstream, params[f"{name}.weight"].value.shape)
-        params[f"{name}.weight"].grad += gk
+    for name in ["head", *(f"conv{i}" for i in range(nb, 0, -1))]:
+        upstream = grad_logits if name == "head" else arrays[f"{name}.grad"]
+        weight = params[f"{name}.weight"]
+        gk, gb = conv2d_batch_sums(arrays[f"{name}.kernel_grad"], upstream, weight.value.shape)
+        weight.grad += gk
         params[f"{name}.bias"].grad += gb
 
 
@@ -387,20 +374,13 @@ def _inference_plan(params: ParamSet, shape) -> dict[str, np.ndarray]:
 def predict(params: ParamSet, image: np.ndarray) -> np.ndarray:
     """Full-resolution class distribution for one (H, W, 3) image.
 
-    Softmax at the logit resolution, bilinear upsample per channel, then
-    per-pixel renormalization to sum exactly 1. The forward runs into this
-    thread's inference plan (see `_parallel_map`), so after the first call
-    the forward allocates nothing; the upsample makes a new array, which is
-    renormalized in place, so the result never shares memory with the plan.
+    Softmax of `forward`'s logits, bilinear upsample per channel, then
+    per-pixel renormalization to sum exactly 1.
     """
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 3 or image.shape[2] != 3:
         raise ValueError(f"expected (H, W, 3) image, got shape {image.shape}")
-    h, w, _ = image.shape
-    images = _checked_images(params, image.transpose(2, 0, 1)[None])
-    plan = _inference_plan(params, images.shape)
-    logits = _forward_rows(params, images, plan, slice(None))[0]
-    probs = channel_softmax(logits)
-    up = bilinear_resize(probs, h, w)
+    probs = channel_softmax(forward(params, image.transpose(2, 0, 1)[None])[0])
+    up = bilinear_resize(probs, *image.shape[:2])
     up /= up.sum(axis=0, keepdims=True)
     return up

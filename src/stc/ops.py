@@ -14,12 +14,14 @@ per image; the forward pass is one matmul of the flattened kernel with it,
 and so is the kernel gradient. `col2im` is its adjoint: it scatter-adds
 the columns of `W^T @ upstream` back onto the padded input grid (k*k
 slice-adds), which is the input gradient. Every forward pass
-(`network._forward_rows`) builds each conv's patch matrix once, into an
+(`network._forward_into`) builds each conv's patch matrix once, into an
 array of its plan (`network.step_arrays`), and passes it to
 `conv2d_forward` as `cols=`; training keeps it for `conv2d_backward`, so a
-train step builds one patch matrix per conv. Inference (`network.predict`)
-reuses one plan per thread, so its patch matrices land in the same arrays
-on every call.
+train step builds one patch matrix per conv. Inference (`network.forward`,
+from which `network.predict` gets its forward pass) runs one image at a
+time through one plan per thread, so its patch matrices land in the same
+arrays on every call. The network's conv blocks are all 3x3 and its head is
+1x1; these ops take any odd k.
 
 Ops whose results are large take keyword-only `out=` arguments (like numpy's
 ufuncs): float64 arrays of the result's shape (C-contiguous where the op

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stc import cli, data, pipeline
+from stc import cli, data, imageio, pipeline
 from stc.cli import load_run_config, main
 from stc.network import NetworkConfig, init_network
 from stc.params import ParamSet, save_params
@@ -265,6 +265,7 @@ BAD_STACKS = {
     "chain": ("conv2.weight", (32, 8, 3, 3)),
     "even-kernel": ("conv2.weight", (32, 16, 2, 2)),
     "non-square-kernel": ("conv3.weight", (64, 32, 3, 1)),
+    "5x5-kernel": ("conv2.weight", (32, 16, 5, 5)),
     "weight-rank": ("conv1.weight", (16, 3, 9)),
     "bias-length": ("conv2.bias", (31,)),
     "head-input": ("head.weight", (5, 32, 1, 1)),
@@ -325,6 +326,23 @@ def test_sidecar_that_disagrees_with_the_weights_names_file_and_field(
 
 
 class TestStageCommand:
+    def test_params_with_another_class_count_rejected_before_any_stage_work(
+        self, dataset_dir, tmp_path, capsys, monkeypatch
+    ):
+        def no_stage_work(*args, **kwargs):
+            raise AssertionError("a stage ran on a checkpoint with another class count")
+
+        monkeypatch.setattr(pipeline, "run_stage", no_stage_work)
+        path = tmp_path / "three_classes.stcp"
+        save_params(init_network(NetworkConfig(3, seed=0)), path)
+        out = tmp_path / "stage_out"
+        rc = main(["stage", "--data", str(dataset_dir), "--out", str(out),
+                   "--stage", "enhanced", "--params", str(path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and "num_classes" in err, err
+        assert not out.exists()
+
     def test_initial_stage_writes_checkpoint(self, dataset_dir, tmp_path):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(TINY_CONFIG))
@@ -481,6 +499,38 @@ def test_no_thread_outlives_a_run(dataset_dir, tmp_path, monkeypatch, fails):
     assert threading.active_count() == before
 
 
+def test_run_whose_powerful_stage_fails_leaves_no_checkpoint_report_or_partial_mask(
+    dataset_dir, tmp_path, monkeypatch, capsys
+):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(TINY_CONFIG))
+    train_stage = pipeline.train_stage
+    stages = []
+
+    def fail_third_stage(*args, **kwargs):
+        stages.append(args[2])
+        if len(stages) == 3:
+            raise RuntimeError("killed while training")
+        return train_stage(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "train_stage", fail_third_stage)
+    out = tmp_path / "out"
+    assert main(["run", "--data", str(dataset_dir), "--out", str(out),
+                 "--config", str(cfg)]) == 2
+    assert "stage 'powerful' failed" in capsys.readouterr().err
+    left = sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
+    manifest = data.read_dataset(dataset_dir)
+    sizes = {Path(r.image).stem: manifest.load_image(r).shape[:2] for r in manifest.records}
+    stems = {s: [Path(r.image).stem for r in manifest.split(s).records] for s in data.SPLITS}
+    # the masks of the two stages that ran are whole; nothing else is left
+    want = [f"masks_initial/{stem}.pgm" for stem in stems["simple"]]
+    want += [f"masks_enhanced/{stem}.pgm" for stem in stems["complex"] + stems["simple"]]
+    assert left == sorted(want)
+    for name in left:
+        stem = Path(name).stem
+        assert imageio.read_pgm(out / name).shape == sizes[stem], name
+
+
 @pytest.mark.parametrize("command", ["run", "stage"])
 def test_label_above_num_classes_rejected_before_training(
     tmp_path, capsys, monkeypatch, command
@@ -521,8 +571,15 @@ def _write(writer: str, out: Path, seed: int) -> None:
         cli._write_checkpoint(out, "initial", net, seed)
     elif writer == "report.json":
         pipeline.write_report_json(reports, out / writer, seed)
-    else:
+    elif writer == "report.csv":
         pipeline.write_report_csv(reports, out / writer)
+    elif writer == "masks_initial/0.pgm":
+        rec = data.DatasetRecord("images/0.ppm", frozenset({1}), "simple")
+        pipeline._write_masks(out, "masks_initial", [(None, rec)], [np.full((4, 6), seed)])
+    elif writer == "image.ppm":
+        imageio.write_ppm(out / writer, np.full((4, 6, 3), 0.5 * seed))
+    else:
+        imageio.write_saliency_pgm(out / writer, np.full((4, 6), 0.5 * seed))
 
 
 @pytest.mark.parametrize(
@@ -533,12 +590,15 @@ def _write(writer: str, out: Path, seed: int) -> None:
         ("checkpoint_initial.json", "write_text"),
         ("report.json", "write_text"),
         ("report.csv", "write_text"),
+        ("masks_initial/0.pgm", "write_bytes"),
+        ("image.ppm", "write_bytes"),
+        ("saliency.pgm", "write_bytes"),
     ],
 )
 def test_failed_write_leaves_the_previous_file(tmp_path, monkeypatch, writer, method):
     _write(writer, tmp_path, 0)
     before = (tmp_path / writer).read_bytes()
-    files = sorted(tmp_path.iterdir())
+    files = sorted(tmp_path.rglob("*"))
     write = getattr(Path, method)
 
     def half_then_fail(self, data, *args, **kwargs):
@@ -550,6 +610,6 @@ def test_failed_write_leaves_the_previous_file(tmp_path, monkeypatch, writer, me
         _write(writer, tmp_path, 1)
     monkeypatch.undo()
     assert (tmp_path / writer).read_bytes() == before
-    assert sorted(tmp_path.iterdir()) == files  # no temporary file left
+    assert sorted(tmp_path.rglob("*")) == files  # no temporary file left
     _write(writer, tmp_path, 1)
     assert (tmp_path / writer).read_bytes() != before

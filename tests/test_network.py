@@ -56,8 +56,11 @@ class TestInit:
             NetworkConfig(num_classes=0)
         with pytest.raises(ValueError):
             NetworkConfig(num_classes=2, channels=())
-        with pytest.raises(ValueError):
-            NetworkConfig(num_classes=2, kernel_size=4)
+
+    @pytest.mark.parametrize("channels", [(0,), (-3, 4), (16, 0, 8)])
+    def test_channel_counts_below_one_rejected_naming_the_field(self, channels):
+        with pytest.raises(ValueError, match="channels"):
+            NetworkConfig(num_classes=2, channels=channels)
 
 
 class TestForward:
@@ -91,6 +94,44 @@ class TestForward:
     def test_finite_outputs(self, rng):
         ps = init_network(NetworkConfig(num_classes=4, seed=9))
         assert np.all(np.isfinite(forward(ps, rng.uniform(size=(2, 3, 16, 16)))))
+
+    def test_empty_batch_gives_empty_logits(self):
+        ps = init_network(NetworkConfig(num_classes=4, seed=0))
+        assert forward(ps, np.zeros((0, 3, 16, 12))).shape == (0, 5, 4, 3)
+
+    def test_forward_on_a_batch_is_the_full_batch_forward_in_bits(self, rng):
+        # the training forward, into full-batch arrays, is the reference
+        ps = init_network(NetworkConfig(num_classes=3, channels=(4, 6, 8, 5), seed=2))
+        x = rng.uniform(size=(3, 3, 16, 12))
+        want = _forward_cached(ps, x, step_arrays(ps, x.shape))
+        got = forward(ps, x)
+        assert np.array_equal(got, want)
+        assert not np.shares_memory(got, held_plan()[1]["logits"])
+
+    def test_forward_peak_memory_does_not_grow_with_the_batch(self):
+        # in a fresh interpreter, so that ru_maxrss starts from the imports: a
+        # forward into full-batch arrays holds every conv's patch matrix for
+        # every image, about 15 MB per 128-px image with the default channels
+        code = """
+import resource
+import numpy as np
+from stc.network import NetworkConfig, _forward_cached, init_network, forward, step_arrays
+ps = init_network(NetworkConfig(num_classes=4, seed=4))
+x = np.random.default_rng(0).uniform(size=(10, 3, 128, 128))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+got = forward(ps, x)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) // 1024)
+want = _forward_cached(ps, x, step_arrays(ps, x.shape))
+print(int(np.array_equal(got, want)))
+"""
+        src = str(Path(network.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "STC_THREADS": "1"}
+        run = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        grown_mb, same = map(int, run.stdout.split())
+        assert same, "forward's logits differ from the full-batch forward's"
+        assert grown_mb < 50, f"forward on 10 images of 128 px grew peak RSS by {grown_mb} MB"
 
 
 class TestPredict:
@@ -269,13 +310,11 @@ class TestBackward:
         for i in (2, 3):
             assert not arrays[f"conv{i}.cols"].any(), i
 
-
-    def test_unpooled_kernel_size_1_convs_match_finite_differences(self, rng):
-        # conv3 and conv4 are unpooled 1x1 convs: conv4's patch matrix is a
-        # reshape of conv3's ReLU output, whose mask conv3's backward reads
-        net = init_network(
-            NetworkConfig(num_classes=2, channels=(4, 6, 8, 5), kernel_size=1, seed=7)
-        )
+    def test_unpooled_convs_match_finite_differences(self, rng):
+        # conv3 and conv4 do not pool: conv4 reads conv3's ReLU output, whose
+        # mask conv3's backward reads, and writes conv3's upstream gradient
+        # into its own padded grid
+        net = init_network(NetworkConfig(num_classes=2, channels=(4, 6, 8, 5), seed=7))
         image = rng.uniform(size=(1, 3, 8, 8))
         target = rng.uniform(size=(1, 3, 2, 2))
         target /= target.sum(axis=1, keepdims=True)
@@ -330,6 +369,23 @@ class TestStepArrays:
             for n in sizes
         ]
         return ps, batches
+
+    @pytest.mark.parametrize("shape", [(6, 4, 1, 1), (6, 4, 5, 5), (6, 4, 3, 1), (6, 4, 9)])
+    def test_conv_weight_that_is_not_3x3_is_rejected_naming_it(self, shape):
+        ps = init_network(NetworkConfig(num_classes=3, channels=(4, 6, 8), seed=8))
+        ps["conv2.weight"].value = np.zeros(shape)
+        with pytest.raises(ValueError, match=r"conv2\.weight.*3x3"):
+            step_arrays(ps, (1, 3, 16, 12))
+        with pytest.raises(ValueError, match=r"conv2\.weight.*3x3"):
+            forward(ps, np.zeros((1, 3, 16, 12)))
+
+    def test_an_unpooled_blocks_grad_is_where_the_layer_above_writes(self):
+        ps = init_network(NetworkConfig(num_classes=3, channels=(4, 6, 8, 5), seed=8))
+        arrays = step_arrays(ps, (2, 3, 16, 12))
+        assert np.shares_memory(arrays["conv3.grad"], arrays["conv4.padded"])
+        assert arrays["conv3.grad"].shape == arrays["conv3.out"].shape
+        assert np.shares_memory(arrays["conv4.grad"], arrays["head.input_grad"])
+        assert arrays["conv4.grad"].shape == arrays["conv4.out"].shape
 
     def test_shared_arrays_match_fresh_ones_each_step(self, rng):
         ps, batches = self._inputs(rng, [2, 2, 2])

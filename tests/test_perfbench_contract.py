@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stc import network, pipeline, pseudolabel
+from stc import imageio, network, pipeline, pseudolabel
 from stc.network import NetworkConfig, init_network
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -76,3 +76,19 @@ def test_tracer_spans_predict_and_parallel_map_then_restores_them(spans, monkeyp
     tasks = [s for s in tracer.spans if s[1] == spans.POOL_TASK]
     assert len(tasks) == 3
     assert all(by_id[t[2]][1] == spans.POOL for t in tasks)
+
+
+def test_tracer_spans_the_image_writers_with_their_file_sizes(spans, tmp_path):
+    # the writers go through the atomic writer; the tracer stats the path
+    # they were given once they return
+    before = stc_bindings()
+    tracer = spans.Tracer()
+    with tracer.installed():
+        imageio.write_ppm(tmp_path / "image.ppm", np.full((4, 6, 3), 0.5))
+        imageio.write_pgm(tmp_path / "mask.pgm", np.full((4, 6), 2))
+    assert stc_bindings() == before
+    metrics = spans.layer_metrics(tracer.spans)
+    for fn, name in (("write_ppm", "image.ppm"), ("write_pgm", "mask.pgm")):
+        assert metrics[f"imageio.{fn}.calls"] == 1
+        assert metrics[f"imageio.{fn}.bytes"] == (tmp_path / name).stat().st_size > 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["image.ppm", "mask.pgm"]
