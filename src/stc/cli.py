@@ -264,6 +264,13 @@ def cmd_stage(args) -> int:
             f"{args.params}: checkpoint has num_classes {num_classes_of(prior)}, "
             f"the run config has num_classes {cfg['num_classes']}"
         )
+    if prior is not None and cfg["warm_start"]:
+        channels = _architecture(prior)["channels"]
+        if channels != cfg["channels"]:
+            raise ValueError(
+                f"{args.params}: checkpoint has channels {channels}, the run config "
+                f"has channels {cfg['channels']}, and warm_start trains the checkpoint"
+            )
     splits, out, config = _prepare(args, cfg)
     net, r = pipeline.run_stage(
         args.stage, prior, *splits, config, **_pipeline_flags(cfg), out_dir=out

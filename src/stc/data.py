@@ -20,6 +20,7 @@ from .imageio import (
     quantize01,
     read_pgm,
     read_ppm,
+    read_ppm_bytes,
     read_saliency_pgm,
     write_atomic,
     write_pgm,
@@ -293,7 +294,12 @@ class DatasetManifest:
         return DatasetManifest(self.root, [r for r in self.records if r.split == name])
 
     def load_image(self, record: DatasetRecord) -> np.ndarray:
+        """(H, W, 3) floats in [0,1]: `load_image_bytes` divided by 255."""
         return read_ppm(self.root / record.image)
+
+    def load_image_bytes(self, record: DatasetRecord) -> np.ndarray:
+        """(H, W, 3) uint8, as stored; training keeps its images in this form."""
+        return read_ppm_bytes(self.root / record.image)
 
     def load_saliency(self, record: DatasetRecord) -> np.ndarray:
         if record.saliency is None:

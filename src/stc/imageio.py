@@ -79,9 +79,14 @@ def write_ppm(path, image: np.ndarray) -> None:
     write_atomic(path, f"P6\n{w} {h}\n255\n".encode() + _to_bytes01(image).tobytes())
 
 
+def read_ppm_bytes(path) -> np.ndarray:
+    """Returns the raw (H, W, 3) uint8 pixel values."""
+    return _read_pnm(Path(path), b"P6")
+
+
 def read_ppm(path) -> np.ndarray:
-    path = Path(path)
-    return _read_pnm(path, b"P6").astype(np.float64) / 255.0
+    """Returns (H, W, 3) floats in [0,1], the bytes divided by 255."""
+    return read_ppm_bytes(path) / 255.0
 
 
 def write_pgm(path, values: np.ndarray) -> None:

@@ -111,7 +111,8 @@ def row_ranges(n: int, workers: int) -> list[slice]:
     return [slice(j * n // parts, (j + 1) * n // parts) for j in range(parts)]
 
 
-# this thread's inference plan, (key, arrays) or None: see _inference_plan
+# this thread's inference plan, `plan`: (key, arrays) or None (see
+# _inference_plan), and `in_map`: whether the thread runs `_parallel_map` work
 _plans = threading.local()
 
 
@@ -143,6 +144,7 @@ def _parallel_map(fn, items) -> list:
     done = [(None, None)] * len(rest)  # each helper's (results, error)
 
     def run(j: int, chunk: list) -> None:
+        _plans.in_map = True
         try:
             done[j] = [fn(x) for x in chunk], None
         except BaseException as e:
@@ -151,11 +153,13 @@ def _parallel_map(fn, items) -> list:
     helpers = [threading.Thread(target=run, args=(j, c)) for j, c in enumerate(rest)]
     for t in helpers:
         t.start()
+    _plans.in_map = True
     try:
         results = [fn(x) for x in own]
     finally:
         for t in helpers:
             t.join()
+        _plans.in_map = False
         _plans.plan = None
     for chunk, error in done:
         if error is not None:
@@ -190,7 +194,8 @@ def step_arrays(params: ParamSet, shape) -> dict[str, np.ndarray]:
     `logits`) costs only those, and a dropped plan leaves no resident memory
     behind.
 
-    `images` is the batch of crops, which `train_stage` stacks into it.
+    `images` is the batch of crops, which `train_stage` divides by 255
+    into it from the uint8 images it keeps.
     Every conv is 3x3; a weight of another shape is rejected here. For conv
     i, named `conv{i}.*` (c/cout = in/out channels, (h, w) = its input size):
 
@@ -206,9 +211,11 @@ def step_arrays(params: ParamSet, shape) -> dict[str, np.ndarray]:
     - `out` (n, cout, h, w): the conv output, ReLU applied in place. Backward
       takes the ReLU mask from it (r > 0 iff z > 0).
     - `grad` (n, cout, h, w): the gradient at the conv output, on which ReLU
-      backward runs in place. Pool backward writes it; an unpooled block's
-      is the view the layer above writes its input gradient into, the
-      interior of the next conv's `padded` or `head.input_grad` reshaped.
+      backward runs in place. A pooled block's is its `out` itself: once
+      backward has taken the ReLU mask, the output is dead and pool
+      backward writes over it. An unpooled block's is the view the layer
+      above writes its input gradient into, the interior of the next
+      conv's `padded` or `head.input_grad` reshaped.
     - `kernel_grad` (n, cout, c*9): per-image kernel-gradient products,
       summed into the parameter gradient.
 
@@ -237,7 +244,7 @@ def step_arrays(params: ParamSet, shape) -> dict[str, np.ndarray]:
         src = arrays[f"conv{i}.out"] = _mapped((n, cout, h, w))
         arrays[f"conv{i}.kernel_grad"] = _mapped((n, cout, c * k * k))
         if i <= _MAX_POOLS:
-            arrays[f"conv{i}.grad"] = _mapped((n, cout, h, w))
+            arrays[f"conv{i}.grad"] = src
             h, w = h // 2, w // 2
             src = None
     classes, c, _, _ = params["head.weight"].value.shape
@@ -308,15 +315,20 @@ def forward(params: ParamSet, images: np.ndarray) -> np.ndarray:
 
     Runs one image at a time into this thread's inference plan (see
     `_parallel_map`) and copies its logits out, so the result never shares
-    memory with the plan.
+    memory with the plan. Outside `_parallel_map` work the plan is dropped
+    on return; inside, the thread's next call reuses it.
     """
     images = _checked_images(params, images)
     n, _, h, w = images.shape
     s = output_stride(params)
     logits = np.empty((n, params["head.weight"].value.shape[0], h // s, w // s))
-    for j in range(n):
-        image = images[j : j + 1]
-        logits[j] = _forward_into(params, image, _inference_plan(params, image.shape))[0]
+    try:
+        for j in range(n):
+            image = images[j : j + 1]
+            logits[j] = _forward_into(params, image, _inference_plan(params, image.shape))[0]
+    finally:
+        if not getattr(_plans, "in_map", False):
+            _plans.plan = None
     return logits
 
 
@@ -330,7 +342,9 @@ def backward(params: ParamSet, arrays, grad_logits: np.ndarray) -> None:
     the upstream gradients (`grad`) over the whole batch
     (`conv2d_batch_sums`). The input gradient of conv1 is not computed: the
     image has no parameters. Each layer's large temporaries land in arrays
-    the forward is done with (see `step_arrays`).
+    the forward is done with (see `step_arrays`): a pooled block takes its
+    ReLU mask (`out > 0`) first, then pool backward writes its gradient
+    over `out`, then the mask multiplies it, as in `relu_backward`.
     """
     nb = num_blocks(params)
 
@@ -342,8 +356,12 @@ def backward(params: ParamSet, arrays, grad_logits: np.ndarray) -> None:
         )
         for i in range(nb, 0, -1):
             if i <= _MAX_POOLS:
+                # `grad` is `out`: take the ReLU mask before pool backward writes
+                alive = a[f"conv{i}.out"] > 0.0
                 g = avgpool2_backward(g, out=a[f"conv{i}.grad"])
-            g = relu_backward(a[f"conv{i}.out"], g, out=g)
+                g = np.multiply(g, alive, out=g)
+            else:
+                g = relu_backward(a[f"conv{i}.out"], g, out=g)
             # W^T @ g goes over the patch matrix, dead once the kernel gradient is taken
             cols = a[f"conv{i}.cols"]
             g, _, _ = conv2d_backward(

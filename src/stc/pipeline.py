@@ -107,10 +107,11 @@ def train_stage(
     pairs). `targets` is aligned with the dataset: full-resolution saliency
     maps for SUPERVISION_SALIENCY, integer masks for SUPERVISION_MASKS.
     Returns (params, per-epoch mean losses); params are updated in place.
-    Every step writes into one set of `step_arrays`, allocated at full batch
-    size and dropped on return. Each step's forward and backward split the
-    batch into up to `worker_count()` row ranges; the result is
-    bit-identical for any worker count.
+    The images stay uint8 as decoded; each step divides its crops by 255
+    into the batch. Every step writes into one set of `step_arrays`,
+    allocated at full batch size and dropped on return. Each step's forward
+    and backward split the batch into up to `worker_count()` row ranges; the
+    result is bit-identical for any worker count.
     """
     _validate_config(config)
     dataset = list(dataset)
@@ -129,7 +130,7 @@ def train_stage(
     if config.epochs == 0 or not dataset:
         return params, []
 
-    images = [m.load_image(r).transpose(2, 0, 1) for m, r in dataset]
+    images = [m.load_image_bytes(r).transpose(2, 0, 1) for m, r in dataset]
     class_ids = [min(r.labels) for _, r in dataset]
     crop = config.crop_size
     for img in images:
@@ -152,21 +153,21 @@ def train_stage(
         step_losses = []
         for start in range(0, len(order), config.batch_size):
             idxs = order[start : start + config.batch_size]
-            xs, tgts = [], []
-            for i in idxs:
+            arrays = {name: a[: len(idxs)] for name, a in full.items()}
+            tgts = []
+            for j, i in enumerate(idxs):
                 _, ih, iw = images[i].shape
                 oy = int(rng.integers(0, ih - crop + 1))
                 ox = int(rng.integers(0, iw - crop + 1))
-                xs.append(images[i][:, oy : oy + crop, ox : ox + crop])
+                crop_bytes = images[i][:, oy : oy + crop, ox : ox + crop]
+                np.divide(crop_bytes, 255.0, out=arrays["images"][j])
                 window = targets[i][oy : oy + crop, ox : ox + crop]
                 if supervision == SUPERVISION_SALIENCY:
                     tgts.append(build_simple_target(window, class_ids[i], th, tw, num_classes))
                 else:
                     m = downsample_mask_nearest(window, th, tw)
                     tgts.append(one_hot(m, num_classes))
-            arrays = {name: a[: len(idxs)] for name, a in full.items()}
-            batch = np.stack(xs, out=arrays["images"])
-            logits = _forward_cached(params, batch, arrays)
+            logits = _forward_cached(params, arrays["images"], arrays)
             loss, grad = batch_ce_and_grad(logits, np.stack(tgts))
             if not np.isfinite(loss):
                 raise ValueError(f"non-finite loss at step {step}")

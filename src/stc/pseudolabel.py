@@ -3,7 +3,9 @@
 Plain per-pixel argmax, plus the label-restricted variants that inject
 image-level supervision: simple images restrict to {background, class},
 complex images to their label set with background adjoined. Ties always go
-to the smallest label id.
+to the smallest label id. Pseudo-masks are uint8 (H, W) label ids, as PGM
+stores them, so a label id above 255 is rejected; `argmax_full`, which only
+evaluation uses, gives int64.
 """
 from __future__ import annotations
 
@@ -19,14 +21,17 @@ def argmax_full(pred: np.ndarray) -> np.ndarray:
 
 
 def argmax_restricted(pred: np.ndarray, allowed) -> np.ndarray:
-    """Argmax over the allowed label subset only; background must be allowed."""
+    """uint8 argmax over the allowed label subset only; background must be
+    allowed."""
     pred = np.asarray(pred)
     ids = sorted(set(int(a) for a in allowed))
     if not ids or ids[0] != 0:
         raise ValueError(f"allowed set must be non-empty and contain background 0, got {ids}")
     if ids[-1] >= pred.shape[0]:
         raise ValueError(f"allowed label {ids[-1]} outside 0..{pred.shape[0] - 1}")
-    lut = np.asarray(ids, dtype=np.int64)
+    if ids[-1] > 255:
+        raise ValueError(f"allowed label {ids[-1]} does not fit a uint8 mask (0..255)")
+    lut = np.asarray(ids, dtype=np.uint8)
     return lut[np.argmax(pred[lut], axis=0)]
 
 

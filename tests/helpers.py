@@ -112,3 +112,15 @@ def gathered_bilinear_resize(m, target_h, target_w):
     top = r0[..., x0] * (1.0 - fx) + r0[..., x1] * fx
     bot = r1[..., x0] * (1.0 - fx) + r1[..., x1] * fx
     return top * (1.0 - fy) + bot * fy
+
+
+# Prepended to code that a test runs in a fresh interpreter to measure its
+# peak memory. Not ru_maxrss: on Linux a child process's ru_maxrss starts at
+# the peak of the process that started it, here the test runner's, which
+# can hide any growth below that.
+PEAK_RSS_KB = '''
+def peak_rss_kb():
+    """This process's own peak resident set size in KiB (VmHWM)."""
+    with open("/proc/self/status") as f:
+        return next(int(line.split()[1]) for line in f if line.startswith("VmHWM:"))
+'''

@@ -343,6 +343,38 @@ class TestStageCommand:
         assert str(path) in err and "num_classes" in err, err
         assert not out.exists()
 
+    def test_warm_start_params_with_other_channels_rejected_before_any_stage_work(
+        self, dataset_dir, tmp_path, capsys, monkeypatch
+    ):
+        def no_stage_work(*args, **kwargs):
+            raise AssertionError("a warm-started stage ran on a checkpoint with other channels")
+
+        monkeypatch.setattr(pipeline, "run_stage", no_stage_work)
+        path = tmp_path / "prior.stcp"
+        save_params(init_network(NetworkConfig(4, channels=(6, 8, 10), seed=0)), path)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({**TINY_CONFIG, "channels": [16, 32, 64], "warm_start": True}))
+        out = tmp_path / "stage_out"
+        rc = main(["stage", "--data", str(dataset_dir), "--out", str(out),
+                   "--stage", "enhanced", "--params", str(path), "--config", str(cfg)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and "channels" in err, err
+        assert not out.exists()
+
+    def test_cold_start_params_with_other_channels_train_the_configs_channels(
+        self, dataset_dir, tmp_path
+    ):
+        path = tmp_path / "prior.stcp"
+        save_params(init_network(NetworkConfig(4, channels=(4, 6), seed=0)), path)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({**TINY_CONFIG, "epochs": 1}))
+        out = tmp_path / "stage_out"
+        assert main(["stage", "--data", str(dataset_dir), "--out", str(out),
+                     "--stage", "enhanced", "--params", str(path), "--config", str(cfg)]) == 0
+        sidecar = json.loads((out / "checkpoint_enhanced.json").read_text())
+        assert sidecar["channels"] == TINY_CONFIG["channels"]
+
     def test_initial_stage_writes_checkpoint(self, dataset_dir, tmp_path):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(TINY_CONFIG))

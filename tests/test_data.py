@@ -85,6 +85,9 @@ class TestDatasetRoundTrip:
             assert rec.split == ex.split
             assert rec.labels == ex.labels
             assert np.array_equal(manifest.load_image(rec), ex.image)
+            raw = manifest.load_image_bytes(rec)
+            assert raw.dtype == np.uint8 and raw.shape == ex.image.shape
+            assert np.array_equal(raw / 255.0, manifest.load_image(rec))
             assert np.array_equal(manifest.load_gt_mask(rec), ex.gt_mask)
 
     def test_split_filter(self, tmp_path):

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import gathered_bilinear_resize, numeric_grad, rel_err
+from helpers import PEAK_RSS_KB, gathered_bilinear_resize, numeric_grad, rel_err
 from stc import network, ops
 from stc.losses import batch_ce_and_grad, one_hot
 from stc.network import (
@@ -104,23 +104,23 @@ class TestForward:
         ps = init_network(NetworkConfig(num_classes=3, channels=(4, 6, 8, 5), seed=2))
         x = rng.uniform(size=(3, 3, 16, 12))
         want = _forward_cached(ps, x, step_arrays(ps, x.shape))
-        got = forward(ps, x)
+        # inside a map, where the plan outlives the call
+        got, plan = _parallel_map(lambda _: (forward(ps, x), held_plan()), [None])[0]
         assert np.array_equal(got, want)
-        assert not np.shares_memory(got, held_plan()[1]["logits"])
+        assert not np.shares_memory(got, plan[1]["logits"])
 
     def test_forward_peak_memory_does_not_grow_with_the_batch(self):
-        # in a fresh interpreter, so that ru_maxrss starts from the imports: a
+        # in a fresh interpreter, so that the peak starts from the imports: a
         # forward into full-batch arrays holds every conv's patch matrix for
         # every image, about 15 MB per 128-px image with the default channels
-        code = """
-import resource
+        code = PEAK_RSS_KB + """
 import numpy as np
 from stc.network import NetworkConfig, _forward_cached, init_network, forward, step_arrays
 ps = init_network(NetworkConfig(num_classes=4, seed=4))
 x = np.random.default_rng(0).uniform(size=(10, 3, 128, 128))
-before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+before = peak_rss_kb()
 got = forward(ps, x)
-print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) // 1024)
+print((peak_rss_kb() - before) // 1024)
 want = _forward_cached(ps, x, step_arrays(ps, x.shape))
 print(int(np.array_equal(got, want)))
 """
@@ -199,26 +199,38 @@ class TestInferencePlan:
         assert np.array_equal(first, kept)
         assert np.array_equal(predict(ps, img), kept)
 
-    def test_one_plan_per_thread_reused_while_the_shapes_match(self, rng):
+    def test_one_plan_per_thread_reused_while_the_shapes_match(self, rng, monkeypatch):
+        monkeypatch.setenv("STC_THREADS", "1")  # one thread runs the items in order
         ps = init_network(NetworkConfig(num_classes=3, seed=4))
-        predict(ps, rng.uniform(size=(16, 12, 3)))
-        plan = held_plan()
-        predict(ps, rng.uniform(size=(16, 12, 3)))
-        assert held_plan() is plan
-        predict(ps, rng.uniform(size=(8, 8, 3)))
-        assert held_plan() is not plan
+
+        def plan_after_predict(size):
+            predict(ps, rng.uniform(size=(*size, 3)))
+            return held_plan()
+
+        plans = _parallel_map(plan_after_predict, [(16, 12), (16, 12), (8, 8)])
+        assert plans[0] is not None
+        assert plans[1] is plans[0]
+        assert plans[2] is not plans[0]
 
     @pytest.mark.parametrize("workers", ["1", "2", "3"])
     def test_calling_thread_holds_no_plan_after_parallel_map(self, rng, monkeypatch, workers):
         monkeypatch.setenv("STC_THREADS", workers)
         ps = init_network(NetworkConfig(num_classes=3, seed=4))
         imgs = [rng.uniform(size=(16, 12, 3)) for _ in range(4)]
-        predict(ps, imgs[0])
-        assert held_plan() is not None
-        got = _parallel_map(lambda im: predict(ps, im), imgs)
+        got = _parallel_map(lambda im: (predict(ps, im), held_plan() is not None), imgs)
+        assert all(held for _, held in got)
         assert held_plan() is None
-        for im, p in zip(imgs, got):
+        for im, (p, _) in zip(imgs, got):
             assert np.array_equal(p, predict(ps, im))
+
+    def test_top_level_predict_and_forward_hold_no_plan(self, rng):
+        ps = init_network(NetworkConfig(num_classes=3, seed=4))
+        img = rng.uniform(size=(16, 12, 3))
+        p = predict(ps, img)
+        assert held_plan() is None
+        forward(ps, img.transpose(2, 0, 1)[None])
+        assert held_plan() is None
+        assert np.array_equal(p, _parallel_map(lambda im: predict(ps, im), [img])[0])
 
     def test_plan_is_dropped_when_parallel_map_raises(self, rng, monkeypatch):
         monkeypatch.setenv("STC_THREADS", "1")
@@ -237,19 +249,25 @@ class TestInferencePlan:
         # in a fresh interpreter: the arrays earlier tests freed leave glibc's
         # mmap and trim thresholds raised, which can hide the faults. Two
         # calls first: freeing the first result raises the mmap threshold,
-        # so the second result is the first one placed on the heap
+        # so the second result is the first one placed on the heap. The
+        # calls run inside one map, as in an inference pass: a top-level
+        # predict drops its plan on return
         code = f"""
 import resource
 import numpy as np
-from stc.network import NetworkConfig, init_network, predict
+from stc.network import NetworkConfig, _parallel_map, init_network, predict
 ps = init_network(NetworkConfig(num_classes=4, seed=4))
 img = np.random.default_rng(0).uniform(size=({size}, {size}, 3))
-predict(ps, img)
-predict(ps, img)
-before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-for _ in range(5):
+
+def faults(_):
     predict(ps, img)
-print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    predict(ps, img)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(5):
+        predict(ps, img)
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+print(_parallel_map(faults, [None])[0])
 """
         src = str(Path(network.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": src, "STC_THREADS": "1"}
@@ -378,6 +396,24 @@ class TestStepArrays:
             step_arrays(ps, (1, 3, 16, 12))
         with pytest.raises(ValueError, match=r"conv2\.weight.*3x3"):
             forward(ps, np.zeros((1, 3, 16, 12)))
+
+    def test_a_pooled_blocks_grad_is_its_conv_output(self):
+        ps = init_network(NetworkConfig(num_classes=3, channels=(4, 6, 8), seed=8))
+        arrays = step_arrays(ps, (2, 3, 16, 12))
+        for i in (1, 2):
+            assert np.shares_memory(arrays[f"conv{i}.grad"], arrays[f"conv{i}.out"]), i
+            assert arrays[f"conv{i}.grad"].shape == arrays[f"conv{i}.out"].shape
+
+    @pytest.mark.parametrize("channels", [(4, 6, 8), (4, 6), (5,)])
+    def test_grad_over_the_conv_output_matches_a_separate_grad_array(self, rng, channels):
+        ps = init_network(NetworkConfig(num_classes=3, channels=channels, seed=8))
+        x = rng.uniform(size=(2, 3, 16, 12))
+        s = output_stride(ps)
+        t = np.stack([one_hot(m, 3) for m in rng.integers(0, 4, size=(2, 16 // s, 12 // s))])
+        separate = nan_filled(step_arrays(ps, x.shape))
+        for i in range(1, min(len(channels), 2) + 1):
+            separate[f"conv{i}.grad"] = np.full_like(separate[f"conv{i}.out"], np.nan)
+        assert_same_step(train_step(ps, x, t, separate), train_step(ps, x, t))
 
     def test_an_unpooled_blocks_grad_is_where_the_layer_above_writes(self):
         ps = init_network(NetworkConfig(num_classes=3, channels=(4, 6, 8, 5), seed=8))

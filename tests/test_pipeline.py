@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
@@ -6,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import brute_force_iou
+from helpers import PEAK_RSS_KB, brute_force_iou
 from stc import data, network, ops
 from stc import pipeline
 from stc.imageio import read_pgm
@@ -264,6 +267,34 @@ class TestTrainStage:
             train_stage(net, pairs, SUPERVISION_SALIENCY, maps, TINY, num_classes=4)
         assert max(during) == before + 2  # two helper threads ran
         assert threading.active_count() == before
+
+    def test_peak_memory_of_an_epoch_at_crop_96(self, tmp_path):
+        # in a fresh interpreter, so that the peak is not an earlier test's:
+        # one epoch over 64 images of 128 px at crop 96, batch 8, as the
+        # initial stage of a 128-px run trains. The images stay uint8, and a
+        # pooled block's gradient goes over its conv output; float64 images
+        # and a separate gradient array grew it by about 32 MB more
+        data.write_dataset(data.build_dataset(64, 0, 0, seed=3, size=128), tmp_path)
+        code = PEAK_RSS_KB + f"""
+from stc import data
+from stc.network import NetworkConfig, init_network
+from stc.pipeline import SUPERVISION_SALIENCY, TrainConfig, _saliency_for, train_stage
+m = data.read_dataset({str(tmp_path)!r})
+pairs = [(m, r) for r in m.records]
+maps = [_saliency_for(m, r) for _, r in pairs]
+net = init_network(NetworkConfig(4, seed=1))
+config = TrainConfig(epochs=1, crop_size=96, seed=2)
+before = peak_rss_kb()
+train_stage(net, pairs, SUPERVISION_SALIENCY, maps, config, num_classes=4)
+print((peak_rss_kb() - before) // 1024)
+"""
+        src = str(Path(network.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "STC_THREADS": "2"}
+        run = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        grown_mb = int(run.stdout)
+        assert grown_mb < 100, f"an epoch at crop 96 grew peak RSS by {grown_mb} MB"
 
     def test_training_changes_parameters(self, corpus):
         net = init_network(NetworkConfig(4, channels=TINY_CHANNELS, seed=1))

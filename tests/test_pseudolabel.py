@@ -50,6 +50,12 @@ class TestArgmaxRestricted:
         with pytest.raises(ValueError, match="outside"):
             argmax_restricted(probmap(0), {0, 9})
 
+    def test_label_ids_above_255_rejected_naming_the_label(self):
+        pred = probmap(0, c1=301, h=2, w=2)
+        with pytest.raises(ValueError, match="label 300 .*uint8"):
+            argmax_restricted(pred, {0, 2, 300})
+        assert argmax_restricted(pred, {0, 255}).dtype == np.uint8
+
     def test_matches_brute_force_scan(self):
         for seed in range(5):
             pred = probmap(seed)
@@ -107,6 +113,10 @@ class TestRelabel:
 
         full = argmax_full(predict(net, image))
         assert np.array_equal(relabel_complex(net, image, {1, 2, 3, 4}), full)
+
+    def test_masks_are_uint8(self, net, image):
+        assert relabel_simple(net, image, 3).dtype == np.uint8
+        assert relabel_complex(net, image, {2, 4}).dtype == np.uint8
 
     def test_complex_rejects_empty_labels(self, net, image):
         with pytest.raises(ValueError, match="non-empty"):
