@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
-"""Compares the outputs of two `stc run` directories.
+"""Compares the outputs of two `stc run` directories, or two datasets.
 
 Checkpoints (`*.stcp`), their JSON sidecars and the pseudo-masks
-(`masks_*/*.pgm`) must be byte-identical, and each directory must hold the
-same set of them. `report.json` and `report.csv` must be equal once their
+(`masks_*/*.pgm`) of a run, and the manifest, images, GT masks and saliency
+maps of a dataset (`stc gen`, `stc saliency`), must be byte-identical, and
+each directory must hold the same set of them. Where a directory holds
+`report.json` and `report.csv`, both must, and they must be equal once their
 `seconds` fields, the wall time of each stage, are left out. Prints one line
-per difference and exits 1 if there is any, else prints a summary and exits 0.
+per difference and exits 1 if there is any, or if there is nothing to
+compare, else prints a summary and exits 0.
 
-Usage: python3 scripts/compare_runs.py RUN_DIR_A RUN_DIR_B
+Usage: python3 scripts/compare_runs.py DIR_A DIR_B
 """
 from __future__ import annotations
 
@@ -18,7 +21,10 @@ import json
 import sys
 from pathlib import Path
 
-_BYTE_PATTERNS = ("*.stcp", "checkpoint_*.json", "masks_*/*.pgm")
+_BYTE_PATTERNS = (
+    "*.stcp", "checkpoint_*.json", "masks_*/*.pgm",  # a run
+    "manifest.jsonl", "images/*.ppm", "masks/*.pgm", "saliency/*.pgm",  # a dataset
+)
 
 
 def _byte_files(run: Path) -> set[str]:
@@ -40,8 +46,8 @@ def _report_csv(path: Path):
 
 
 def compare(a: Path, b: Path) -> tuple[list[str], int]:
-    """The differences between runs `a` and `b`, and the number of files
-    compared."""
+    """The differences between directories `a` and `b`, and the number of
+    files compared."""
     problems = []
     files_a, files_b = _byte_files(a), _byte_files(b)
     for name in sorted(files_a ^ files_b):
@@ -52,12 +58,16 @@ def compare(a: Path, b: Path) -> tuple[list[str], int]:
     compared = len(files_a & files_b)
     for name, read in (("report.json", _report_json), ("report.csv", _report_csv)):
         present = [(run / name).is_file() for run in (a, b)]
+        if not any(present):
+            continue
         if not all(present):
             problems.append(f"{name}: missing from {a if not present[0] else b}")
         elif read(a / name) != read(b / name):
             problems.append(f"{name}: differs outside its seconds fields")
         else:
             compared += 1
+    if not compared and not problems:
+        problems.append(f"no run or dataset files in {a} or {b}")
     return problems, compared
 
 

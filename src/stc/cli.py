@@ -37,8 +37,9 @@ _RUN_KEYS = _TRAIN_KEYS | set(_RUN_DEFAULTS)
 
 def load_run_config(path) -> dict:
     """Single JSON document holding TrainConfig fields plus the class count,
-    channels, pipeline flags and paths; unknown keys and values of the wrong
-    type are rejected. A key's type is that of its default."""
+    channels, pipeline flags and paths; unknown keys, values of the wrong
+    type and values out of range are rejected. A key's type is that of its
+    default."""
     doc = json.loads(Path(path).read_text())
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: config must be a JSON object")
@@ -51,6 +52,14 @@ def load_run_config(path) -> dict:
         if want:
             raise ValueError(f"{path}: config key {key!r} must be {want}, got {json.dumps(value)}")
     merged.update(doc)
+    try:
+        _train_config_from(merged, None)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
+    if merged["enhance_rounds"] < 1:
+        raise ValueError(
+            f"{path}: config key 'enhance_rounds' must be >= 1, got {merged['enhance_rounds']}"
+        )
     return merged
 
 
@@ -178,10 +187,10 @@ def cmd_gen(args) -> int:
     examples = data.build_dataset(
         args.simple, args.complex, args.eval, args.classes, args.seed, args.size
     )
-    data.write_dataset(examples, args.out)
-    counts = {s: sum(1 for e in examples if e.split == s) for s in data.SPLITS}
+    records = data.write_dataset(examples, args.out)
+    counts = {s: sum(1 for r in records if r.split == s) for s in data.SPLITS}
     print(
-        f"wrote {len(examples)} records to {args.out} "
+        f"wrote {len(records)} records to {args.out} "
         f"({counts['simple']} simple, {counts['complex']} complex, {counts['eval']} eval)"
     )
     return 0

@@ -11,6 +11,7 @@ writing and re-reading a dataset is lossless.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -357,29 +358,32 @@ def build_dataset(
     num_classes: int = MAX_CLASSES,
     seed: int = 0,
     size: int = 64,
-) -> list[DatasetExample]:
+) -> Iterator[DatasetExample]:
     """Deterministic corpus: simple classes round-robin, complex/eval class
-    subsets seeded per record."""
+    subsets seeded per record. The arguments are checked on the call; the
+    examples are then generated one at a time as the iterator is read."""
     if not 1 <= num_classes <= MAX_CLASSES:
         raise ValueError(f"num_classes must be 1..{MAX_CLASSES}, got {num_classes}")
     if (num_complex or num_eval) and num_classes < 2:
         raise ValueError("complex and eval images need at least 2 classes")
-    examples = []
-    for i in range(num_simple):
-        cls = 1 + i % num_classes
-        img, mask, labels = gen_simple(
-            cls, np.random.SeedSequence([seed, 0, i]), size, num_classes
-        )
-        examples.append(DatasetExample(f"simple_{i:04d}", img, labels, "simple", mask))
-    for salt, split, count in ((1, "complex", num_complex), (2, "eval", num_eval)):
-        for i in range(count):
-            picker = np.random.default_rng(np.random.SeedSequence([seed, salt, i, 0]))
-            classes = sample_complex_classes(picker, num_classes)
-            img, mask, labels = gen_complex(
-                classes, np.random.SeedSequence([seed, salt, i, 1]), size, num_classes
+
+    def examples():
+        for i in range(num_simple):
+            cls = 1 + i % num_classes
+            img, mask, labels = gen_simple(
+                cls, np.random.SeedSequence([seed, 0, i]), size, num_classes
             )
-            examples.append(DatasetExample(f"{split}_{i:04d}", img, labels, split, mask))
-    return examples
+            yield DatasetExample(f"simple_{i:04d}", img, labels, "simple", mask)
+        for salt, split, count in ((1, "complex", num_complex), (2, "eval", num_eval)):
+            for i in range(count):
+                picker = np.random.default_rng(np.random.SeedSequence([seed, salt, i, 0]))
+                classes = sample_complex_classes(picker, num_classes)
+                img, mask, labels = gen_complex(
+                    classes, np.random.SeedSequence([seed, salt, i, 1]), size, num_classes
+                )
+                yield DatasetExample(f"{split}_{i:04d}", img, labels, split, mask)
+
+    return examples()
 
 
 def write_manifest(root, records) -> None:
@@ -393,9 +397,10 @@ def write_manifest(root, records) -> None:
     write_atomic(Path(root) / "manifest.jsonl", "\n".join(lines) + "\n")
 
 
-def write_dataset(examples, directory) -> None:
+def write_dataset(examples, directory) -> list[DatasetRecord]:
     """Materializes images, masks and manifest.jsonl; `stc saliency` adds
-    the saliency maps."""
+    the saliency maps. Writes each example as it comes, so an iterator of
+    them (`build_dataset`) is never held whole; returns the records."""
     root = Path(directory)
     (root / "images").mkdir(parents=True, exist_ok=True)
     (root / "masks").mkdir(exist_ok=True)
@@ -408,6 +413,7 @@ def write_dataset(examples, directory) -> None:
             write_pgm(root / gt, ex.gt_mask)
         records.append(DatasetRecord(image, ex.labels, ex.split, gt_mask=gt))
     write_manifest(root, records)
+    return records
 
 
 def read_dataset(directory) -> DatasetManifest:

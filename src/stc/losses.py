@@ -59,10 +59,11 @@ def batch_ce_and_grad(logits: np.ndarray, targets: np.ndarray) -> tuple[float, n
 
     The loss is the mean of the per-image multilabel_ce values. The gradient
     is the stack of the per-image multilabel_ce_grad maps, i.e. that of the
-    sum of the per-image losses, so its scale does not depend on N.
+    sum of the per-image losses, so its scale does not depend on N. It
+    computes in the logits' dtype, to which the targets are converted.
     """
-    logits = np.asarray(logits, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
+    logits = np.asarray(logits)
+    targets = np.asarray(targets, dtype=logits.dtype)
     if logits.ndim != 4 or logits.shape != targets.shape:
         raise ValueError(
             f"need matching (N, C+1, h, w) batches: logits {logits.shape} vs "

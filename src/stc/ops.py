@@ -1,4 +1,4 @@
-"""Dense float64 array ops with exact analytic gradients.
+"""Dense array ops with exact analytic gradients.
 
 Everything the segmentation net and its losses need: same-padded stride-1
 cross-correlation, ReLU, 2x2 mean pooling, align-corners bilinear resize,
@@ -23,21 +23,28 @@ time through one plan per thread, so its patch matrices land in the same
 arrays on every call. The network's conv blocks are all 3x3 and its head is
 1x1; these ops take any odd k.
 
+Every op computes in the dtype of the array it transforms, a floating-point
+one (x in the forward ops and `conv2d_backward`, `upstream` in the other
+backward ops, the patch matrix in `col2im`, the map in `bilinear_resize`,
+the logits in `channel_softmax`), and makes every new array in that dtype.
+It converts nothing, so the other arrays it takes (kernel, bias) should
+share that dtype.
+
 Ops whose results are large take keyword-only `out=` arguments (like numpy's
-ufuncs): float64 arrays of the result's shape (C-contiguous where the op
+ufuncs): arrays of the result's shape and dtype (C-contiguous where the op
 reshapes them or multiplies into them) that receive the result in place of
 a new array, so that a train step can reuse the same arrays every step, and
 an inference pass every image (`network.step_arrays` says which array holds
-what). The arithmetic, and so every bit of the result, is the same with or
-without them. `im2col(padded=)` is the zero-padded copy of the input it
-reads; `col2im(out=)` is the padded grid it scatter-adds onto and returns
-the interior of. One array may serve both: col2im leaves the border of the
-grid nonzero, and im2col zeroes it again before use. Likewise
-`conv2d_backward` may write `W^T @ upstream` over the patch matrix it has
-just used for the kernel gradient.
+what). `_out` checks them, or makes the new array. The arithmetic, and so
+every bit of the result, is the same with or without them. `im2col(padded=)`
+is the zero-padded copy of the input it reads; `col2im(out=)` is the padded
+grid it scatter-adds onto and returns the interior of. One array may serve
+both: col2im leaves the border of the grid nonzero, and im2col zeroes it
+again before use. Likewise `conv2d_backward` may write `W^T @ upstream` over
+the patch matrix it has just used for the kernel gradient.
 
 Array conventions: feature maps are (N, C, H, W), kernels (Cout, Cin, k, k),
-probability/logit maps (..., C+1, h, w). All math is float64.
+probability/logit maps (..., C+1, h, w).
 """
 from __future__ import annotations
 
@@ -46,23 +53,19 @@ import functools
 import numpy as np
 
 
-def _f64(x) -> np.ndarray:
-    return np.asarray(x, dtype=np.float64)
-
-
-def _check_out(out, shape) -> np.ndarray:
-    if out.shape != tuple(shape) or out.dtype != np.float64:
+def _out(out, shape, dtype, contiguous=False) -> np.ndarray:
+    """`out`, checked to be a `dtype` array of `shape`, or a new one.
+    `contiguous` is for results written through a reshape of `out`, or by
+    matmul (which takes the same BLAS path for a C-contiguous `out` as for a
+    new array)."""
+    if out is None:
+        return np.empty(shape, dtype)
+    if out.shape != shape or out.dtype != dtype:
         raise ValueError(
-            f"out array {out.dtype}{out.shape} is not a float64 array of shape {tuple(shape)}"
+            f"out array {out.dtype}{out.shape} is not a {dtype} array of shape {shape}"
         )
-    return out
-
-
-def _check_contiguous_out(out, shape) -> np.ndarray:
-    """For results written through a reshape of `out`, or by matmul (which
-    takes the same BLAS path for a C-contiguous `out` as for a new array)."""
-    if not _check_out(out, shape).flags.c_contiguous:
-        raise ValueError(f"out array of shape {out.shape} is not C-contiguous")
+    if contiguous and not out.flags.c_contiguous:
+        raise ValueError(f"out array of shape {shape} is not C-contiguous")
     return out
 
 
@@ -81,19 +84,13 @@ def im2col(x: np.ndarray, k: int, *, out=None, padded=None) -> np.ndarray:
     if k == 1:
         return x.reshape(n, c, h * w)
     p = k // 2
-    if padded is None:
-        xp = np.empty((n, c, h + 2 * p, w + 2 * p))
-    else:
-        xp = _check_out(padded, (n, c, h + 2 * p, w + 2 * p))
+    xp = _out(padded, (n, c, h + 2 * p, w + 2 * p), x.dtype)
     xp[:, :, :p] = 0.0
     xp[:, :, h + p :] = 0.0
     xp[:, :, p : h + p, :p] = 0.0
     xp[:, :, p : h + p, w + p :] = 0.0
     xp[:, :, p : h + p, p : w + p] = x
-    if out is None:
-        out = np.empty((n, c * k * k, h * w))
-    else:
-        _check_contiguous_out(out, (n, c * k * k, h * w))
+    out = _out(out, (n, c * k * k, h * w), x.dtype, contiguous=True)
     win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
     out.reshape(n, c, k, k, h, w)[...] = win.transpose(0, 1, 4, 5, 2, 3)
     return out
@@ -114,10 +111,8 @@ def col2im(cols: np.ndarray, shape, k: int, *, out=None) -> np.ndarray:
         return cols.reshape(n, c, h, w)
     p = k // 2
     taps = cols.reshape(n, c, k, k, h, w)
-    if out is None:
-        out = np.zeros((n, c, h + 2 * p, w + 2 * p))
-    else:
-        _check_out(out, (n, c, h + 2 * p, w + 2 * p))[...] = 0.0
+    out = _out(out, (n, c, h + 2 * p, w + 2 * p), cols.dtype)
+    out[...] = 0.0
     for i in range(k):
         for j in range(k):
             out[:, :, i : i + h, j : j + w] += taps[:, :, i, j]
@@ -143,7 +138,6 @@ def conv2d_forward(x, kernel, bias, *, cols=None, out=None) -> np.ndarray:
     im2col(x, k), built by the caller so that it can keep it for backward.
     `out`, (N, Cout, H, W), receives the output.
     """
-    x, kernel, bias = _f64(x), _f64(kernel), _f64(bias)
     n, cin, h, w = x.shape
     cout, kcin, kh, kw = kernel.shape
     if kcin != cin:
@@ -154,8 +148,7 @@ def conv2d_forward(x, kernel, bias, *, cols=None, out=None) -> np.ndarray:
         raise ValueError(f"kernel must be square with odd size, got {kh}x{kw}")
     if bias.shape != (cout,):
         raise ValueError(f"bias shape {bias.shape} does not match {cout} output channels")
-    if out is not None:
-        out = _check_contiguous_out(out, (n, cout, h, w)).reshape(n, cout, h * w)
+    out = _out(out, (n, cout, h, w), x.dtype, contiguous=True).reshape(n, cout, h * w)
     out = np.matmul(kernel.reshape(cout, -1), _patch_matrix(x, kh, cols), out=out)
     out += bias[:, None]
     return out.reshape(n, cout, h, w)
@@ -191,7 +184,6 @@ def conv2d_backward(
     is a reshape of it); `input_out`, the padded grid col2im scatter-adds
     onto, so grad_input is a view of it.
     """
-    x, kernel, upstream = _f64(x), _f64(kernel), _f64(upstream)
     n, cin, h, w = x.shape
     cout = kernel.shape[0]
     k = kernel.shape[2]
@@ -201,16 +193,14 @@ def conv2d_backward(
         )
     g = upstream.reshape(n, cout, h * w)
     cols = _patch_matrix(x, k, cols)
-    if kernel_out is not None:
-        _check_contiguous_out(kernel_out, (n, cout, cin * k * k))
+    kernel_out = _out(kernel_out, (n, cout, cin * k * k), x.dtype, contiguous=True)
     products = np.matmul(g, cols.transpose(0, 2, 1), out=kernel_out)
     grad_kernel = grad_bias = None
     if batch_sums:
         grad_kernel, grad_bias = conv2d_batch_sums(products, upstream, kernel.shape)
     grad_input = None
     if input_grad:
-        if cols_out is not None:
-            _check_contiguous_out(cols_out, cols.shape)
+        cols_out = _out(cols_out, cols.shape, x.dtype, contiguous=True)
         back = np.matmul(kernel.reshape(cout, -1).T, g, out=cols_out)
         grad_input = col2im(back, x.shape, k, out=input_out)
     return grad_input, grad_kernel, grad_bias
@@ -218,31 +208,23 @@ def conv2d_backward(
 
 def relu_forward(x, *, out=None) -> np.ndarray:
     """`out` may be x itself (in place)."""
-    x = _f64(x)
-    if out is not None:
-        _check_out(out, x.shape)
-    return np.maximum(x, 0.0, out=out)
+    return np.maximum(x, 0.0, out=_out(out, x.shape, x.dtype))
 
 
 def relu_backward(x, upstream, *, out=None) -> np.ndarray:
     """Subgradient at 0 is 0: upstream passes only where x > 0. `x` may be
     the ReLU output in place of its input (the same mask), and `out` may be
     upstream itself (in place)."""
-    upstream = _f64(upstream)
-    if out is not None:
-        _check_out(out, upstream.shape)
-    return np.multiply(upstream, _f64(x) > 0.0, out=out)
+    return np.multiply(upstream, x > 0.0, out=_out(out, upstream.shape, upstream.dtype))
 
 
 def avgpool2_forward(x, *, out=None) -> np.ndarray:
     """Non-overlapping 2x2 mean pooling over the trailing two axes."""
-    x = _f64(x)
     *lead, h, w = x.shape
     if h % 2 or w % 2:
         raise ValueError(f"avgpool2 requires even spatial dims, got {h}x{w}")
-    if out is not None:
-        _check_out(out, (*lead, h // 2, w // 2))
-    out = np.add(x[..., 0::2, 0::2], x[..., 0::2, 1::2], out=out)
+    out = _out(out, (*lead, h // 2, w // 2), x.dtype)
+    np.add(x[..., 0::2, 0::2], x[..., 0::2, 1::2], out=out)
     out += x[..., 1::2, 0::2]
     out += x[..., 1::2, 1::2]
     out *= 0.25
@@ -251,12 +233,8 @@ def avgpool2_forward(x, *, out=None) -> np.ndarray:
 
 def avgpool2_backward(upstream, *, out=None) -> np.ndarray:
     """Spreads each upstream value uniformly (1/4) over its 2x2 source block."""
-    upstream = _f64(upstream)
     *lead, h, w = upstream.shape
-    if out is None:
-        out = np.empty((*lead, 2 * h, 2 * w))
-    else:
-        _check_out(out, (*lead, 2 * h, 2 * w))
+    out = _out(out, (*lead, 2 * h, 2 * w), upstream.dtype)
     np.multiply(upstream, 0.25, out=out[..., 0::2, 0::2])
     out[..., 0::2, 1::2] = out[..., 0::2, 0::2]
     out[..., 1::2, :] = out[..., 0::2, :]
@@ -285,19 +263,21 @@ def bilinear_resize(m, target_h: int, target_w: int) -> np.ndarray:
     samples the source origin. Separable: each source row is interpolated
     along x once, then each target row blends two of those rows along y.
     """
-    m = _f64(m)
     *lead, h, w = m.shape
     if target_h < 1 or target_w < 1:
         raise ValueError(f"target size must be >= 1, got {target_h}x{target_w}")
+    if m.dtype.kind != "f":  # its taps would round to integers
+        raise ValueError(f"bilinear_resize needs a floating-point map, got {m.dtype}")
     y0, y1, gy, fy = _taps(h, target_h)
     x0, x1, gx, fx = _taps(w, target_w)
+    gy, fy, gx, fx = (a.astype(m.dtype, copy=False) for a in (gy, fy, gx, fx))
     rows = m[..., x0]
     rows *= gx
     right = m[..., x1]
     right *= fx
     rows += right
     del right
-    out = np.empty((*lead, target_h, target_w))
+    out = np.empty((*lead, target_h, target_w), m.dtype)
     # one leading slice at a time: temporaries as large as the result, once
     # freed, make glibc trim its heap, and the next call faults it in again
     for src, dst in zip(rows.reshape(-1, h, target_w), out.reshape(-1, target_h, target_w)):
@@ -314,7 +294,6 @@ def channel_softmax(logits) -> np.ndarray:
     Accepts (..., C+1, h, w); stabilized by subtracting the per-pixel max
     logit before exponentiation.
     """
-    z = _f64(logits)
-    z = z - z.max(axis=-3, keepdims=True)
+    z = logits - logits.max(axis=-3, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-3, keepdims=True)

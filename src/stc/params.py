@@ -67,10 +67,6 @@ class ParamSet:
             out._entries[name] = self._entries[name]
         return out
 
-    def zero_grads(self) -> None:
-        for p in self._entries.values():
-            p.grad[...] = 0.0
-
     def copy(self) -> "ParamSet":
         """Copies of the values with zero gradient and momentum: the state
         `load_params` restores, since a checkpoint holds values only."""

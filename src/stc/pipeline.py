@@ -54,6 +54,22 @@ class TrainConfig:
     crop_size: int = 48
     seed: int = 0
 
+    def __post_init__(self):
+        """Range checks; each error names its config key."""
+        for key in (
+            "batch_size", "initial_lr", "final_layer_lr_multiplier", "lr_decay_factor",
+            "lr_decay_every_epochs", "crop_size",
+        ):
+            if getattr(self, key) <= 0:
+                raise ValueError(f"config key {key!r} must be positive, got {getattr(self, key)}")
+        for key in ("momentum", "weight_decay", "epochs"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"config key {key!r} must be >= 0, got {getattr(self, key)}")
+        if self.crop_size % 4:
+            raise ValueError(
+                f"config key 'crop_size' must be divisible by 4, got {self.crop_size}"
+            )
+
 
 @dataclass
 class StageReport:
@@ -76,24 +92,6 @@ def _derive_seed(root_seed: int, salt: int) -> int:
     return int(np.random.SeedSequence([root_seed, salt]).generate_state(1)[0])
 
 
-def _validate_config(config: TrainConfig) -> None:
-    positive = {
-        "batch_size": config.batch_size,
-        "initial_lr": config.initial_lr,
-        "final_layer_lr_multiplier": config.final_layer_lr_multiplier,
-        "lr_decay_factor": config.lr_decay_factor,
-        "lr_decay_every_epochs": config.lr_decay_every_epochs,
-        "crop_size": config.crop_size,
-    }
-    for name, v in positive.items():
-        if v <= 0:
-            raise ValueError(f"{name} must be positive, got {v}")
-    if config.momentum < 0 or config.weight_decay < 0 or config.epochs < 0:
-        raise ValueError("momentum, weight_decay and epochs must be non-negative")
-    if config.crop_size % 4:
-        raise ValueError(f"crop_size must be divisible by 4, got {config.crop_size}")
-
-
 def train_stage(
     params: ParamSet,
     dataset,
@@ -113,7 +111,6 @@ def train_stage(
     and backward split the batch into up to `worker_count()` row ranges; the
     result is bit-identical for any worker count.
     """
-    _validate_config(config)
     dataset = list(dataset)
     targets = list(targets)
     if supervision not in (SUPERVISION_SALIENCY, SUPERVISION_MASKS):

@@ -46,6 +46,13 @@ def numeric_grad(f, x, eps=1e-5):
     return g
 
 
+def zero_grads(params):
+    """Zeroes every gradient of a ParamSet, so that the next backward's
+    accumulation (+=) gives that backward's gradients alone."""
+    for name in params:
+        params[name].grad[...] = 0.0
+
+
 def rel_err(a, b, floor=1e-8):
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import brute_force_iou, numeric_grad, rel_err, restricted_argmax_scan
+from helpers import brute_force_iou, numeric_grad, rel_err, restricted_argmax_scan, zero_grads
 from stc import data
 from stc.cli import main as cli_main
 from stc.losses import multilabel_ce, multilabel_ce_grad, one_hot, singlelabel_ce
@@ -76,7 +76,7 @@ def test_criterion_1_gradient_correctness():
 
     arrays = step_arrays(net, image.shape)
     logits = _forward_cached(net, image, arrays)
-    net.zero_grads()
+    zero_grads(net)
     backward(net, arrays, multilabel_ce_grad(logits[0], target)[None])
     worst = 0.0
     for _, p in net.items():

@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from helpers import PEAK_RSS_KB
 from stc import cli, data, imageio, pipeline
 from stc.cli import load_run_config, main
 from stc.network import NetworkConfig, init_network
@@ -72,6 +76,24 @@ class TestGen:
             ) == 0
         for rel in sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file()):
             assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
+
+    def test_peak_memory_of_the_default_corpus(self, tmp_path):
+        # in a fresh interpreter, so that the peak is not an earlier test's.
+        # Each example is written as it is generated: holding the 350 float64
+        # images and int64 masks first grew the peak by about 56 MB, writing
+        # them as they come by about 7 MB
+        code = PEAK_RSS_KB + f"""
+from stc import cli
+before = peak_rss_kb()
+assert cli.main(["gen", "--out", {str(tmp_path)!r}, "--seed", "3"]) == 0
+print((peak_rss_kb() - before) // 1024)
+"""
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        run = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        grown_mb = int(run.stdout.splitlines()[-1])
+        assert grown_mb < 25, f"stc gen grew peak RSS by {grown_mb} MB"
 
 
 class TestSaliencyCommand:
@@ -442,6 +464,39 @@ class TestStageCommand:
         )
         assert rc == 0
         assert (out / "checkpoint_enhanced.stcp").is_file()
+
+
+@pytest.mark.parametrize("command", ["run", "stage"])
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("crop_size", 50),
+        ("crop_size", 0),
+        ("batch_size", 0),
+        ("initial_lr", 0),
+        ("momentum", -1),
+        ("weight_decay", -0.5),
+        ("epochs", -1),
+        ("enhance_rounds", 0),
+    ],
+)
+def test_config_value_out_of_range_rejected_naming_file_and_key_before_any_stage_work(
+    dataset_dir, tmp_path, capsys, monkeypatch, command, key, value
+):
+    def no_stage_work(*args, **kwargs):
+        raise AssertionError(f"a stage ran with {key} {value}")
+
+    monkeypatch.setattr(pipeline, "run_stage", no_stage_work)
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({**TINY_CONFIG, key: value}))
+    out = tmp_path / "out"
+    argv = [command, "--data", str(dataset_dir), "--out", str(out), "--config", str(cfg)]
+    if command == "stage":
+        argv += ["--stage", "initial"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"{cfg}: config key {key!r}" in err, err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["run", "stage"])

@@ -46,3 +46,36 @@ def test_any_other_difference_exits_1_naming_the_file(tmp_path, capsys, change):
     want = {"mask": "masks_initial/a.pgm", "missing": "checkpoint_initial.stcp",
             "report": "report.json"}[change]
     assert want in capsys.readouterr().out
+
+
+def fake_dataset(d: Path) -> Path:
+    for sub in ("images", "masks", "saliency"):
+        (d / sub).mkdir(parents=True)
+    (d / "images" / "simple_0000.ppm").write_bytes(b"P6\n1 1\n255\n\x01\x02\x03")
+    (d / "masks" / "simple_0000.pgm").write_bytes(b"P5\n1 1\n255\n\x01")
+    (d / "saliency" / "simple_0000.pgm").write_bytes(b"P5\n1 1\n255\n\x80")
+    (d / "manifest.jsonl").write_text('{"image":"images/simple_0000.ppm"}\n')
+    return d
+
+
+@pytest.mark.parametrize(
+    "change",
+    [None, "images/simple_0000.ppm", "masks/simple_0000.pgm", "saliency/simple_0000.pgm",
+     "manifest.jsonl"],
+)
+def test_dataset_trees_compare_without_reports(tmp_path, capsys, change):
+    a, b = fake_dataset(tmp_path / "a"), fake_dataset(tmp_path / "b")
+    if change is None:
+        assert compare_runs.main([str(a), str(b)]) == 0
+        assert "identical: 4 files" in capsys.readouterr().out
+    else:
+        (b / change).write_bytes((b / change).read_bytes() + b"\x00")
+        assert compare_runs.main([str(a), str(b)]) == 1
+        assert f"{change}: bytes differ" in capsys.readouterr().out
+
+
+def test_directories_with_nothing_to_compare_differ(tmp_path, capsys):
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    assert compare_runs.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 1
+    assert "no run or dataset files" in capsys.readouterr().out

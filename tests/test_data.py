@@ -75,7 +75,7 @@ class TestGenComplex:
 
 class TestDatasetRoundTrip:
     def test_write_then_read_matches(self, tmp_path):
-        examples = data.build_dataset(6, 3, 2, seed=1)
+        examples = list(data.build_dataset(6, 3, 2, seed=1))
         data.write_dataset(examples, tmp_path)
         manifest = data.read_dataset(tmp_path)
         assert len(manifest) == 11
@@ -166,3 +166,26 @@ class TestDatasetRoundTrip:
 def test_build_dataset_validates_class_count():
     with pytest.raises(ValueError, match="at least 2"):
         data.build_dataset(2, 2, 0, num_classes=1)
+
+
+def test_build_dataset_generates_examples_as_they_are_read():
+    examples = data.build_dataset(3, 1, 1, seed=0)
+    assert iter(examples) is examples  # an iterator, not a list of the corpus
+    assert [ex.name for ex in examples] == [
+        "simple_0000", "simple_0001", "simple_0002", "complex_0000", "eval_0000",
+    ]
+
+
+def test_write_dataset_writes_each_example_as_it_comes(tmp_path):
+    names = []
+
+    def examples():
+        for ex in data.build_dataset(3, 1, 1, seed=0):
+            yield ex
+            # written before the next example is generated
+            assert (tmp_path / "images" / f"{ex.name}.ppm").is_file()
+            names.append(ex.name)
+
+    records = data.write_dataset(examples(), tmp_path)
+    assert [r.image for r in records] == [f"images/{n}.ppm" for n in names]
+    assert records == data.read_dataset(tmp_path).records

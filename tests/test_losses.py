@@ -178,6 +178,20 @@ class TestBatchCeAndGrad:
         num = numeric_grad(lambda z: 2 * batch_ce_and_grad(z, targets)[0], logits.copy())
         assert rel_err(grad, num).max() < 1e-6
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_float32_logits_give_a_float32_gradient_near_float64(self, seed):
+        # the float64 targets are converted to the logits' dtype. Over 300
+        # seeds the worst relative error was 1.3e-7 (loss) and 2.2e-7 (the
+        # gradient, relative to its largest magnitude); the bound leaves 4x
+        rng = np.random.default_rng(seed)
+        logits = rng.normal(scale=3.0, size=(2, 4, 5, 6))
+        targets = np.stack([random_target(rng, 4, 5, 6) for _ in range(2)])
+        loss64, grad64 = batch_ce_and_grad(logits, targets)
+        loss32, grad32 = batch_ce_and_grad(logits.astype(np.float32), targets)
+        assert grad64.dtype == np.float64 and grad32.dtype == np.float32
+        assert abs(loss32 - loss64) <= 1e-6 * loss64
+        assert np.abs(grad32 - grad64).max() <= 1e-6 * np.abs(grad64).max()
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="logits"):
             batch_ce_and_grad(np.zeros((2, 3, 4, 4)), np.zeros((2, 3, 2, 2)))

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import PEAK_RSS_KB, gathered_bilinear_resize, numeric_grad, rel_err
+from helpers import PEAK_RSS_KB, gathered_bilinear_resize, numeric_grad, rel_err, zero_grads
 from stc import network, ops
 from stc.losses import batch_ce_and_grad, one_hot
 from stc.network import (
@@ -338,7 +338,7 @@ class TestBackward:
         target /= target.sum(axis=1, keepdims=True)
         arrays = step_arrays(net, image.shape)
         logits = _forward_cached(net, image, arrays)
-        net.zero_grads()
+        zero_grads(net)
         backward(net, arrays, batch_ce_and_grad(logits, target)[1])
 
         def loss_fn(_):  # numeric_grad perturbs a parameter of `net` in place
@@ -365,7 +365,7 @@ def train_step(ps, x, targets, arrays=None):
     if arrays is None:
         arrays = nan_filled(step_arrays(ps, x.shape))
     logits = _forward_cached(ps, x, arrays)
-    ps.zero_grads()
+    zero_grads(ps)
     backward(ps, arrays, batch_ce_and_grad(logits, targets)[1])
     return logits.copy(), {n: ps[n].grad.copy() for n in ps.names()}
 

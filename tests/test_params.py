@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import zero_grads
 from stc.params import (
     CHECKPOINT_MAGIC,
     ParamSet,
@@ -155,3 +156,13 @@ def test_duplicate_name_rejected():
     ps = make_params(w=[1.0])
     with pytest.raises(ValueError, match="duplicate"):
         ps.add("w", [2.0])
+
+
+def test_zero_grads_is_a_test_helper():
+    # only tests zero gradients outside sgd_step, so ParamSet has no method for it
+    assert not hasattr(ParamSet, "zero_grads")
+    ps = make_params(w=np.ones((2, 3)), b=np.ones(2))
+    for name in ps:
+        ps[name].grad[...] = 2.0
+    zero_grads(ps)
+    assert not any(ps[name].grad.any() for name in ps)

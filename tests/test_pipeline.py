@@ -103,7 +103,7 @@ class TestEvaluate:
 
     def test_perfect_prediction_scores_one(self, tmp_path):
         # gt masks that are all background match the all-background predictor
-        examples = data.build_dataset(1, 0, 0, seed=4)
+        examples = list(data.build_dataset(1, 0, 0, seed=4))
         gt = np.zeros_like(examples[0].gt_mask)
         examples[0] = data.DatasetExample(
             "eval_0000", examples[0].image, frozenset({1}), "eval", gt
@@ -131,7 +131,7 @@ class TestEvaluate:
 
 
     def test_out_of_range_gt_label_names_file_and_label(self, tmp_path):
-        examples = data.build_dataset(0, 0, 2, seed=4)
+        examples = list(data.build_dataset(0, 0, 2, seed=4))
         gt = examples[1].gt_mask.copy()
         gt[0, 0] = 9
         examples[1] = data.DatasetExample(
@@ -146,7 +146,7 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("shape", [(32, 32), (1, 1), (64, 32)])
     def test_gt_mask_of_another_shape_names_file(self, tmp_path, shape):
-        examples = data.build_dataset(0, 0, 2, seed=4)
+        examples = list(data.build_dataset(0, 0, 2, seed=4))
         gt = np.zeros(shape, dtype=np.int64)
         examples[1] = data.DatasetExample(
             examples[1].name, examples[1].image, examples[1].labels, "eval", gt
