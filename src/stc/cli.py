@@ -23,23 +23,14 @@ from .pipeline import PipelineError, TrainConfig
 from .saliency import compute_saliency
 
 _TRAIN_KEYS = {f.name for f in dataclasses.fields(TrainConfig)}
-_RUN_DEFAULTS = {
-    "num_classes": 4,
-    "channels": [16, 32, 64],
-    "include_simple_in_powerful": True,
-    "warm_start": False,
-    "enhance_rounds": 1,
-    "data": None,
-    "out": None,
-}
+_RUN_DEFAULTS = {"num_classes": 4, "data": None, "out": None}
 _RUN_KEYS = _TRAIN_KEYS | set(_RUN_DEFAULTS)
 
 
 def load_run_config(path) -> dict:
-    """Single JSON document holding TrainConfig fields plus the class count,
-    channels, pipeline flags and paths; unknown keys, values of the wrong
-    type and values out of range are rejected. A key's type is that of its
-    default."""
+    """Single JSON document holding TrainConfig fields plus the class count
+    and paths; unknown keys, values of the wrong type and values out of
+    range are rejected. A key's type is that of its default."""
     doc = json.loads(Path(path).read_text())
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: config must be a JSON object")
@@ -52,14 +43,14 @@ def load_run_config(path) -> dict:
         if want:
             raise ValueError(f"{path}: config key {key!r} must be {want}, got {json.dumps(value)}")
     merged.update(doc)
+    if merged["num_classes"] < 1:
+        raise ValueError(
+            f"{path}: config key 'num_classes' must be >= 1, got {merged['num_classes']}"
+        )
     try:
         _train_config_from(merged, None)
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None
-    if merged["enhance_rounds"] < 1:
-        raise ValueError(
-            f"{path}: config key 'enhance_rounds' must be >= 1, got {merged['enhance_rounds']}"
-        )
     return merged
 
 
@@ -83,14 +74,13 @@ def _type_error(value, default) -> str | None:
 
 
 def _default_run_config() -> dict:
-    return {
-        **{f.name: getattr(TrainConfig(), f.name) for f in dataclasses.fields(TrainConfig)},
-        **_RUN_DEFAULTS,
-    }
+    """TrainConfig's defaults and _RUN_DEFAULTS, as JSON holds them."""
+    defaults = dataclasses.asdict(TrainConfig())
+    return {**defaults, "channels": list(defaults["channels"]), **_RUN_DEFAULTS}
 
 
 def _train_config_from(cfg: dict, seed_override: int | None) -> TrainConfig:
-    kwargs = {k: cfg[k] for k in _TRAIN_KEYS}
+    kwargs = {**{k: cfg[k] for k in _TRAIN_KEYS}, "channels": tuple(cfg["channels"])}
     if seed_override is not None:
         kwargs["seed"] = seed_override
     return TrainConfig(**kwargs)
@@ -229,29 +219,19 @@ def _run_config(args) -> dict:
 
 
 def _prepare(args, cfg: dict):
-    """The dataset's simple/complex/eval splits, the output directory
-    (created) and the TrainConfig of `run` and `stage` under run config cfg."""
+    """The dataset's simple/complex/eval splits and the output directory
+    (created) of `run` and `stage` under run config cfg."""
     manifest = data.read_dataset(_resolve_path(args.data, cfg, "data"))
     out = Path(_resolve_path(args.out, cfg, "out"))
     out.mkdir(parents=True, exist_ok=True)
-    splits = [manifest.split(s) for s in ("simple", "complex", "eval")]
-    return splits, out, _train_config_from(cfg, args.seed)
-
-
-def _pipeline_flags(cfg: dict) -> dict:
-    return {
-        "num_classes": cfg["num_classes"],
-        "channels": tuple(cfg["channels"]),
-        "include_simple_in_powerful": cfg["include_simple_in_powerful"],
-        "warm_start": cfg["warm_start"],
-        "enhance_rounds": cfg["enhance_rounds"],
-    }
+    return [manifest.split(s) for s in ("simple", "complex", "eval")], out
 
 
 def cmd_run(args) -> int:
     cfg = _run_config(args)
-    splits, out, config = _prepare(args, cfg)
-    nets, reports = pipeline.run_stc(*splits, config, **_pipeline_flags(cfg), out_dir=out)
+    config = _train_config_from(cfg, args.seed)
+    splits, out = _prepare(args, cfg)
+    nets, reports = pipeline.run_stc(*splits, config, num_classes=cfg["num_classes"], out_dir=out)
     for stage in pipeline.STAGES:
         _write_checkpoint(out, stage, nets[stage], config.seed)
     pipeline.write_report_json(reports, out / "report.json", config.seed)
@@ -268,21 +248,22 @@ def cmd_stage(args) -> int:
         raise ValueError(f"stage {args.stage!r} needs --params from the previous stage")
     prior = _load_network(args.params) if args.params else None
     cfg = _run_config(args)
+    config = _train_config_from(cfg, args.seed)
     if prior is not None and num_classes_of(prior) != cfg["num_classes"]:
         raise ValueError(
             f"{args.params}: checkpoint has num_classes {num_classes_of(prior)}, "
             f"the run config has num_classes {cfg['num_classes']}"
         )
-    if prior is not None and cfg["warm_start"]:
+    if prior is not None and config.warm_start:
         channels = _architecture(prior)["channels"]
-        if channels != cfg["channels"]:
+        if tuple(channels) != config.channels:
             raise ValueError(
                 f"{args.params}: checkpoint has channels {channels}, the run config "
-                f"has channels {cfg['channels']}, and warm_start trains the checkpoint"
+                f"has channels {list(config.channels)}, and warm_start trains the checkpoint"
             )
-    splits, out, config = _prepare(args, cfg)
+    splits, out = _prepare(args, cfg)
     net, r = pipeline.run_stage(
-        args.stage, prior, *splits, config, **_pipeline_flags(cfg), out_dir=out
+        args.stage, prior, *splits, config, num_classes=cfg["num_classes"], out_dir=out
     )
     ckpt = _write_checkpoint(out, args.stage, net, config.seed)
     print(f"{r.stage}: miou {r.miou:.4f} ({r.seconds:.1f}s)")

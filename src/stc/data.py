@@ -22,7 +22,6 @@ from .imageio import (
     read_pgm,
     read_ppm,
     read_ppm_bytes,
-    read_saliency_pgm,
     write_atomic,
     write_pgm,
     write_ppm,
@@ -303,9 +302,10 @@ class DatasetManifest:
         return read_ppm_bytes(self.root / record.image)
 
     def load_saliency(self, record: DatasetRecord) -> np.ndarray:
+        """(H, W) uint8, as stored; a byte v encodes saliency v/255."""
         if record.saliency is None:
             raise ValueError(f"record {record.image!r} has no saliency file")
-        return read_saliency_pgm(self.root / record.saliency)
+        return read_pgm(self.root / record.saliency)
 
     def load_gt_mask(self, record: DatasetRecord) -> np.ndarray:
         if record.gt_mask is None:

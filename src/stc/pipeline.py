@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import DatasetManifest, DatasetRecord
-from .imageio import quantize01, write_atomic, write_pgm
+from .imageio import _to_bytes01, write_atomic, write_pgm
 from .losses import batch_ce_and_grad, build_simple_target, downsample_mask_nearest, one_hot
 from .network import (
     NetworkConfig,
@@ -43,6 +43,8 @@ SUPERVISION_MASKS = "mask_files"
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """The settings of a run: SGD, crops, the net's width and the pipeline flags."""
+
     batch_size: int = 8
     initial_lr: float = 0.001
     final_layer_lr_multiplier: float = 10.0
@@ -53,12 +55,16 @@ class TrainConfig:
     epochs: int = 15
     crop_size: int = 48
     seed: int = 0
+    channels: tuple[int, ...] = NetworkConfig.channels
+    include_simple_in_powerful: bool = True
+    warm_start: bool = False
+    enhance_rounds: int = 1
 
     def __post_init__(self):
         """Range checks; each error names its config key."""
         for key in (
             "batch_size", "initial_lr", "final_layer_lr_multiplier", "lr_decay_factor",
-            "lr_decay_every_epochs", "crop_size",
+            "lr_decay_every_epochs", "crop_size", "enhance_rounds",
         ):
             if getattr(self, key) <= 0:
                 raise ValueError(f"config key {key!r} must be positive, got {getattr(self, key)}")
@@ -68,6 +74,10 @@ class TrainConfig:
         if self.crop_size % 4:
             raise ValueError(
                 f"config key 'crop_size' must be divisible by 4, got {self.crop_size}"
+            )
+        if not self.channels or min(self.channels) < 1:
+            raise ValueError(
+                f"config key 'channels' must be non-empty and positive, got {self.channels}"
             )
 
 
@@ -92,24 +102,17 @@ def _derive_seed(root_seed: int, salt: int) -> int:
     return int(np.random.SeedSequence([root_seed, salt]).generate_state(1)[0])
 
 
-def train_stage(
-    params: ParamSet,
-    dataset,
-    supervision: str,
-    targets,
-    config: TrainConfig,
-    *,
-    num_classes: int,
-):
+def train_stage(params: ParamSet, dataset, supervision: str, targets, config: TrainConfig):
     """SGD over random crops of `dataset` (a sequence of (manifest, record)
-    pairs). `targets` is aligned with the dataset: full-resolution saliency
-    maps for SUPERVISION_SALIENCY, integer masks for SUPERVISION_MASKS.
-    Returns (params, per-epoch mean losses); params are updated in place.
-    The images stay uint8 as decoded; each step divides its crops by 255
-    into the batch. Every step writes into one set of `step_arrays`,
-    allocated at full batch size and dropped on return. Each step's forward
-    and backward split the batch into up to `worker_count()` row ranges; the
-    result is bit-identical for any worker count.
+    pairs) for the head's classes. `targets` is aligned with the dataset:
+    full-resolution uint8 saliency maps for SUPERVISION_SALIENCY, integer
+    masks for SUPERVISION_MASKS. Returns (params, per-epoch mean losses);
+    params are updated in place. Images and saliency maps stay uint8 as
+    decoded; each step divides its crops by 255. Every step writes into one
+    set of `step_arrays`, allocated at full batch size and dropped on
+    return. Each step's forward and backward split the batch into up to
+    `worker_count()` row ranges; the result is bit-identical for any worker
+    count.
     """
     dataset = list(dataset)
     targets = list(targets)
@@ -118,15 +121,18 @@ def train_stage(
     if len(targets) != len(dataset):
         raise ValueError(f"{len(targets)} targets for {len(dataset)} records")
     if supervision == SUPERVISION_SALIENCY:
-        for _, rec in dataset:
+        for (_, rec), target in zip(dataset, targets):
             if len(rec.labels) != 1:
                 raise ValueError(
                     f"saliency supervision needs single-label records, "
                     f"got {sorted(rec.labels)} for {rec.image!r}"
                 )
+            if np.asarray(target).dtype != np.uint8:
+                raise ValueError(f"saliency target of {rec.image!r} is not uint8 bytes")
     if config.epochs == 0 or not dataset:
         return params, []
 
+    classes = num_classes_of(params)
     images = [m.load_image_bytes(r).transpose(2, 0, 1) for m, r in dataset]
     class_ids = [min(r.labels) for _, r in dataset]
     crop = config.crop_size
@@ -160,10 +166,10 @@ def train_stage(
                 np.divide(crop_bytes, 255.0, out=arrays["images"][j])
                 window = targets[i][oy : oy + crop, ox : ox + crop]
                 if supervision == SUPERVISION_SALIENCY:
-                    tgts.append(build_simple_target(window, class_ids[i], th, tw, num_classes))
+                    tgts.append(build_simple_target(window / 255, class_ids[i], th, tw, classes))
                 else:
                     m = downsample_mask_nearest(window, th, tw)
-                    tgts.append(one_hot(m, num_classes))
+                    tgts.append(one_hot(m, classes))
             logits = _forward_cached(params, arrays["images"], arrays)
             loss, grad = batch_ce_and_grad(logits, np.stack(tgts))
             if not np.isfinite(loss):
@@ -242,12 +248,17 @@ def _pairs(manifest: DatasetManifest):
     return [(manifest, rec) for rec in manifest.records]
 
 
-def _saliency_for(manifest: DatasetManifest, rec: DatasetRecord) -> np.ndarray:
-    """Stored map if present, else computed and snapped to the 8-bit grid so
-    both paths yield identical values."""
+def _saliency_bytes(manifest: DatasetManifest, rec: DatasetRecord) -> np.ndarray:
+    """(H, W) uint8 saliency: the stored map as read, else the computed map
+    in the bytes `stc saliency` would store, so both paths agree."""
     if rec.saliency is not None:
         return manifest.load_saliency(rec)
-    return quantize01(compute_saliency(manifest.load_image(rec)))
+    return _to_bytes01(compute_saliency(manifest.load_image(rec)))
+
+
+def _saliency_for(manifest: DatasetManifest, rec: DatasetRecord) -> np.ndarray:
+    """`_saliency_bytes` as floats in [0, 1], on the 8-bit grid k/255."""
+    return _saliency_bytes(manifest, rec) / 255.0
 
 
 def _write_masks(out_dir, stage_dir: str, dataset, masks) -> None:
@@ -263,27 +274,32 @@ def _write_masks(out_dir, stage_dir: str, dataset, masks) -> None:
 _SALTS = {"initial": (1, 11), "enhanced": (2, 12), "powerful": (3, 13)}
 
 
-def _stage_data(name: str, net, simple, complex_, include_simple_in_powerful: bool):
-    """(dataset, supervision, targets) a stage trains on: saliency maps of
-    the simple images for 'initial', else `net`'s label-restricted
-    pseudo-masks of the simple ('enhanced') or complex ('powerful') images;
-    the powerful stage adds the simple ones when asked."""
+def _trained_on(name: str, simple, complex_, config: TrainConfig):
+    """The (manifest, record) pairs stage `name` trains on: the simple
+    images, or for 'powerful' the complex ones, followed by the simple ones
+    with `include_simple_in_powerful`."""
+    if name != "powerful":
+        return simple
+    return complex_ + simple if config.include_simple_in_powerful else complex_
+
+
+def _stage_targets(name: str, net, simple, complex_, config: TrainConfig):
+    """The targets of the images `_trained_on` gives, in its order: saliency
+    bytes for 'initial', else `net`'s label-restricted pseudo-masks."""
     if name == "initial":
-        return simple, SUPERVISION_SALIENCY, _parallel_map(lambda p: _saliency_for(*p), simple)
+        return _parallel_map(lambda p: _saliency_bytes(*p), simple)
 
     def simple_mask(p):
         return relabel_simple(net, p[0].load_image(p[1]), min(p[1].labels))
 
     if name == "enhanced":
-        return simple, SUPERVISION_MASKS, _parallel_map(simple_mask, simple)
-    dataset = list(complex_)
+        return _parallel_map(simple_mask, simple)
     masks = _parallel_map(
         lambda p: relabel_complex(net, p[0].load_image(p[1]), p[1].labels), complex_
     )
-    if include_simple_in_powerful:
-        dataset += simple
+    if config.include_simple_in_powerful:
         masks += _parallel_map(simple_mask, simple)
-    return dataset, SUPERVISION_MASKS, masks
+    return masks
 
 
 def run_stage(
@@ -295,21 +311,17 @@ def run_stage(
     config: TrainConfig,
     *,
     num_classes: int,
-    channels: tuple[int, ...] = (16, 32, 64),
-    include_simple_in_powerful: bool = True,
-    warm_start: bool = False,
-    enhance_rounds: int = 1,
     out_dir=None,
 ):
     """Runs one stage; returns (net, StageReport).
 
-    'initial' trains a new net on saliency targets and takes no prior. The
-    later stages relabel their images with `prior`, the previous stage's
-    net, and train a new net (a copy of `prior` with `warm_start`). The
-    enhanced stage does this `enhance_rounds` times, each round relabeling
-    with the net the round before trained. The prior's masks go to
-    masks_<previous stage>/ under out_dir when given. The net is then
-    evaluated on `eval_manifest`.
+    'initial' trains a new net of `config.channels` on saliency targets and
+    takes no prior. The later stages relabel their images with `prior`, the
+    previous stage's net, and train a new net (a copy of `prior` with
+    `config.warm_start`). The enhanced stage does this `config.enhance_rounds`
+    times, each round relabeling with the net the round before trained. The
+    prior's masks go to masks_<previous stage>/ under out_dir when given. The
+    net is then evaluated on `eval_manifest`.
     """
     if not eval_manifest.records:
         raise ValueError(f"no eval records in {eval_manifest.root}: every stage is evaluated")
@@ -320,30 +332,34 @@ def run_stage(
                     f"{m.root / 'manifest.jsonl'}: record {rec.image!r} has labels "
                     f"{sorted(rec.labels)}, outside 1..{num_classes}"
                 )
-    if enhance_rounds < 1:
-        raise ValueError(f"enhance_rounds must be >= 1, got {enhance_rounds}")
-    init_salt, train_salt = _SALTS[name]
     simple = _pairs(simple_manifest)
     complex_ = _pairs(complex_manifest)
+    dataset = _trained_on(name, simple, complex_, config)
+    for m, rec in dataset:
+        h, w = m.load_image_bytes(rec).shape[:2]
+        if min(h, w) < config.crop_size:
+            raise ValueError(
+                f"{m.root / rec.image}: image is {h}x{w}, smaller than config key "
+                f"'crop_size' {config.crop_size}"
+            )
+    supervision = SUPERVISION_SALIENCY if name == "initial" else SUPERVISION_MASKS
+    init_salt, train_salt = _SALTS[name]
     t0 = time.perf_counter()
     try:
         net = prior
-        for rnd in range(enhance_rounds if name == "enhanced" else 1):
-            dataset, supervision, targets = _stage_data(
-                name, net, simple, complex_, include_simple_in_powerful
-            )
+        for rnd in range(config.enhance_rounds if name == "enhanced" else 1):
+            targets = _stage_targets(name, net, simple, complex_, config)
             if rnd == 0 and name != "initial":
                 prev = STAGES[STAGES.index(name) - 1]
                 _write_masks(out_dir, f"masks_{prev}", dataset, targets)
-            if warm_start and name != "initial":
+            if config.warm_start and name != "initial":
                 net = net.copy()
             else:
                 seed = _derive_seed(config.seed, init_salt + 100 * rnd)
-                net = init_network(NetworkConfig(num_classes, tuple(channels), seed=seed))
+                net = init_network(NetworkConfig(num_classes, config.channels, seed=seed))
             _, losses = train_stage(
                 net, dataset, supervision, targets,
                 replace(config, seed=_derive_seed(config.seed, train_salt + 100 * rnd)),
-                num_classes=num_classes,
             )
         per_iou, miou = evaluate(net, eval_manifest)
     except Exception as e:
@@ -358,14 +374,10 @@ def run_stc(
     config: TrainConfig,
     *,
     num_classes: int | None = None,
-    channels: tuple[int, ...] = (16, 32, 64),
-    include_simple_in_powerful: bool = True,
-    warm_start: bool = False,
-    enhance_rounds: int = 1,
     out_dir=None,
 ):
-    """Runs all three stages, each on the net the one before trained;
-    returns ({stage: ParamSet}, [StageReport]).
+    """Runs all three stages, each on the net the one before trained, with
+    the settings `config` holds; returns ({stage: ParamSet}, [StageReport]).
 
     Pseudo-mask directories masks_initial/ and masks_enhanced/ are written
     under out_dir when given. Training never reads ground-truth masks.
@@ -384,12 +396,7 @@ def run_stc(
     for name in STAGES:
         net, report = run_stage(
             name, net, simple_manifest, complex_manifest, eval_manifest, config,
-            num_classes=num_classes,
-            channels=channels,
-            include_simple_in_powerful=include_simple_in_powerful,
-            warm_start=warm_start,
-            enhance_rounds=enhance_rounds,
-            out_dir=out_dir,
+            num_classes=num_classes, out_dir=out_dir,
         )
         nets[name] = net
         reports.append(report)

@@ -214,8 +214,7 @@ def test_criterion_7_weak_supervision_audit(tmp_path):
         audited_simple,
         audited_complex,
         manifest.split("eval"),
-        TrainConfig(epochs=2, batch_size=4, seed=5),
-        channels=(6, 8, 10),
+        TrainConfig(epochs=2, batch_size=4, seed=5, channels=(6, 8, 10)),
     )
     assert gt_reads["count"] == 0
     report("criterion 7: zero ground-truth mask reads during all three training stages")

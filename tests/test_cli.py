@@ -478,6 +478,7 @@ class TestStageCommand:
         ("weight_decay", -0.5),
         ("epochs", -1),
         ("enhance_rounds", 0),
+        ("num_classes", 0),
     ],
 )
 def test_config_value_out_of_range_rejected_naming_file_and_key_before_any_stage_work(
@@ -497,6 +498,35 @@ def test_config_value_out_of_range_rejected_naming_file_and_key_before_any_stage
     err = capsys.readouterr().err
     assert f"{cfg}: config key {key!r}" in err, err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, split",
+    [
+        (["run"], "simple"),
+        (["stage", "--stage", "initial"], "simple"),
+        (["stage", "--stage", "powerful", "--params"], "complex"),
+    ],
+    ids=["run", "stage-initial", "stage-powerful"],
+)
+def test_crop_size_above_a_training_image_rejected_before_saliency_or_relabel(
+    dataset_dir, tmp_path, capsys, monkeypatch, argv, split
+):
+    def no_stage_work(*args, **kwargs):
+        raise AssertionError("stage work ran although crop_size exceeds the images")
+
+    for fn in ("compute_saliency", "relabel_simple", "relabel_complex", "train_stage"):
+        monkeypatch.setattr(pipeline, fn, no_stage_work)
+    if argv[-1] == "--params":
+        argv = argv + [str(tmp_path / "prior.stcp")]
+        save_params(init_network(NetworkConfig(4, channels=(6, 8, 10), seed=0)), argv[-1])
+    cfg = tmp_path / "crop.json"
+    cfg.write_text(json.dumps({**TINY_CONFIG, "crop_size": 68}))
+    argv += ["--data", str(dataset_dir), "--out", str(tmp_path / "out"), "--config", str(cfg)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    first = data.read_dataset(dataset_dir).split(split).records[0].image
+    assert f"{first}: image is 64x64" in err and "'crop_size' 68" in err, err
 
 
 @pytest.mark.parametrize("command", ["run", "stage"])

@@ -5,16 +5,18 @@ the tracer as it is and check that the names still resolve and that
 tracing leaves the program's results and bindings as they were."""
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from stc import imageio, network, pipeline, pseudolabel
+from stc import cli, imageio, network, pipeline, pseudolabel
 from stc.network import NetworkConfig, init_network
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SPANS = PERFBENCH / "spans.py"
 
 
 @pytest.fixture(scope="module")
@@ -92,3 +94,33 @@ def test_tracer_spans_the_image_writers_with_their_file_sizes(spans, tmp_path):
         assert metrics[f"imageio.{fn}.calls"] == 1
         assert metrics[f"imageio.{fn}.bytes"] == (tmp_path / name).stat().st_size > 0
     assert sorted(p.name for p in tmp_path.iterdir()) == ["image.ppm", "mask.pgm"]
+
+
+# the run-config keys as of the benchmark's workloads; dropping or renaming
+# one changes what `stc run --config` accepts
+RUN_CONFIG_KEYS = [
+    "batch_size", "channels", "crop_size", "data", "enhance_rounds", "epochs",
+    "final_layer_lr_multiplier", "include_simple_in_powerful", "initial_lr",
+    "lr_decay_every_epochs", "lr_decay_factor", "momentum", "num_classes", "out",
+    "seed", "warm_start", "weight_decay",
+]
+
+
+def test_run_config_keys_are_pinned():
+    assert sorted(cli._default_run_config()) == RUN_CONFIG_KEYS
+
+
+def test_every_workload_run_config_loads(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads_under_test", PERFBENCH / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    configs = [w.run_config for w in workloads.WORKLOADS.values() if w.run_config is not None]
+    assert configs
+    for i, run_config in enumerate(configs):
+        path = tmp_path / f"config{i}.json"
+        path.write_text(json.dumps(run_config))
+        loaded = cli.load_run_config(path)
+        assert {k: loaded[k] for k in run_config} == run_config

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from helpers import PEAK_RSS_KB, brute_force_iou
 from stc import data, network, ops
 from stc import pipeline
-from stc.imageio import read_pgm
+from stc.imageio import read_pgm, write_saliency_pgm
 from stc.network import NetworkConfig, init_network
 from stc.pipeline import (
     SUPERVISION_MASKS,
@@ -29,12 +30,13 @@ from stc.pipeline import (
     write_report_csv,
     write_report_json,
 )
-from stc.pipeline import _saliency_for
+from stc.pipeline import _saliency_bytes, _saliency_for
 from stc.pseudolabel import relabel_simple
+from stc.saliency import compute_saliency
 
 
-TINY = TrainConfig(batch_size=4, epochs=2, crop_size=48, seed=5)
 TINY_CHANNELS = (6, 8, 10)
+TINY = TrainConfig(batch_size=4, epochs=2, crop_size=48, seed=5, channels=TINY_CHANNELS)
 
 
 @pytest.fixture(scope="module")
@@ -159,15 +161,44 @@ class TestEvaluate:
             evaluate(net, manifest.split("eval"))
 
 
+@pytest.mark.parametrize(
+    "key, value", [("enhance_rounds", 0), ("channels", ()), ("channels", (8, 0))]
+)
+def test_train_config_out_of_range_error_names_the_key(key, value):
+    with pytest.raises(ValueError, match=f"config key {key!r}"):
+        TrainConfig(**{key: value})
+
+
+def test_train_config_channels_default_is_the_networks():
+    assert TrainConfig().channels == NetworkConfig(1).channels
+
+
+def test_saliency_bytes_stored_and_computed_agree_and_saliency_for_divides_them(tmp_path):
+    data.write_dataset(data.build_dataset(3, 0, 0, seed=4), tmp_path)
+    computed = data.read_dataset(tmp_path)
+    (tmp_path / "saliency").mkdir()
+    stored = []
+    for rec in computed.records:
+        rel = f"saliency/{Path(rec.image).stem}.pgm"
+        write_saliency_pgm(tmp_path / rel, compute_saliency(computed.load_image(rec)))
+        stored.append(replace(rec, saliency=rel))
+    stored = data.DatasetManifest(tmp_path, stored)
+    for rec, stored_rec in zip(computed.records, stored.records):
+        got = _saliency_bytes(computed, rec)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, _saliency_bytes(stored, stored_rec))
+        assert np.array_equal(_saliency_for(computed, rec), got / 255.0)
+
+
 class TestTrainStage:
     def test_zero_epochs_returns_params_unchanged(self, corpus):
         net = init_network(NetworkConfig(4, channels=TINY_CHANNELS, seed=1))
         before = {n: net[n].value.copy() for n in net.names()}
         pairs = simple_pairs(corpus)
-        maps = [_saliency_for(corpus, r) for _, r in pairs]
+        maps = [_saliency_bytes(corpus, r) for _, r in pairs]
         _, losses = train_stage(
             net, pairs, SUPERVISION_SALIENCY, maps,
-            TrainConfig(epochs=0, seed=1), num_classes=4,
+            TrainConfig(epochs=0, seed=1),
         )
         assert losses == []
         for n in net.names():
@@ -175,12 +206,12 @@ class TestTrainStage:
 
     def test_fixed_seed_bit_identical_trajectory(self, corpus):
         pairs = simple_pairs(corpus)
-        maps = [_saliency_for(corpus, r) for _, r in pairs]
+        maps = [_saliency_bytes(corpus, r) for _, r in pairs]
         runs = []
         for _ in range(2):
             net = init_network(NetworkConfig(4, channels=TINY_CHANNELS, seed=1))
             _, losses = train_stage(
-                net, pairs, SUPERVISION_SALIENCY, maps, TINY, num_classes=4
+                net, pairs, SUPERVISION_SALIENCY, maps, TINY
             )
             runs.append((losses, {n: net[n].value.copy() for n in net.names()}))
         assert runs[0][0] == runs[1][0]
@@ -191,12 +222,12 @@ class TestTrainStage:
         # 8 records at batch 3: every epoch ends with a batch of 2, which
         # trains on leading rows of the full-size step arrays
         pairs = simple_pairs(corpus)
-        maps = [_saliency_for(corpus, r) for _, r in pairs]
+        maps = [_saliency_bytes(corpus, r) for _, r in pairs]
         config = TrainConfig(batch_size=3, epochs=2, crop_size=48, seed=5)
 
         def run():
             net = init_network(NetworkConfig(4, channels=TINY_CHANNELS, seed=1))
-            _, losses = train_stage(net, pairs, SUPERVISION_SALIENCY, maps, config, num_classes=4)
+            _, losses = train_stage(net, pairs, SUPERVISION_SALIENCY, maps, config)
             return losses, {n: net[n].value.copy() for n in net.names()}
 
         shared = [run(), run()]
@@ -223,15 +254,15 @@ class TestTrainStage:
     ):
         # one step over `records` images, so 1 and 2 images meet more workers
         pairs = simple_pairs(corpus)[:records]
-        maps = [_saliency_for(corpus, r) for _, r in pairs]
+        maps = [_saliency_bytes(corpus, r) for _, r in pairs]
         if supervision == SUPERVISION_MASKS:
-            maps = [np.where(m > 0.5, min(r.labels), 0) for m, (_, r) in zip(maps, pairs)]
+            maps = [np.where(m > 127, min(r.labels), 0) for m, (_, r) in zip(maps, pairs)]
         config = TrainConfig(batch_size=8, epochs=1, crop_size=48, seed=5)
         runs = []
         for threads in ("1", "2", "3"):
             monkeypatch.setenv("STC_THREADS", threads)
             net = init_network(NetworkConfig(4, channels=TINY_CHANNELS, seed=1))
-            _, losses = train_stage(net, pairs, supervision, maps, config, num_classes=4)
+            _, losses = train_stage(net, pairs, supervision, maps, config)
             runs.append((losses, {n: (p.value.copy(), p.velocity.copy()) for n, p in net.items()}))
         for losses, state in runs[1:]:
             assert losses == runs[0][0]
@@ -247,7 +278,7 @@ class TestTrainStage:
         if fails:
             net["head.weight"].value[...] = 1e308  # non-finite loss at step 0
         pairs = simple_pairs(corpus)
-        maps = [_saliency_for(corpus, r) for _, r in pairs]
+        maps = [_saliency_bytes(corpus, r) for _, r in pairs]
         during = []
         caller = threading.get_ident()
 
@@ -262,9 +293,9 @@ class TestTrainStage:
         before = threading.active_count()
         if fails:
             with pytest.raises(ValueError, match="step 0"):
-                train_stage(net, pairs, SUPERVISION_SALIENCY, maps, TINY, num_classes=4)
+                train_stage(net, pairs, SUPERVISION_SALIENCY, maps, TINY)
         else:
-            train_stage(net, pairs, SUPERVISION_SALIENCY, maps, TINY, num_classes=4)
+            train_stage(net, pairs, SUPERVISION_SALIENCY, maps, TINY)
         assert max(during) == before + 2  # two helper threads ran
         assert threading.active_count() == before
 
@@ -278,14 +309,14 @@ class TestTrainStage:
         code = PEAK_RSS_KB + f"""
 from stc import data
 from stc.network import NetworkConfig, init_network
-from stc.pipeline import SUPERVISION_SALIENCY, TrainConfig, _saliency_for, train_stage
+from stc.pipeline import SUPERVISION_SALIENCY, TrainConfig, _saliency_bytes, train_stage
 m = data.read_dataset({str(tmp_path)!r})
 pairs = [(m, r) for r in m.records]
-maps = [_saliency_for(m, r) for _, r in pairs]
+maps = [_saliency_bytes(m, r) for _, r in pairs]
 net = init_network(NetworkConfig(4, seed=1))
 config = TrainConfig(epochs=1, crop_size=96, seed=2)
 before = peak_rss_kb()
-train_stage(net, pairs, SUPERVISION_SALIENCY, maps, config, num_classes=4)
+train_stage(net, pairs, SUPERVISION_SALIENCY, maps, config)
 print((peak_rss_kb() - before) // 1024)
 """
         src = str(Path(network.__file__).parents[1])
@@ -300,8 +331,8 @@ print((peak_rss_kb() - before) // 1024)
         net = init_network(NetworkConfig(4, channels=TINY_CHANNELS, seed=1))
         before = {n: net[n].value.copy() for n in net.names()}
         pairs = simple_pairs(corpus)
-        maps = [_saliency_for(corpus, r) for _, r in pairs]
-        train_stage(net, pairs, SUPERVISION_SALIENCY, maps, TINY, num_classes=4)
+        maps = [_saliency_bytes(corpus, r) for _, r in pairs]
+        train_stage(net, pairs, SUPERVISION_SALIENCY, maps, TINY)
         assert any(not np.array_equal(net[n].value, before[n]) for n in net.names())
 
     def test_loss_decreases_early_on_small_corpus(self, tmp_path):
@@ -309,13 +340,13 @@ print((peak_rss_kb() - before) // 1024)
         data.write_dataset(data.build_dataset(20, 0, 0, seed=31), tmp_path)
         manifest = data.read_dataset(tmp_path)
         pairs = [(manifest, r) for r in manifest.records]
-        maps = [_saliency_for(manifest, r) for _, r in pairs]
+        maps = [_saliency_bytes(manifest, r) for _, r in pairs]
         wins = 0
         for seed in range(10):
             net = init_network(NetworkConfig(4, seed=seed))
             _, losses = train_stage(
                 net, pairs, SUPERVISION_SALIENCY, maps,
-                TrainConfig(epochs=5, seed=seed), num_classes=4,
+                TrainConfig(epochs=5, seed=seed),
             )
             wins += losses[-1] <= losses[0]
         assert wins >= 9
@@ -327,36 +358,62 @@ print((peak_rss_kb() - before) // 1024)
         with pytest.raises(ValueError, match="single-label"):
             train_stage(
                 net, pairs, SUPERVISION_SALIENCY,
-                [np.zeros((64, 64))] * len(pairs), TINY, num_classes=4,
+                [np.zeros((64, 64), np.uint8)] * len(pairs), TINY,
             )
+
+    def test_float_saliency_target_rejected_naming_the_record(self, corpus):
+        net = init_network(NetworkConfig(4, channels=TINY_CHANNELS, seed=1))
+        pairs = simple_pairs(corpus)
+        maps = [_saliency_bytes(corpus, r) for _, r in pairs]
+        maps[1] = maps[1] / 255.0
+        with pytest.raises(ValueError, match=rf"{re.escape(repr(pairs[1][1].image))}.*uint8"):
+            train_stage(net, pairs, SUPERVISION_SALIENCY, maps, TINY)
+
+    @pytest.mark.parametrize("supervision", [SUPERVISION_SALIENCY, SUPERVISION_MASKS])
+    def test_targets_have_the_heads_class_count(self, corpus, monkeypatch, supervision):
+        pairs = [p for p in simple_pairs(corpus) if min(p[1].labels) <= 2]
+        maps = [_saliency_bytes(corpus, r) for _, r in pairs]
+        if supervision == SUPERVISION_MASKS:
+            maps = [np.where(m > 127, min(r.labels), 0) for m, (_, r) in zip(maps, pairs)]
+        shapes = []
+        loss = pipeline.batch_ce_and_grad
+
+        def recording_loss(logits, targets):
+            shapes.append(targets.shape)
+            return loss(logits, targets)
+
+        monkeypatch.setattr(pipeline, "batch_ce_and_grad", recording_loss)
+        net = init_network(NetworkConfig(2, channels=TINY_CHANNELS, seed=1))
+        train_stage(net, pairs, supervision, maps, replace(TINY, epochs=1))
+        assert shapes and all(shape[1:] == (3, 12, 12) for shape in shapes), shapes
 
     def test_unknown_supervision_rejected(self, corpus):
         net = init_network(NetworkConfig(4, channels=TINY_CHANNELS, seed=1))
         with pytest.raises(ValueError, match="supervision"):
-            train_stage(net, simple_pairs(corpus), "nonsense", [], TINY, num_classes=4)
+            train_stage(net, simple_pairs(corpus), "nonsense", [], TINY)
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_nonfinite_loss_names_step(self, corpus):
         net = init_network(NetworkConfig(4, channels=TINY_CHANNELS, seed=1))
         net["head.weight"].value[...] = 1e308  # force overflow in the loss
         pairs = simple_pairs(corpus)
-        maps = [_saliency_for(corpus, r) for _, r in pairs]
+        maps = [_saliency_bytes(corpus, r) for _, r in pairs]
         with pytest.raises(ValueError, match="step 0"):
-            train_stage(net, pairs, SUPERVISION_SALIENCY, maps, TINY, num_classes=4)
+            train_stage(net, pairs, SUPERVISION_SALIENCY, maps, TINY)
 
     def test_crop_size_validation(self, corpus):
         net = init_network(NetworkConfig(4, channels=TINY_CHANNELS, seed=1))
         pairs = simple_pairs(corpus)
-        maps = [_saliency_for(corpus, r) for _, r in pairs]
+        maps = [_saliency_bytes(corpus, r) for _, r in pairs]
         with pytest.raises(ValueError, match="divisible by 4"):
             train_stage(
                 net, pairs, SUPERVISION_SALIENCY, maps,
-                TrainConfig(crop_size=42), num_classes=4,
+                TrainConfig(crop_size=42),
             )
         with pytest.raises(ValueError, match="exceeds"):
             train_stage(
                 net, pairs, SUPERVISION_SALIENCY, maps,
-                TrainConfig(crop_size=128), num_classes=4,
+                TrainConfig(crop_size=128),
             )
 
 
@@ -365,7 +422,7 @@ def result(corpus, tmp_path_factory):
     out = tmp_path_factory.mktemp("out")
     nets, reports = run_stc(
         corpus.split("simple"), corpus.split("complex"), corpus.split("eval"),
-        TINY, channels=TINY_CHANNELS, out_dir=out,
+        TINY, out_dir=out,
     )
     return nets, reports, out
 
@@ -400,7 +457,7 @@ class TestRunStc:
         simple = corpus.split("simple")
         nets, _ = run_stc(
             simple, corpus.split("complex"), corpus.split("eval"),
-            TINY, channels=TINY_CHANNELS, enhance_rounds=2, out_dir=tmp_path,
+            replace(TINY, enhance_rounds=2), out_dir=tmp_path,
         )
         for rec in simple.records:
             expected = relabel_simple(nets["initial"], simple.load_image(rec), min(rec.labels))
@@ -446,8 +503,7 @@ class TestWeakSupervisionAudit:
             corpus.root, corpus.split("complex").records
         )
         run_stc(
-            audited_simple, audited_complex, corpus.split("eval"),
-            TINY, channels=TINY_CHANNELS,
+            audited_simple, audited_complex, corpus.split("eval"), TINY,
         )
         assert reads["train"] == 0
 
@@ -465,7 +521,7 @@ def test_relabel_masks_and_eval_confusion_identical_for_any_stc_threads(corpus, 
     for threads in ("1", "2", "3"):
         monkeypatch.setenv("STC_THREADS", threads)
         masks = [
-            pipeline._stage_data(stage, net, simple, complex_, True)[2]
+            pipeline._stage_targets(stage, net, simple, complex_, TINY)
             for stage in ("enhanced", "powerful")
         ]
         runs.append((masks, evaluate(net, corpus.split("eval"))))

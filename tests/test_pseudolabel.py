@@ -139,18 +139,16 @@ def test_trained_pseudo_masks_beat_thresholded_saliency(tmp_path):
     from stc.pipeline import (
         SUPERVISION_SALIENCY,
         TrainConfig,
-        _saliency_for,
+        _saliency_bytes,
         train_stage,
     )
 
     data.write_dataset(data.build_dataset(200, 0, 0, seed=77), tmp_path)
     manifest = data.read_dataset(tmp_path)
     pairs = [(manifest, r) for r in manifest.records]
-    maps = [_saliency_for(manifest, r) for _, r in pairs]
+    maps = [_saliency_bytes(manifest, r) for _, r in pairs]
     trained = init_network(NetworkConfig(4, seed=40))
-    train_stage(
-        trained, pairs, SUPERVISION_SALIENCY, maps, TrainConfig(seed=41), num_classes=4
-    )
+    train_stage(trained, pairs, SUPERVISION_SALIENCY, maps, TrainConfig(seed=41))
 
     def fg_iou(mask, gt, c):
         inter = ((mask == c) & (gt == c)).sum()
@@ -163,5 +161,5 @@ def test_trained_pseudo_masks_beat_thresholded_saliency(tmp_path):
         c = min(rec.labels)
         pseudo = relabel_simple(trained, mf.load_image(rec), c)
         mask_scores.append(fg_iou(pseudo, gt, c))
-        saliency_scores.append(fg_iou(np.where(sal >= 0.5, c, 0), gt, c))
+        saliency_scores.append(fg_iou(np.where(sal >= 128, c, 0), gt, c))
     assert np.mean(mask_scores) >= np.mean(saliency_scores)
