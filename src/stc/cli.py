@@ -172,8 +172,8 @@ def cmd_gen(args) -> int:
         raise ValueError("--simple must be >= 1: the initial stage trains on simple images")
     if args.complex < 0 or args.eval < 0:
         raise ValueError("--complex and --eval must be >= 0")
-    if args.size % 4:
-        raise ValueError("--size must be divisible by 4 (network output stride)")
+    if args.size < 1 or args.size % 4:
+        raise ValueError("--size must be a positive multiple of 4 (network output stride)")
     examples = data.build_dataset(
         args.simple, args.complex, args.eval, args.classes, args.seed, args.size
     )
@@ -219,11 +219,10 @@ def _run_config(args) -> dict:
 
 
 def _prepare(args, cfg: dict):
-    """The dataset's simple/complex/eval splits and the output directory
-    (created) of `run` and `stage` under run config cfg."""
+    """The dataset's simple/complex/eval splits and the output path of `run`
+    and `stage` under run config cfg; `run_stage` creates the directory."""
     manifest = data.read_dataset(_resolve_path(args.data, cfg, "data"))
     out = Path(_resolve_path(args.out, cfg, "out"))
-    out.mkdir(parents=True, exist_ok=True)
     return [manifest.split(s) for s in ("simple", "complex", "eval")], out
 
 

@@ -244,7 +244,9 @@ def gen_complex(classes, seed, size: int = 64, num_classes: int = MAX_CLASSES):
         if ok:
             break
     else:
-        raise RuntimeError(f"could not place classes {classes} without full occlusion")
+        raise ValueError(
+            f"could not place classes {classes} in a {size}x{size} image without full occlusion"
+        )
 
     bg_tone = np.clip(grid, 0.0, 1.0).mean(axis=(0, 1))
     for color, m, (phi, wash_lo, wash_hi) in zip(colors, masks, shades):

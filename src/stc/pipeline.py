@@ -32,7 +32,7 @@ from .network import (
     worker_count,  # callers read STC_THREADS through pipeline.worker_count
 )
 from .params import ParamSet, sgd_step
-from .pseudolabel import argmax_full, relabel_complex, relabel_simple
+from .pseudolabel import argmax_full, relabel_complex
 from .saliency import compute_saliency
 
 STAGES = ("initial", "enhanced", "powerful")
@@ -103,25 +103,24 @@ def _derive_seed(root_seed: int, salt: int) -> int:
 
 
 def train_stage(params: ParamSet, dataset, supervision: str, targets, config: TrainConfig):
-    """SGD over random crops of `dataset` (a sequence of (manifest, record)
-    pairs) for the head's classes. `targets` is aligned with the dataset:
+    """SGD over random crops of `dataset`, (record, image) pairs whose image
+    is the (H, W, 3) uint8 array `load_image_bytes` gives, for the head's
+    classes; it reads no files. `targets` is aligned with the dataset:
     full-resolution uint8 saliency maps for SUPERVISION_SALIENCY, integer
     masks for SUPERVISION_MASKS. Returns (params, per-epoch mean losses);
-    params are updated in place. Images and saliency maps stay uint8 as
-    decoded; each step divides its crops by 255. Every step writes into one
-    set of `step_arrays`, allocated at full batch size and dropped on
-    return. Each step's forward and backward split the batch into up to
-    `worker_count()` row ranges; the result is bit-identical for any worker
-    count.
+    params are updated in place. Images and saliency maps stay uint8; each
+    step divides its crops by 255. Every step writes into one set of
+    `step_arrays`, allocated at full batch size and dropped on return. Each
+    step's forward and backward split the batch into up to `worker_count()`
+    row ranges; the result is bit-identical for any worker count.
     """
-    dataset = list(dataset)
-    targets = list(targets)
+    dataset, targets = list(dataset), list(targets)
     if supervision not in (SUPERVISION_SALIENCY, SUPERVISION_MASKS):
         raise ValueError(f"unknown supervision mode {supervision!r}")
     if len(targets) != len(dataset):
         raise ValueError(f"{len(targets)} targets for {len(dataset)} records")
     if supervision == SUPERVISION_SALIENCY:
-        for (_, rec), target in zip(dataset, targets):
+        for (rec, _), target in zip(dataset, targets):
             if len(rec.labels) != 1:
                 raise ValueError(
                     f"saliency supervision needs single-label records, "
@@ -132,13 +131,15 @@ def train_stage(params: ParamSet, dataset, supervision: str, targets, config: Tr
     if config.epochs == 0 or not dataset:
         return params, []
 
-    classes = num_classes_of(params)
-    images = [m.load_image_bytes(r).transpose(2, 0, 1) for m, r in dataset]
-    class_ids = [min(r.labels) for _, r in dataset]
     crop = config.crop_size
-    for img in images:
-        if img.shape[1] < crop or img.shape[2] < crop:
-            raise ValueError(f"crop_size {crop} exceeds image size {img.shape[1:]}")
+    for rec, img in dataset:
+        if img.dtype != np.uint8:
+            raise ValueError(f"image of {rec.image!r} is not uint8 bytes")
+        if img.shape[0] < crop or img.shape[1] < crop:
+            raise ValueError(f"crop_size {crop} exceeds image size {img.shape[:2]}")
+    classes = num_classes_of(params)
+    images = [img.transpose(2, 0, 1) for _, img in dataset]
+    class_ids = [min(r.labels) for r, _ in dataset]
     stride = output_stride(params)
     th, tw = crop // stride, crop // stride
     head = params.subset(n for n in params.names() if n.startswith("head."))
@@ -244,21 +245,18 @@ def evaluate(params: ParamSet, eval_manifest: DatasetManifest):
 # Full procedure
 
 
-def _pairs(manifest: DatasetManifest):
-    return [(manifest, rec) for rec in manifest.records]
-
-
-def _saliency_bytes(manifest: DatasetManifest, rec: DatasetRecord) -> np.ndarray:
-    """(H, W) uint8 saliency: the stored map as read, else the computed map
-    in the bytes `stc saliency` would store, so both paths agree."""
+def _saliency_bytes(manifest: DatasetManifest, rec: DatasetRecord, image) -> np.ndarray:
+    """(H, W) uint8 saliency of `rec`, whose decoded uint8 image is `image`:
+    the stored map as read, else the map computed from `image` in the bytes
+    `stc saliency` would store, so both paths agree."""
     if rec.saliency is not None:
         return manifest.load_saliency(rec)
-    return _to_bytes01(compute_saliency(manifest.load_image(rec)))
+    return _to_bytes01(compute_saliency(image / 255.0))
 
 
 def _saliency_for(manifest: DatasetManifest, rec: DatasetRecord) -> np.ndarray:
     """`_saliency_bytes` as floats in [0, 1], on the 8-bit grid k/255."""
-    return _saliency_bytes(manifest, rec) / 255.0
+    return _saliency_bytes(manifest, rec, manifest.load_image_bytes(rec)) / 255.0
 
 
 def _write_masks(out_dir, stage_dir: str, dataset, masks) -> None:
@@ -275,31 +273,28 @@ _SALTS = {"initial": (1, 11), "enhanced": (2, 12), "powerful": (3, 13)}
 
 
 def _trained_on(name: str, simple, complex_, config: TrainConfig):
-    """The (manifest, record) pairs stage `name` trains on: the simple
-    images, or for 'powerful' the complex ones, followed by the simple ones
-    with `include_simple_in_powerful`."""
+    """The (manifest, record) pairs stage `name` trains on, given the simple
+    and complex manifests: the simple records, or for 'powerful' the complex
+    ones followed, with `include_simple_in_powerful`, by the simple ones."""
     if name != "powerful":
-        return simple
-    return complex_ + simple if config.include_simple_in_powerful else complex_
+        manifests = [simple]
+    else:
+        manifests = [complex_, simple] if config.include_simple_in_powerful else [complex_]
+    return [(m, rec) for m in manifests for rec in m.records]
 
 
-def _stage_targets(name: str, net, simple, complex_, config: TrainConfig):
-    """The targets of the images `_trained_on` gives, in its order: saliency
-    bytes for 'initial', else `net`'s label-restricted pseudo-masks."""
-    if name == "initial":
-        return _parallel_map(lambda p: _saliency_bytes(*p), simple)
+def _stage_targets(name: str, net, dataset, images):
+    """The targets of `dataset`'s (manifest, record) pairs, whose decoded
+    uint8 images are `images`: saliency bytes for 'initial', else `net`'s
+    pseudo-masks restricted to each record's labels and background (for a
+    single-label record, its class and background)."""
+    def target(i):
+        (manifest, rec), image = dataset[i], images[i]
+        if name == "initial":
+            return _saliency_bytes(manifest, rec, image)
+        return relabel_complex(net, image / 255.0, rec.labels)
 
-    def simple_mask(p):
-        return relabel_simple(net, p[0].load_image(p[1]), min(p[1].labels))
-
-    if name == "enhanced":
-        return _parallel_map(simple_mask, simple)
-    masks = _parallel_map(
-        lambda p: relabel_complex(net, p[0].load_image(p[1]), p[1].labels), complex_
-    )
-    if config.include_simple_in_powerful:
-        masks += _parallel_map(simple_mask, simple)
-    return masks
+    return _parallel_map(target, range(len(dataset)))
 
 
 def run_stage(
@@ -320,8 +315,10 @@ def run_stage(
     previous stage's net, and train a new net (a copy of `prior` with
     `config.warm_start`). The enhanced stage does this `config.enhance_rounds`
     times, each round relabeling with the net the round before trained. The
-    prior's masks go to masks_<previous stage>/ under out_dir when given. The
-    net is then evaluated on `eval_manifest`.
+    prior's masks go to masks_<previous stage>/ under out_dir when given; it
+    is created once the records and the crop size pass their checks. The net
+    is then evaluated on `eval_manifest`. Each training image is decoded
+    once, as uint8 bytes, for the crop check, the targets and training.
     """
     if not eval_manifest.records:
         raise ValueError(f"no eval records in {eval_manifest.root}: every stage is evaluated")
@@ -332,23 +329,24 @@ def run_stage(
                     f"{m.root / 'manifest.jsonl'}: record {rec.image!r} has labels "
                     f"{sorted(rec.labels)}, outside 1..{num_classes}"
                 )
-    simple = _pairs(simple_manifest)
-    complex_ = _pairs(complex_manifest)
-    dataset = _trained_on(name, simple, complex_, config)
-    for m, rec in dataset:
-        h, w = m.load_image_bytes(rec).shape[:2]
+    dataset = _trained_on(name, simple_manifest, complex_manifest, config)
+    images = [m.load_image_bytes(rec) for m, rec in dataset]
+    for (m, rec), image in zip(dataset, images):
+        h, w = image.shape[:2]
         if min(h, w) < config.crop_size:
             raise ValueError(
                 f"{m.root / rec.image}: image is {h}x{w}, smaller than config key "
                 f"'crop_size' {config.crop_size}"
             )
+    if out_dir is not None:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
     supervision = SUPERVISION_SALIENCY if name == "initial" else SUPERVISION_MASKS
     init_salt, train_salt = _SALTS[name]
     t0 = time.perf_counter()
     try:
         net = prior
         for rnd in range(config.enhance_rounds if name == "enhanced" else 1):
-            targets = _stage_targets(name, net, simple, complex_, config)
+            targets = _stage_targets(name, net, dataset, images)
             if rnd == 0 and name != "initial":
                 prev = STAGES[STAGES.index(name) - 1]
                 _write_masks(out_dir, f"masks_{prev}", dataset, targets)
@@ -358,7 +356,7 @@ def run_stage(
                 seed = _derive_seed(config.seed, init_salt + 100 * rnd)
                 net = init_network(NetworkConfig(num_classes, config.channels, seed=seed))
             _, losses = train_stage(
-                net, dataset, supervision, targets,
+                net, [(rec, im) for (_, rec), im in zip(dataset, images)], supervision, targets,
                 replace(config, seed=_derive_seed(config.seed, train_salt + 100 * rnd)),
             )
         per_iou, miou = evaluate(net, eval_manifest)

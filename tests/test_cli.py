@@ -67,6 +67,25 @@ class TestGen:
         assert rc != 0
         assert "simple" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("size", ["0", "-4", "6"])
+    def test_size_not_a_positive_multiple_of_4_rejected_naming_the_flag(
+        self, tmp_path, capsys, size
+    ):
+        out = tmp_path / "out"
+        assert main(["gen", "--out", str(out), "--size", size]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --size must be a positive multiple of 4"), err
+        assert not out.exists()
+
+    def test_size_too_small_to_place_the_classes_exits_1_naming_classes_and_size(
+        self, tmp_path, capsys
+    ):
+        rc = main(["gen", "--out", str(tmp_path), "--size", "12", "--seed", "1",
+                   "--simple", "40", "--complex", "40", "--eval", "40"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "could not place classes [1, 4, 3] in a 12x12 image" in err, err
+
     def test_same_seed_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for d in (a, b):
@@ -515,7 +534,7 @@ def test_crop_size_above_a_training_image_rejected_before_saliency_or_relabel(
     def no_stage_work(*args, **kwargs):
         raise AssertionError("stage work ran although crop_size exceeds the images")
 
-    for fn in ("compute_saliency", "relabel_simple", "relabel_complex", "train_stage"):
+    for fn in ("compute_saliency", "relabel_complex", "train_stage"):
         monkeypatch.setattr(pipeline, fn, no_stage_work)
     if argv[-1] == "--params":
         argv = argv + [str(tmp_path / "prior.stcp")]
@@ -527,6 +546,7 @@ def test_crop_size_above_a_training_image_rejected_before_saliency_or_relabel(
     err = capsys.readouterr().err
     first = data.read_dataset(dataset_dir).split(split).records[0].image
     assert f"{first}: image is 64x64" in err and "'crop_size' 68" in err, err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["run", "stage"])
@@ -545,6 +565,7 @@ def test_empty_eval_split_rejected_before_training(tmp_path, capsys, monkeypatch
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert "no eval records" in err and str(d) in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -673,6 +694,25 @@ def test_label_above_num_classes_rejected_before_training(
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert str(manifest_path) in err and entry["image"] in err and "7" in err, err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "stage"])
+def test_out_that_cannot_be_created_exits_1_before_stage_work(
+    dataset_dir, tmp_path, capsys, monkeypatch, command
+):
+    def no_stage_work(*args, **kwargs):
+        raise AssertionError("stage work ran although --out cannot be created")
+
+    for fn in ("compute_saliency", "relabel_complex", "train_stage"):
+        monkeypatch.setattr(pipeline, fn, no_stage_work)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    argv = [command, "--data", str(dataset_dir), "--out", str(blocker / "out")]
+    if command == "stage":
+        argv += ["--stage", "initial"]
+    assert main(argv) == 1
+    assert str(blocker) in capsys.readouterr().err
 
 
 def _write(writer: str, out: Path, seed: int) -> None:

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stc import cli, imageio, network, pipeline, pseudolabel
+from stc import cli, data, imageio, network, pipeline, pseudolabel
 from stc.network import NetworkConfig, init_network
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -110,13 +110,18 @@ def test_run_config_keys_are_pinned():
     assert sorted(cli._default_run_config()) == RUN_CONFIG_KEYS
 
 
-def test_every_workload_run_config_loads(tmp_path, monkeypatch):
+@pytest.fixture
+def workloads(monkeypatch):
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads_under_test", PERFBENCH / "workloads.py"
     )
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
-    spec.loader.exec_module(workloads)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_workload_run_config_loads(tmp_path, workloads):
     configs = [w.run_config for w in workloads.WORKLOADS.values() if w.run_config is not None]
     assert configs
     for i, run_config in enumerate(configs):
@@ -124,3 +129,15 @@ def test_every_workload_run_config_loads(tmp_path, monkeypatch):
         path.write_text(json.dumps(run_config))
         loaded = cli.load_run_config(path)
         assert {k: loaded[k] for k in run_config} == run_config
+
+
+def test_benchmark_inference_pass_passes_its_checks(tmp_path, workloads):
+    # the pass calls pipeline._saliency_for, pipeline._write_masks with
+    # (manifest, record) pairs and pseudolabel.relabel_simple by name
+    data.write_dataset(data.build_dataset(3, 2, 2, seed=4), tmp_path / "data")
+    manifest = data.read_dataset(tmp_path / "data")
+    net = init_network(NetworkConfig(num_classes=4, channels=(6, 8, 10), seed=1))
+    result = workloads.inference_pass(net, manifest, tmp_path / "infer")
+    assert workloads.check_pass(result) == []
+    assert (result.images, len(result.saliency), len(result.masks)) == (7, 3, 5)
+    assert len(list(result.mask_dir.glob("*.pgm"))) == 5

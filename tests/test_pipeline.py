@@ -51,6 +51,15 @@ def simple_pairs(manifest):
     return [(m, r) for r in m.records]
 
 
+def decoded(pairs):
+    """(manifest, record) pairs as `train_stage` takes them: (record, uint8 image)."""
+    return [(r, m.load_image_bytes(r)) for m, r in pairs]
+
+
+def saliency_maps(pairs):
+    return [_saliency_bytes(m, r, m.load_image_bytes(r)) for m, r in pairs]
+
+
 class TestMetrics:
     def test_hand_enumerated_2x2_case(self):
         gt = np.array([[0, 0], [1, 1]])
@@ -184,9 +193,10 @@ def test_saliency_bytes_stored_and_computed_agree_and_saliency_for_divides_them(
         stored.append(replace(rec, saliency=rel))
     stored = data.DatasetManifest(tmp_path, stored)
     for rec, stored_rec in zip(computed.records, stored.records):
-        got = _saliency_bytes(computed, rec)
+        image = computed.load_image_bytes(rec)
+        got = _saliency_bytes(computed, rec, image)
         assert got.dtype == np.uint8
-        assert np.array_equal(got, _saliency_bytes(stored, stored_rec))
+        assert np.array_equal(got, _saliency_bytes(stored, stored_rec, image))
         assert np.array_equal(_saliency_for(computed, rec), got / 255.0)
 
 
@@ -195,9 +205,9 @@ class TestTrainStage:
         net = init_network(NetworkConfig(4, channels=TINY_CHANNELS, seed=1))
         before = {n: net[n].value.copy() for n in net.names()}
         pairs = simple_pairs(corpus)
-        maps = [_saliency_bytes(corpus, r) for _, r in pairs]
+        maps = saliency_maps(pairs)
         _, losses = train_stage(
-            net, pairs, SUPERVISION_SALIENCY, maps,
+            net, decoded(pairs), SUPERVISION_SALIENCY, maps,
             TrainConfig(epochs=0, seed=1),
         )
         assert losses == []
@@ -206,12 +216,12 @@ class TestTrainStage:
 
     def test_fixed_seed_bit_identical_trajectory(self, corpus):
         pairs = simple_pairs(corpus)
-        maps = [_saliency_bytes(corpus, r) for _, r in pairs]
+        maps = saliency_maps(pairs)
         runs = []
         for _ in range(2):
             net = init_network(NetworkConfig(4, channels=TINY_CHANNELS, seed=1))
             _, losses = train_stage(
-                net, pairs, SUPERVISION_SALIENCY, maps, TINY
+                net, decoded(pairs), SUPERVISION_SALIENCY, maps, TINY
             )
             runs.append((losses, {n: net[n].value.copy() for n in net.names()}))
         assert runs[0][0] == runs[1][0]
@@ -222,12 +232,12 @@ class TestTrainStage:
         # 8 records at batch 3: every epoch ends with a batch of 2, which
         # trains on leading rows of the full-size step arrays
         pairs = simple_pairs(corpus)
-        maps = [_saliency_bytes(corpus, r) for _, r in pairs]
+        maps = saliency_maps(pairs)
         config = TrainConfig(batch_size=3, epochs=2, crop_size=48, seed=5)
 
         def run():
             net = init_network(NetworkConfig(4, channels=TINY_CHANNELS, seed=1))
-            _, losses = train_stage(net, pairs, SUPERVISION_SALIENCY, maps, config)
+            _, losses = train_stage(net, decoded(pairs), SUPERVISION_SALIENCY, maps, config)
             return losses, {n: net[n].value.copy() for n in net.names()}
 
         shared = [run(), run()]
@@ -254,7 +264,7 @@ class TestTrainStage:
     ):
         # one step over `records` images, so 1 and 2 images meet more workers
         pairs = simple_pairs(corpus)[:records]
-        maps = [_saliency_bytes(corpus, r) for _, r in pairs]
+        maps = saliency_maps(pairs)
         if supervision == SUPERVISION_MASKS:
             maps = [np.where(m > 127, min(r.labels), 0) for m, (_, r) in zip(maps, pairs)]
         config = TrainConfig(batch_size=8, epochs=1, crop_size=48, seed=5)
@@ -262,7 +272,7 @@ class TestTrainStage:
         for threads in ("1", "2", "3"):
             monkeypatch.setenv("STC_THREADS", threads)
             net = init_network(NetworkConfig(4, channels=TINY_CHANNELS, seed=1))
-            _, losses = train_stage(net, pairs, supervision, maps, config)
+            _, losses = train_stage(net, decoded(pairs), supervision, maps, config)
             runs.append((losses, {n: (p.value.copy(), p.velocity.copy()) for n, p in net.items()}))
         for losses, state in runs[1:]:
             assert losses == runs[0][0]
@@ -278,7 +288,7 @@ class TestTrainStage:
         if fails:
             net["head.weight"].value[...] = 1e308  # non-finite loss at step 0
         pairs = simple_pairs(corpus)
-        maps = [_saliency_bytes(corpus, r) for _, r in pairs]
+        maps = saliency_maps(pairs)
         during = []
         caller = threading.get_ident()
 
@@ -293,9 +303,9 @@ class TestTrainStage:
         before = threading.active_count()
         if fails:
             with pytest.raises(ValueError, match="step 0"):
-                train_stage(net, pairs, SUPERVISION_SALIENCY, maps, TINY)
+                train_stage(net, decoded(pairs), SUPERVISION_SALIENCY, maps, TINY)
         else:
-            train_stage(net, pairs, SUPERVISION_SALIENCY, maps, TINY)
+            train_stage(net, decoded(pairs), SUPERVISION_SALIENCY, maps, TINY)
         assert max(during) == before + 2  # two helper threads ran
         assert threading.active_count() == before
 
@@ -311,8 +321,8 @@ from stc import data
 from stc.network import NetworkConfig, init_network
 from stc.pipeline import SUPERVISION_SALIENCY, TrainConfig, _saliency_bytes, train_stage
 m = data.read_dataset({str(tmp_path)!r})
-pairs = [(m, r) for r in m.records]
-maps = [_saliency_bytes(m, r) for _, r in pairs]
+pairs = [(r, m.load_image_bytes(r)) for r in m.records]
+maps = [_saliency_bytes(m, r, image) for r, image in pairs]
 net = init_network(NetworkConfig(4, seed=1))
 config = TrainConfig(epochs=1, crop_size=96, seed=2)
 before = peak_rss_kb()
@@ -331,8 +341,8 @@ print((peak_rss_kb() - before) // 1024)
         net = init_network(NetworkConfig(4, channels=TINY_CHANNELS, seed=1))
         before = {n: net[n].value.copy() for n in net.names()}
         pairs = simple_pairs(corpus)
-        maps = [_saliency_bytes(corpus, r) for _, r in pairs]
-        train_stage(net, pairs, SUPERVISION_SALIENCY, maps, TINY)
+        maps = saliency_maps(pairs)
+        train_stage(net, decoded(pairs), SUPERVISION_SALIENCY, maps, TINY)
         assert any(not np.array_equal(net[n].value, before[n]) for n in net.names())
 
     def test_loss_decreases_early_on_small_corpus(self, tmp_path):
@@ -340,12 +350,12 @@ print((peak_rss_kb() - before) // 1024)
         data.write_dataset(data.build_dataset(20, 0, 0, seed=31), tmp_path)
         manifest = data.read_dataset(tmp_path)
         pairs = [(manifest, r) for r in manifest.records]
-        maps = [_saliency_bytes(manifest, r) for _, r in pairs]
+        maps = saliency_maps(pairs)
         wins = 0
         for seed in range(10):
             net = init_network(NetworkConfig(4, seed=seed))
             _, losses = train_stage(
-                net, pairs, SUPERVISION_SALIENCY, maps,
+                net, decoded(pairs), SUPERVISION_SALIENCY, maps,
                 TrainConfig(epochs=5, seed=seed),
             )
             wins += losses[-1] <= losses[0]
@@ -357,22 +367,30 @@ print((peak_rss_kb() - before) // 1024)
         net = init_network(NetworkConfig(4, channels=TINY_CHANNELS, seed=1))
         with pytest.raises(ValueError, match="single-label"):
             train_stage(
-                net, pairs, SUPERVISION_SALIENCY,
+                net, decoded(pairs), SUPERVISION_SALIENCY,
                 [np.zeros((64, 64), np.uint8)] * len(pairs), TINY,
             )
+
+    def test_float_image_rejected_naming_the_record(self, corpus):
+        net = init_network(NetworkConfig(4, channels=TINY_CHANNELS, seed=1))
+        pairs = simple_pairs(corpus)
+        images = decoded(pairs)
+        images[2] = (images[2][0], images[2][1] / 255.0)
+        with pytest.raises(ValueError, match=rf"{re.escape(repr(pairs[2][1].image))}.*uint8"):
+            train_stage(net, images, SUPERVISION_SALIENCY, saliency_maps(pairs), TINY)
 
     def test_float_saliency_target_rejected_naming_the_record(self, corpus):
         net = init_network(NetworkConfig(4, channels=TINY_CHANNELS, seed=1))
         pairs = simple_pairs(corpus)
-        maps = [_saliency_bytes(corpus, r) for _, r in pairs]
+        maps = saliency_maps(pairs)
         maps[1] = maps[1] / 255.0
         with pytest.raises(ValueError, match=rf"{re.escape(repr(pairs[1][1].image))}.*uint8"):
-            train_stage(net, pairs, SUPERVISION_SALIENCY, maps, TINY)
+            train_stage(net, decoded(pairs), SUPERVISION_SALIENCY, maps, TINY)
 
     @pytest.mark.parametrize("supervision", [SUPERVISION_SALIENCY, SUPERVISION_MASKS])
     def test_targets_have_the_heads_class_count(self, corpus, monkeypatch, supervision):
         pairs = [p for p in simple_pairs(corpus) if min(p[1].labels) <= 2]
-        maps = [_saliency_bytes(corpus, r) for _, r in pairs]
+        maps = saliency_maps(pairs)
         if supervision == SUPERVISION_MASKS:
             maps = [np.where(m > 127, min(r.labels), 0) for m, (_, r) in zip(maps, pairs)]
         shapes = []
@@ -384,35 +402,35 @@ print((peak_rss_kb() - before) // 1024)
 
         monkeypatch.setattr(pipeline, "batch_ce_and_grad", recording_loss)
         net = init_network(NetworkConfig(2, channels=TINY_CHANNELS, seed=1))
-        train_stage(net, pairs, supervision, maps, replace(TINY, epochs=1))
+        train_stage(net, decoded(pairs), supervision, maps, replace(TINY, epochs=1))
         assert shapes and all(shape[1:] == (3, 12, 12) for shape in shapes), shapes
 
     def test_unknown_supervision_rejected(self, corpus):
         net = init_network(NetworkConfig(4, channels=TINY_CHANNELS, seed=1))
         with pytest.raises(ValueError, match="supervision"):
-            train_stage(net, simple_pairs(corpus), "nonsense", [], TINY)
+            train_stage(net, decoded(simple_pairs(corpus)), "nonsense", [], TINY)
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_nonfinite_loss_names_step(self, corpus):
         net = init_network(NetworkConfig(4, channels=TINY_CHANNELS, seed=1))
         net["head.weight"].value[...] = 1e308  # force overflow in the loss
         pairs = simple_pairs(corpus)
-        maps = [_saliency_bytes(corpus, r) for _, r in pairs]
+        maps = saliency_maps(pairs)
         with pytest.raises(ValueError, match="step 0"):
-            train_stage(net, pairs, SUPERVISION_SALIENCY, maps, TINY)
+            train_stage(net, decoded(pairs), SUPERVISION_SALIENCY, maps, TINY)
 
     def test_crop_size_validation(self, corpus):
         net = init_network(NetworkConfig(4, channels=TINY_CHANNELS, seed=1))
         pairs = simple_pairs(corpus)
-        maps = [_saliency_bytes(corpus, r) for _, r in pairs]
+        maps = saliency_maps(pairs)
         with pytest.raises(ValueError, match="divisible by 4"):
             train_stage(
-                net, pairs, SUPERVISION_SALIENCY, maps,
+                net, decoded(pairs), SUPERVISION_SALIENCY, maps,
                 TrainConfig(crop_size=42),
             )
         with pytest.raises(ValueError, match="exceeds"):
             train_stage(
-                net, pairs, SUPERVISION_SALIENCY, maps,
+                net, decoded(pairs), SUPERVISION_SALIENCY, maps,
                 TrainConfig(crop_size=128),
             )
 
@@ -507,6 +525,25 @@ class TestWeakSupervisionAudit:
         )
         assert reads["train"] == 0
 
+    def test_each_training_image_is_decoded_once_per_stage_as_bytes(self, corpus):
+        decodes = {"bytes": 0, "floats": 0}
+
+        class CountingManifest(data.DatasetManifest):
+            def load_image_bytes(self, record):
+                decodes["bytes"] += 1
+                return super().load_image_bytes(record)
+
+            def load_image(self, record):
+                decodes["floats"] += 1
+                return super().load_image(record)
+
+        simple = CountingManifest(corpus.root, corpus.split("simple").records)
+        complex_ = CountingManifest(corpus.root, corpus.split("complex").records)
+        run_stc(simple, complex_, corpus.split("eval"), TINY)
+        # initial and enhanced train on the 8 simple images, powerful on the
+        # 4 complex ones and the simple ones
+        assert decodes == {"bytes": 8 + 8 + 12, "floats": 0}
+
 
 def test_relabel_masks_and_eval_confusion_identical_for_any_stc_threads(corpus, monkeypatch):
     net = init_network(NetworkConfig(4, channels=TINY_CHANNELS, seed=3))
@@ -521,8 +558,8 @@ def test_relabel_masks_and_eval_confusion_identical_for_any_stc_threads(corpus, 
     for threads in ("1", "2", "3"):
         monkeypatch.setenv("STC_THREADS", threads)
         masks = [
-            pipeline._stage_targets(stage, net, simple, complex_, TINY)
-            for stage in ("enhanced", "powerful")
+            pipeline._stage_targets(stage, net, pairs, [m.load_image_bytes(r) for m, r in pairs])
+            for stage, pairs in (("enhanced", simple), ("powerful", complex_ + simple))
         ]
         runs.append((masks, evaluate(net, corpus.split("eval"))))
     for (masks, scores), conf in zip(runs[1:], confusions[1:]):

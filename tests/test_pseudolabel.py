@@ -108,6 +108,10 @@ class TestRelabel:
         mask = relabel_complex(net, image, {2, 4})
         assert set(np.unique(mask)) <= {0, 2, 4}
 
+    def test_complex_with_one_label_equals_simple(self, net, image):
+        for c in (1, 2, 3, 4):
+            assert np.array_equal(relabel_complex(net, image, {c}), relabel_simple(net, image, c))
+
     def test_complex_with_all_classes_equals_full(self, net, image):
         from stc.network import predict
 
@@ -146,9 +150,10 @@ def test_trained_pseudo_masks_beat_thresholded_saliency(tmp_path):
     data.write_dataset(data.build_dataset(200, 0, 0, seed=77), tmp_path)
     manifest = data.read_dataset(tmp_path)
     pairs = [(manifest, r) for r in manifest.records]
-    maps = [_saliency_bytes(manifest, r) for _, r in pairs]
+    decoded = [(r, manifest.load_image_bytes(r)) for r in manifest.records]
+    maps = [_saliency_bytes(manifest, r, image) for r, image in decoded]
     trained = init_network(NetworkConfig(4, seed=40))
-    train_stage(trained, pairs, SUPERVISION_SALIENCY, maps, TrainConfig(seed=41))
+    train_stage(trained, decoded, SUPERVISION_SALIENCY, maps, TrainConfig(seed=41))
 
     def fg_iou(mask, gt, c):
         inter = ((mask == c) & (gt == c)).sum()
