@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import data, pipeline
 from .imageio import write_atomic, write_saliency_pgm
-from .network import _INPUT_CHANNELS, _KERNEL_SIZE, num_blocks, num_classes_of
+from .network import check_layers
 from .params import load_params, save_params
 from .pipeline import PipelineError, TrainConfig
 from .saliency import compute_saliency
@@ -94,49 +94,17 @@ def _resolve_path(flag_value, cfg: dict, key: str):
 
 
 def _load_network(path):
-    """A checkpoint that holds a whole network whose layers chain, checked
+    """A checkpoint whose parameters pass `network.check_layers`, checked
     against its JSON sidecar (`<ckpt>.json`) when there is one."""
     net = load_params(path)
-    missing = [n for n in ("conv1.weight", "head.weight", "head.bias") if n not in net]
-    if missing:
-        raise ValueError(f"{path}: not a network checkpoint, missing {missing}")
-    _check_layers(net, path)
+    try:
+        check_layers(net)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
     sidecar = Path(path).with_suffix(".json")
     if sidecar.is_file():
         _check_sidecar(net, sidecar)
     return net
-
-
-def _check_layers(net, path) -> None:
-    """Each conv is 3x3 and takes the channels the layer before gives (3 for
-    conv1), with one bias per output channel; the head is a 1x1 conv on the
-    last conv's output to at least 2 channels."""
-    layers = [f"conv{i}" for i in range(1, num_blocks(net) + 1)] + ["head"]
-    expected = {f"{layer}.{part}" for layer in layers for part in ("weight", "bias")}
-    unexpected = sorted(set(net) - expected)
-    if unexpected:
-        raise ValueError(f"{path}: parameters {unexpected} are not part of the layer stack")
-    cin = _INPUT_CHANNELS
-    for layer in layers:
-        shape = net[f"{layer}.weight"].value.shape
-        if layer == "head":
-            ok = len(shape) == 4 and shape[0] >= 2 and shape[1:] == (cin, 1, 1)
-            want = f"(C+1, {cin}, 1, 1) with C+1 >= 2"
-        else:
-            k = _KERNEL_SIZE
-            ok = len(shape) == 4 and shape[1:] == (cin, k, k)
-            want = f"(cout, {cin}, {k}, {k})"
-        if not ok:
-            raise ValueError(f"{path}: {layer}.weight has shape {shape}, expected {want}")
-        if f"{layer}.bias" not in net:
-            raise ValueError(f"{path}: missing {layer}.bias")
-        bias = net[f"{layer}.bias"].value.shape
-        if bias != shape[:1]:
-            raise ValueError(
-                f"{path}: {layer}.bias has shape {bias}, {layer}.weight has {shape[0]} "
-                f"output channels"
-            )
-        cin = shape[0]
 
 
 def _check_sidecar(net, path) -> None:
@@ -159,12 +127,9 @@ def _check_sidecar(net, path) -> None:
 
 def _architecture(net) -> dict:
     """The sidecar fields read off the weight shapes."""
-    kernels = [net[f"conv{i}.weight"].value.shape for i in range(1, num_blocks(net) + 1)]
-    return {
-        "num_classes": num_classes_of(net),
-        "channels": [k[0] for k in kernels],
-        "kernel_size": kernels[0][2],
-    }
+    num_classes, channels = check_layers(net)
+    kernel_size = net["conv1.weight"].value.shape[2]
+    return {"num_classes": num_classes, "channels": list(channels), "kernel_size": kernel_size}
 
 
 def cmd_gen(args) -> int:
@@ -248,16 +213,16 @@ def cmd_stage(args) -> int:
     prior = _load_network(args.params) if args.params else None
     cfg = _run_config(args)
     config = _train_config_from(cfg, args.seed)
-    if prior is not None and num_classes_of(prior) != cfg["num_classes"]:
-        raise ValueError(
-            f"{args.params}: checkpoint has num_classes {num_classes_of(prior)}, "
-            f"the run config has num_classes {cfg['num_classes']}"
-        )
-    if prior is not None and config.warm_start:
-        channels = _architecture(prior)["channels"]
-        if tuple(channels) != config.channels:
+    if prior is not None:
+        num_classes, channels = check_layers(prior)
+        if num_classes != cfg["num_classes"]:
             raise ValueError(
-                f"{args.params}: checkpoint has channels {channels}, the run config "
+                f"{args.params}: checkpoint has num_classes {num_classes}, "
+                f"the run config has num_classes {cfg['num_classes']}"
+            )
+        if config.warm_start and channels != config.channels:
+            raise ValueError(
+                f"{args.params}: checkpoint has channels {list(channels)}, the run config "
                 f"has channels {list(config.channels)}, and warm_start trains the checkpoint"
             )
     splits, out = _prepare(args, cfg)
@@ -272,11 +237,7 @@ def cmd_stage(args) -> int:
 
 def cmd_eval(args) -> int:
     net = _load_network(args.checkpoint)
-    manifest = data.read_dataset(args.data)
-    eval_m = manifest.split("eval")
-    if not eval_m.records:
-        raise ValueError(f"no eval records in {args.data}")
-    per_iou, miou = pipeline.evaluate(net, eval_m)
+    per_iou, miou = pipeline.evaluate(net, data.read_dataset(args.data).split("eval"))
     print("class  iou")
     for k, v in enumerate(per_iou):
         print(f"{k:<6d} {v:.6f}")

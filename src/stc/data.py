@@ -402,19 +402,32 @@ def write_manifest(root, records) -> None:
 def write_dataset(examples, directory) -> list[DatasetRecord]:
     """Materializes images, masks and manifest.jsonl; `stc saliency` adds
     the saliency maps. Writes each example as it comes, so an iterator of
-    them (`build_dataset`) is never held whole; returns the records."""
+    them (`build_dataset`) is never held whole; returns the records. On an
+    error it removes the files it wrote and the empty directories it made."""
     root = Path(directory)
+    # deepest first, the directories this call creates
+    made = [d for d in (root / "images", root / "masks", root, *root.parents) if not d.exists()]
     (root / "images").mkdir(parents=True, exist_ok=True)
     (root / "masks").mkdir(exist_ok=True)
-    records = []
-    for ex in examples:
-        image = f"images/{ex.name}.ppm"
-        gt = None if ex.gt_mask is None else f"masks/{ex.name}.pgm"
-        write_ppm(root / image, ex.image)
-        if gt is not None:
-            write_pgm(root / gt, ex.gt_mask)
-        records.append(DatasetRecord(image, ex.labels, ex.split, gt_mask=gt))
-    write_manifest(root, records)
+    records, written = [], []
+    try:
+        for ex in examples:
+            image = f"images/{ex.name}.ppm"
+            gt = None if ex.gt_mask is None else f"masks/{ex.name}.pgm"
+            write_ppm(root / image, ex.image)
+            written.append(image)
+            if gt is not None:
+                write_pgm(root / gt, ex.gt_mask)
+                written.append(gt)
+            records.append(DatasetRecord(image, ex.labels, ex.split, gt_mask=gt))
+        write_manifest(root, records)
+    except BaseException:
+        for rel in written:
+            (root / rel).unlink(missing_ok=True)
+        for d in made:
+            if not any(d.iterdir()):  # else it holds files this call did not write
+                d.rmdir()
+        raise
     return records
 
 

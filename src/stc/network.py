@@ -53,26 +53,53 @@ class NetworkConfig:
             raise ValueError(f"channels must all be >= 1, got {self.channels}")
 
 
+def _layer_shapes(num_classes: int, channels) -> list[tuple[str, tuple[int, ...]]]:
+    """Every parameter's (name, shape), in order: the one definition of the
+    layer stack. Conv i is `conv{i}.weight` (cout, cin, 3, 3), cin = 3 for
+    conv1, and `conv{i}.bias` (cout,); the head is a 1x1 conv to C+1."""
+    k, cin, shapes = _KERNEL_SIZE, _INPUT_CHANNELS, []
+    for i, cout in enumerate(channels, start=1):
+        shapes += [(f"conv{i}.weight", (cout, cin, k, k)), (f"conv{i}.bias", (cout,))]
+        cin = cout
+    c = num_classes + 1
+    return shapes + [("head.weight", (c, cin, 1, 1)), ("head.bias", (c,))]
+
+
 def init_network(config: NetworkConfig) -> ParamSet:
     """He-scaled random conv weights (variance 2/fan_in), zero biases."""
     rng = np.random.default_rng(config.seed)
     params = ParamSet()
-    k = _KERNEL_SIZE
-    cin = _INPUT_CHANNELS
-    for i, cout in enumerate(config.channels, start=1):
-        fan_in = cin * k * k
-        params.add(
-            f"conv{i}.weight",
-            rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(cout, cin, k, k)),
-        )
-        params.add(f"conv{i}.bias", np.zeros(cout))
-        cin = cout
-    params.add(
-        "head.weight",
-        rng.normal(0.0, np.sqrt(2.0 / cin), size=(config.num_classes + 1, cin, 1, 1)),
-    )
-    params.add("head.bias", np.zeros(config.num_classes + 1))
+    for name, shape in _layer_shapes(config.num_classes, config.channels):
+        if name.endswith(".weight"):
+            params.add(name, rng.normal(0.0, np.sqrt(2.0 / math.prod(shape[1:])), size=shape))
+        else:
+            params.add(name, np.zeros(shape))
     return params
+
+
+def check_layers(params: ParamSet) -> tuple[int, tuple[int, ...]]:
+    """(num_classes, channels), read off `head.weight` and the conv weights,
+    once `params` has just the names and shapes `_layer_shapes` gives for
+    them; else a ValueError names the first missing, extra or misshapen one."""
+    for name in ("conv1.weight", "head.weight"):
+        if name not in params:
+            raise ValueError(f"missing {name}")
+    head = params["head.weight"].value.shape
+    num_classes = (head[0] if head else 0) - 1
+    if num_classes < 1:
+        raise ValueError(f"head.weight has shape {head}: the head needs C+1 >= 2 output channels")
+    blocks = range(1, num_blocks(params) + 1)
+    channels = tuple((params[f"conv{i}.weight"].value.shape or (0,))[0] for i in blocks)
+    want = dict(_layer_shapes(num_classes, channels))
+    for name, shape in want.items():
+        if name not in params:
+            raise ValueError(f"missing {name}, of shape {shape}")
+        if params[name].value.shape != shape:
+            raise ValueError(f"{name} has shape {params[name].value.shape}, expected {shape}")
+    extra = [name for name in params if name not in want]
+    if extra:
+        raise ValueError(f"{extra[0]} is not part of the layer stack")
+    return num_classes, channels
 
 
 def num_blocks(params: ParamSet) -> int:
@@ -80,10 +107,6 @@ def num_blocks(params: ParamSet) -> int:
     while f"conv{n + 1}.weight" in params:
         n += 1
     return n
-
-
-def num_classes_of(params: ParamSet) -> int:
-    return params["head.bias"].value.shape[0] - 1
 
 
 def output_stride(params: ParamSet) -> int:
@@ -196,8 +219,8 @@ def step_arrays(params: ParamSet, shape) -> dict[str, np.ndarray]:
 
     `images` is the batch of crops, which `train_stage` divides by 255
     into it from the uint8 images it keeps.
-    Every conv is 3x3; a weight of another shape is rejected here. For conv
-    i, named `conv{i}.*` (c/cout = in/out channels, (h, w) = its input size):
+    `params` must pass `check_layers`, so every conv is 3x3. For conv i,
+    named `conv{i}.*` (c/cout = in/out channels, (h, w) = its input size):
 
     - `padded` (n, c, h+2, w+2): the conv's input, zero-padded. The layer
       before writes its output (the standardized images, for conv1) into the
@@ -225,16 +248,14 @@ def step_arrays(params: ParamSet, shape) -> dict[str, np.ndarray]:
     backward still needs. `logits` (n, C+1, h/s, w/s), s the output stride,
     is the forward's result.
     """
+    check_layers(params)
     n, _, h, w = shape
     k = _KERNEL_SIZE
     arrays = {"images": _mapped(shape)}
     nb = num_blocks(params)
     src = None  # the output of the block before, when it does not pool
     for i in range(1, nb + 1):
-        wshape = params[f"conv{i}.weight"].value.shape
-        if len(wshape) != 4 or wshape[2:] != (k, k):
-            raise ValueError(f"conv{i}.weight has shape {wshape}: conv blocks are {k}x{k}")
-        cout, c, _, _ = wshape
+        cout, c, _, _ = params[f"conv{i}.weight"].value.shape
         padded = arrays[f"conv{i}.padded"] = _mapped((n, c, h + 2, w + 2))
         inner = padded[:, :, 1:-1, 1:-1]  # a 3x3 conv pads by one pixel
         arrays[f"conv{i}.in"] = inner if src is None else src
@@ -319,13 +340,12 @@ def forward(params: ParamSet, images: np.ndarray) -> np.ndarray:
     on return; inside, the thread's next call reuses it.
     """
     images = _checked_images(params, images)
-    n, _, h, w = images.shape
-    s = output_stride(params)
-    logits = np.empty((n, params["head.weight"].value.shape[0], h // s, w // s))
+    n, c, h, w = images.shape
     try:
+        plan = _inference_plan(params, (1, c, h, w))
+        logits = np.empty((n, *plan["logits"].shape[1:]))
         for j in range(n):
-            image = images[j : j + 1]
-            logits[j] = _forward_into(params, image, _inference_plan(params, image.shape))[0]
+            logits[j] = _forward_into(params, images[j : j + 1], plan)[0]
     finally:
         if not getattr(_plans, "in_map", False):
             _plans.plan = None

@@ -24,9 +24,8 @@ from .network import (
     _forward_cached,
     _parallel_map,
     backward,
+    check_layers,
     init_network,
-    num_classes_of,
-    output_stride,
     predict,
     step_arrays,
     worker_count,  # callers read STC_THREADS through pipeline.worker_count
@@ -137,18 +136,17 @@ def train_stage(params: ParamSet, dataset, supervision: str, targets, config: Tr
             raise ValueError(f"image of {rec.image!r} is not uint8 bytes")
         if img.shape[0] < crop or img.shape[1] < crop:
             raise ValueError(f"crop_size {crop} exceeds image size {img.shape[:2]}")
-    classes = num_classes_of(params)
+    classes, _ = check_layers(params)
+    full = step_arrays(params, (min(config.batch_size, len(dataset)), 3, crop, crop))
     images = [img.transpose(2, 0, 1) for _, img in dataset]
     class_ids = [min(r.labels) for r, _ in dataset]
-    stride = output_stride(params)
-    th, tw = crop // stride, crop // stride
+    th, tw = full["logits"].shape[2:]
     head = params.subset(n for n in params.names() if n.startswith("head."))
     trunk = params.subset(n for n in params.names() if not n.startswith("head."))
 
     rng = np.random.default_rng(config.seed)
     epoch_losses = []
     step = 0
-    full = step_arrays(params, (min(config.batch_size, len(dataset)), 3, crop, crop))
     for epoch in range(config.epochs):
         lr = config.initial_lr / config.lr_decay_factor ** (
             epoch // config.lr_decay_every_epochs
@@ -210,32 +208,33 @@ def iou_from_confusion(conf: np.ndarray):
     return [float(v) for v in iou], float(iou.mean())
 
 
+def _checked_gt(manifest: DatasetManifest, rec: DatasetRecord, num_classes: int):
+    """(image, ground-truth mask) of eval record `rec`, once the mask is
+    there, the size of its image and labelled within 0..num_classes."""
+    gt = manifest.load_gt_mask(rec)
+    img = manifest.load_image(rec)
+    where = manifest.root / rec.gt_mask
+    if gt.shape != img.shape[:2]:
+        raise ValueError(
+            f"{where}: ground-truth mask is {gt.shape[0]}x{gt.shape[1]}, "
+            f"its image {rec.image!r} is {img.shape[0]}x{img.shape[1]}"
+        )
+    bad = gt[(gt < 0) | (gt > num_classes)]
+    if bad.size:
+        raise ValueError(f"{where}: ground-truth label {int(bad[0])} outside 0..{num_classes}")
+    return img, gt
+
+
 def evaluate(params: ParamSet, eval_manifest: DatasetManifest):
     """Corpus-wide mean IoU of full-resolution argmax predictions."""
-    n = num_classes_of(params) + 1
+    num_classes, _ = check_layers(params)
     if not eval_manifest.records:
-        raise ValueError("evaluation needs at least one record")
-    for rec in eval_manifest.records:
-        if rec.gt_mask is None:
-            raise ValueError(f"record {rec.image!r} lacks a ground-truth mask")
+        raise ValueError(f"no eval records in {eval_manifest.root}")
 
     def one(rec: DatasetRecord) -> np.ndarray:
-        img = eval_manifest.load_image(rec)
-        gt = eval_manifest.load_gt_mask(rec)
-        if gt.shape != img.shape[:2]:
-            raise ValueError(
-                f"{eval_manifest.root / rec.gt_mask}: ground-truth mask is "
-                f"{gt.shape[0]}x{gt.shape[1]}, its image {rec.image!r} is "
-                f"{img.shape[0]}x{img.shape[1]}"
-            )
-        bad = gt[(gt < 0) | (gt >= n)]
-        if bad.size:
-            raise ValueError(
-                f"{eval_manifest.root / rec.gt_mask}: ground-truth label {int(bad[0])} "
-                f"outside 0..{n - 1}"
-            )
+        img, gt = _checked_gt(eval_manifest, rec, num_classes)
         pred = argmax_full(predict(params, img))
-        return confusion_matrix(gt, pred, n)
+        return confusion_matrix(gt, pred, num_classes + 1)
 
     conf = sum(_parallel_map(one, eval_manifest.records))
     return iou_from_confusion(conf)
@@ -275,12 +274,15 @@ _SALTS = {"initial": (1, 11), "enhanced": (2, 12), "powerful": (3, 13)}
 def _trained_on(name: str, simple, complex_, config: TrainConfig):
     """The (manifest, record) pairs stage `name` trains on, given the simple
     and complex manifests: the simple records, or for 'powerful' the complex
-    ones followed, with `include_simple_in_powerful`, by the simple ones."""
-    if name != "powerful":
-        manifests = [simple]
-    else:
-        manifests = [complex_, simple] if config.include_simple_in_powerful else [complex_]
-    return [(m, rec) for m in manifests for rec in m.records]
+    ones followed, with `include_simple_in_powerful`, by the simple ones.
+    Raises a ValueError naming the stage if there are none."""
+    splits = {"complex": complex_} if name == "powerful" else {"simple": simple}
+    if name == "powerful" and config.include_simple_in_powerful:
+        splits["simple"] = simple
+    pairs = [(m, rec) for m in splits.values() for rec in m.records]
+    if not pairs:
+        raise ValueError(f"stage {name!r}: no {' or '.join(splits)} records to train on")
+    return pairs
 
 
 def _stage_targets(name: str, net, dataset, images):
@@ -316,8 +318,9 @@ def run_stage(
     `config.warm_start`). The enhanced stage does this `config.enhance_rounds`
     times, each round relabeling with the net the round before trained. The
     prior's masks go to masks_<previous stage>/ under out_dir when given; it
-    is created once the records and the crop size pass their checks. The net
-    is then evaluated on `eval_manifest`. Each training image is decoded
+    is created once the records, the eval ground truth (`_checked_gt`), the
+    training set (`_trained_on`) and the crop size pass their checks. The
+    net is then evaluated on `eval_manifest`. Each training image is decoded
     once, as uint8 bytes, for the crop check, the targets and training.
     """
     if not eval_manifest.records:
@@ -329,6 +332,8 @@ def run_stage(
                     f"{m.root / 'manifest.jsonl'}: record {rec.image!r} has labels "
                     f"{sorted(rec.labels)}, outside 1..{num_classes}"
                 )
+    for rec in eval_manifest.records:
+        _checked_gt(eval_manifest, rec, num_classes)
     dataset = _trained_on(name, simple_manifest, complex_manifest, config)
     images = [m.load_image_bytes(rec) for m, rec in dataset]
     for (m, rec), image in zip(dataset, images):
@@ -380,8 +385,8 @@ def run_stc(
     Pseudo-mask directories masks_initial/ and masks_enhanced/ are written
     under out_dir when given. Training never reads ground-truth masks.
     """
-    if not simple_manifest.records:
-        raise PipelineError("initial", ValueError("no simple images to train on"))
+    for name in STAGES:
+        _trained_on(name, simple_manifest, complex_manifest, config)
     if num_classes is None:
         num_classes = max(
             max(rec.labels)

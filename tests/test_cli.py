@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -11,7 +12,7 @@ import pytest
 from helpers import PEAK_RSS_KB
 from stc import cli, data, imageio, pipeline
 from stc.cli import load_run_config, main
-from stc.network import NetworkConfig, init_network
+from stc.network import NetworkConfig, init_network, predict
 from stc.params import ParamSet, save_params
 
 
@@ -85,6 +86,7 @@ class TestGen:
         assert rc == 1
         err = capsys.readouterr().err
         assert "could not place classes [1, 4, 3] in a 12x12 image" in err, err
+        assert list(tmp_path.iterdir()) == []  # the 40 simple images it wrote are gone
 
     def test_same_seed_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -333,6 +335,14 @@ def test_checkpoint_whose_layers_do_not_chain_names_file_and_field(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("defect", list(BAD_STACKS))
+def test_parameter_set_whose_layers_do_not_chain_is_rejected_by_predict(defect):
+    name, shape = BAD_STACKS[defect]
+    net = _with_shape(init_network(NetworkConfig(4, seed=0)), name, shape)
+    with pytest.raises(ValueError, match=re.escape(name)):
+        predict(net, np.zeros((16, 16, 3)))
+
+
 # field -> value that disagrees with the default 16/32/64 network, 4 classes
 SIDECAR_EDITS = {
     "num_classes": 3,
@@ -565,6 +575,71 @@ def test_empty_eval_split_rejected_before_training(tmp_path, capsys, monkeypatch
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert "no eval records" in err and str(d) in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_empty_eval_split_rejected_by_eval_naming_the_dataset(tmp_path, capsys):
+    d = tmp_path / "data"
+    assert main(["gen", "--out", str(d), "--simple", "2", "--complex", "1",
+                 "--eval", "0", "--seed", "5"]) == 0
+    path = tmp_path / "ckpt.stcp"
+    save_params(init_network(NetworkConfig(4, seed=0)), path)
+    assert main(["eval", "--checkpoint", str(path), "--data", str(d)]) == 1
+    err = capsys.readouterr().err
+    assert "no eval records" in err and str(d) in err
+
+
+@pytest.mark.parametrize("command", ["run", "stage"])
+def test_stage_with_nothing_to_train_on_rejected_before_any_stage_runs(
+    tmp_path, capsys, monkeypatch, command
+):
+    d = tmp_path / "data"
+    assert main(["gen", "--out", str(d), "--simple", "4", "--complex", "0",
+                 "--eval", "2", "--seed", "5"]) == 0
+
+    def no_stage_work(*args, **kwargs):
+        raise AssertionError("stage work ran although the powerful stage has nothing to train on")
+
+    for fn in ("compute_saliency", "relabel_complex", "train_stage"):
+        monkeypatch.setattr(pipeline, fn, no_stage_work)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({**TINY_CONFIG, "include_simple_in_powerful": False}))
+    argv = [command, "--data", str(d), "--out", str(tmp_path / "out"), "--config", str(cfg)]
+    if command == "stage":
+        argv += ["--stage", "powerful", "--params", str(tmp_path / "prior.stcp")]
+        save_params(init_network(NetworkConfig(4, channels=(6, 8, 10), seed=0)), argv[-1])
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "stage 'powerful': no complex records to train on" in err, err
+    assert not (tmp_path / "out").exists()
+
+
+# defect -> what one eval ground-truth mask is written as
+BAD_GT = {"label": np.full((64, 64), 9), "size": np.zeros((32, 64), dtype=np.int64)}
+
+
+@pytest.mark.parametrize("command", ["run", "stage"])
+@pytest.mark.parametrize("defect", list(BAD_GT))
+def test_bad_eval_ground_truth_rejected_before_training(
+    tmp_path, capsys, monkeypatch, command, defect
+):
+    d = tmp_path / "data"
+    assert main(["gen", "--out", str(d), "--simple", "4", "--complex", "2",
+                 "--eval", "2", "--seed", "5"]) == 0
+    bad = data.read_dataset(d).split("eval").records[1].gt_mask
+    imageio.write_pgm(d / bad, BAD_GT[defect])
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained although an eval ground-truth mask is bad")
+
+    monkeypatch.setattr(pipeline, "train_stage", no_training)
+    argv = [command, "--data", str(d), "--out", str(tmp_path / "out")]
+    if command == "stage":
+        argv += ["--stage", "initial"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    want = "ground-truth label 9 outside 0..4" if defect == "label" else "mask is 32x64"
+    assert str(d / bad) in err and want in err, err
     assert not (tmp_path / "out").exists()
 
 

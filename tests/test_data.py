@@ -189,3 +189,18 @@ def test_write_dataset_writes_each_example_as_it_comes(tmp_path):
     records = data.write_dataset(examples(), tmp_path)
     assert [r.image for r in records] == [f"images/{n}.ppm" for n in names]
     assert records == data.read_dataset(tmp_path).records
+
+
+def test_write_dataset_that_fails_removes_what_it_wrote(tmp_path):
+    def examples():
+        yield from data.build_dataset(2, 1, 1, seed=0)
+        raise ValueError("generation failed")
+
+    (tmp_path / "keep").mkdir()
+    (tmp_path / "keep" / "notes.txt").write_text("")
+    for out in (tmp_path / "a" / "b" / "new", tmp_path / "keep"):
+        with pytest.raises(ValueError, match="generation failed"):
+            data.write_dataset(examples(), out)
+    assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
+        "keep", "keep/notes.txt"
+    ]

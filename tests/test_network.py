@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -16,9 +17,9 @@ from stc.network import (
     _forward_cached,
     _parallel_map,
     backward,
+    check_layers,
     forward,
     init_network,
-    num_classes_of,
     output_stride,
     predict,
     row_ranges,
@@ -63,13 +64,33 @@ class TestInit:
             NetworkConfig(num_classes=2, channels=channels)
 
 
+class TestCheckLayers:
+    @pytest.mark.parametrize("num_classes", [1, 2, 3, 4])
+    @pytest.mark.parametrize("blocks", [1, 2, 3, 4])
+    def test_init_network_passes_giving_its_config(self, num_classes, blocks):
+        cfg = NetworkConfig(num_classes, channels=(4, 6, 8, 5)[:blocks], seed=1)
+        assert check_layers(init_network(cfg)) == (cfg.num_classes, cfg.channels)
+
+    def test_head_with_one_output_channel_rejected(self):
+        ps = init_network(NetworkConfig(num_classes=1, channels=(4,), seed=1))
+        ps["head.weight"].value = np.zeros((1, 4, 1, 1))
+        with pytest.raises(ValueError, match=r"head\.weight has shape \(1, 4, 1, 1\).*C\+1 >= 2"):
+            check_layers(ps)
+
+    def test_missing_conv3_bias_fails_training_forward_naming_it(self, rng):
+        ps = init_network(NetworkConfig(num_classes=3, channels=(4, 6, 8), seed=8))
+        ps = ps.subset(n for n in ps.names() if n != "conv3.bias")
+        with pytest.raises(ValueError, match=r"missing conv3\.bias, of shape \(8,\)"):
+            step_arrays(ps, (2, 3, 16, 12))
+
+
 class TestForward:
     def test_output_shape(self, rng):
         ps = init_network(NetworkConfig(num_classes=4, seed=0))
         logits = forward(ps, rng.uniform(size=(2, 3, 64, 64)))
         assert logits.shape == (2, 5, 16, 16)
         assert output_stride(ps) == 4
-        assert num_classes_of(ps) == 4
+        assert check_layers(ps) == (4, (16, 32, 64))
 
     def test_zero_weights_zero_logits(self, rng):
         ps = init_network(NetworkConfig(num_classes=2, seed=0))
@@ -392,9 +413,10 @@ class TestStepArrays:
     def test_conv_weight_that_is_not_3x3_is_rejected_naming_it(self, shape):
         ps = init_network(NetworkConfig(num_classes=3, channels=(4, 6, 8), seed=8))
         ps["conv2.weight"].value = np.zeros(shape)
-        with pytest.raises(ValueError, match=r"conv2\.weight.*3x3"):
+        want = rf"conv2\.weight has shape {re.escape(str(shape))}, expected \(6, 4, 3, 3\)"
+        with pytest.raises(ValueError, match=want):
             step_arrays(ps, (1, 3, 16, 12))
-        with pytest.raises(ValueError, match=r"conv2\.weight.*3x3"):
+        with pytest.raises(ValueError, match=want):
             forward(ps, np.zeros((1, 3, 16, 12)))
 
     def test_a_pooled_blocks_grad_is_its_conv_output(self):

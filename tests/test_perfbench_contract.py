@@ -141,3 +141,18 @@ def test_benchmark_inference_pass_passes_its_checks(tmp_path, workloads):
     assert workloads.check_pass(result) == []
     assert (result.images, len(result.saliency), len(result.masks)) == (7, 3, 5)
     assert len(list(result.mask_dir.glob("*.pgm"))) == 5
+
+
+@pytest.mark.parametrize("run_config", [None, {"epochs": 1}], ids=["infer", "pipeline"])
+def test_benchmark_setup_passes_its_checks(tmp_path, workloads, run_config):
+    # the set-up calls `cli.main gen`, `load_image`, `load_gt_mask`,
+    # `init_network` and `save_params`/`load_params` by name
+    w = workloads.Workload("tiny", workloads.Corpus(3, 2, 2, 32), run_config)
+    s = workloads.setup(w, tmp_path / "data", 0, 1)
+    assert workloads.check_setup(w, s) == []
+    if run_config is None:
+        want = init_network(NetworkConfig(workloads.NUM_CLASSES, seed=1))
+        assert s.net.names() == want.names()
+        assert all(np.array_equal(s.net[n].value, want[n].value) for n in want.names())
+    else:
+        assert s.net is None
