@@ -23,14 +23,15 @@ from .pipeline import PipelineError, TrainConfig
 from .saliency import compute_saliency
 
 _TRAIN_KEYS = {f.name for f in dataclasses.fields(TrainConfig)}
-_RUN_DEFAULTS = {"num_classes": 4, "data": None, "out": None}
+_RUN_DEFAULTS = {"num_classes": None, "data": None, "out": None}
 _RUN_KEYS = _TRAIN_KEYS | set(_RUN_DEFAULTS)
 
 
 def load_run_config(path) -> dict:
     """Single JSON document holding TrainConfig fields plus the class count
     and paths; unknown keys, values of the wrong type and values out of
-    range are rejected. A key's type is that of its default."""
+    range are rejected. A key's type is that of its default, but for
+    num_classes: an integer, by default the dataset's largest label."""
     doc = json.loads(Path(path).read_text())
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: config must be a JSON object")
@@ -39,14 +40,12 @@ def load_run_config(path) -> dict:
         raise ValueError(f"{path}: unknown config keys {unknown}")
     merged = _default_run_config()
     for key, value in doc.items():
-        want = _type_error(value, merged[key])
+        want = _type_error(value, 1 if key == "num_classes" else merged[key])
         if want:
             raise ValueError(f"{path}: config key {key!r} must be {want}, got {json.dumps(value)}")
     merged.update(doc)
-    if merged["num_classes"] < 1:
-        raise ValueError(
-            f"{path}: config key 'num_classes' must be >= 1, got {merged['num_classes']}"
-        )
+    if doc.get("num_classes", 1) < 1:
+        raise ValueError(f"{path}: config key 'num_classes' must be >= 1, got {doc['num_classes']}")
     try:
         _train_config_from(merged, None)
     except ValueError as e:
@@ -179,22 +178,18 @@ def _write_checkpoint(out: Path, stage: str, net, seed: int) -> Path:
     return path
 
 
-def _run_config(args) -> dict:
-    return load_run_config(args.config) if args.config else _default_run_config()
-
-
-def _prepare(args, cfg: dict):
-    """The dataset's simple/complex/eval splits and the output path of `run`
-    and `stage` under run config cfg; `run_stage` creates the directory."""
+def _prepare(args):
+    """The run config, its TrainConfig, the dataset's splits and the output
+    path of `run` and `stage`; `run_stage` creates the directory."""
+    cfg = load_run_config(args.config) if args.config else _default_run_config()
     manifest = data.read_dataset(_resolve_path(args.data, cfg, "data"))
     out = Path(_resolve_path(args.out, cfg, "out"))
-    return [manifest.split(s) for s in ("simple", "complex", "eval")], out
+    splits = [manifest.split(s) for s in ("simple", "complex", "eval")]
+    return cfg, _train_config_from(cfg, args.seed), splits, out
 
 
 def cmd_run(args) -> int:
-    cfg = _run_config(args)
-    config = _train_config_from(cfg, args.seed)
-    splits, out = _prepare(args, cfg)
+    cfg, config, splits, out = _prepare(args)
     nets, reports = pipeline.run_stc(*splits, config, num_classes=cfg["num_classes"], out_dir=out)
     for stage in pipeline.STAGES:
         _write_checkpoint(out, stage, nets[stage], config.seed)
@@ -211,24 +206,21 @@ def cmd_stage(args) -> int:
     if args.stage != "initial" and not args.params:
         raise ValueError(f"stage {args.stage!r} needs --params from the previous stage")
     prior = _load_network(args.params) if args.params else None
-    cfg = _run_config(args)
-    config = _train_config_from(cfg, args.seed)
+    cfg, config, splits, out = _prepare(args)
+    corpus = pipeline.load_corpus(*splits, config, num_classes=cfg["num_classes"])
     if prior is not None:
         num_classes, channels = check_layers(prior)
-        if num_classes != cfg["num_classes"]:
+        if num_classes != corpus.num_classes:
             raise ValueError(
                 f"{args.params}: checkpoint has num_classes {num_classes}, "
-                f"the run config has num_classes {cfg['num_classes']}"
+                f"the run has num_classes {corpus.num_classes}"
             )
         if config.warm_start and channels != config.channels:
             raise ValueError(
                 f"{args.params}: checkpoint has channels {list(channels)}, the run config "
                 f"has channels {list(config.channels)}, and warm_start trains the checkpoint"
             )
-    splits, out = _prepare(args, cfg)
-    net, r = pipeline.run_stage(
-        args.stage, prior, *splits, config, num_classes=cfg["num_classes"], out_dir=out
-    )
+    net, r = pipeline.run_stage(args.stage, prior, corpus, config, out_dir=out)
     ckpt = _write_checkpoint(out, args.stage, net, config.seed)
     print(f"{r.stage}: miou {r.miou:.4f} ({r.seconds:.1f}s)")
     print(f"wrote {ckpt}")

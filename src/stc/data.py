@@ -303,11 +303,10 @@ class DatasetManifest:
         """(H, W, 3) uint8, as stored; training keeps its images in this form."""
         return read_ppm_bytes(self.root / record.image)
 
-    def load_saliency(self, record: DatasetRecord) -> np.ndarray:
-        """(H, W) uint8, as stored; a byte v encodes saliency v/255."""
-        if record.saliency is None:
-            raise ValueError(f"record {record.image!r} has no saliency file")
-        return read_pgm(self.root / record.saliency)
+    def load_saliency(self, record: DatasetRecord) -> np.ndarray | None:
+        """(H, W) uint8, as stored (a byte v encodes saliency v/255), or None
+        if the record has no saliency file."""
+        return None if record.saliency is None else read_pgm(self.root / record.saliency)
 
     def load_gt_mask(self, record: DatasetRecord) -> np.ndarray:
         if record.gt_mask is None:

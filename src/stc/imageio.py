@@ -8,6 +8,7 @@ Errors always name the offending file.
 from __future__ import annotations
 
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -39,27 +40,23 @@ def _to_bytes01(values: np.ndarray) -> np.ndarray:
     return np.round(np.clip(values, 0.0, 1.0) * 255.0).astype(np.uint8)
 
 
+# whitespace and '#' comments, then a header token (width, height or maxval)
+_HEADER_TOKEN = re.compile(rb"(?:\s|#[^\n]*)*(\S*)")
+
+
 def _read_pnm(path: Path, magic: bytes) -> np.ndarray:
     data = path.read_bytes()
     if not data.startswith(magic):
         raise ValueError(f"{path}: expected {magic.decode()} file")
-    # Header: magic, width, height, maxval as whitespace-separated tokens,
-    # with '#' comments allowed; one whitespace byte ends the header.
-    pos = 2
-    fields: list[int] = []
-    while len(fields) < 3:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if pos < len(data) and data[pos : pos + 1] == b"#":
-            while pos < len(data) and data[pos] != 0x0A:
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
+    pos, fields = 2, []
+    for field in ("width", "height", "maxval"):
+        match = _HEADER_TOKEN.match(data, pos)
+        token, pos = match[1], match.end()
+        if not token:
             raise ValueError(f"{path}: truncated header")
-        fields.append(int(data[start:pos]))
+        if not token.isdigit() or len(token) > 9 or int(token) == 0:
+            raise ValueError(f"{path}: header field {field} is {token!r}, not in 1..999999999")
+        fields.append(int(token))
     pos += 1  # single whitespace after maxval
     width, height, maxval = fields
     if maxval != 255:
@@ -101,8 +98,7 @@ def write_pgm(path, values: np.ndarray) -> None:
 
 def read_pgm(path) -> np.ndarray:
     """Returns raw (H, W) uint8 values."""
-    path = Path(path)
-    return _read_pnm(path, b"P5")
+    return _read_pnm(Path(path), b"P5")
 
 
 def write_saliency_pgm(path, saliency: np.ndarray) -> None:

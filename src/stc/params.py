@@ -8,6 +8,7 @@ suite (`numeric_grad` and `rel_err` in its helpers).
 """
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -112,7 +113,8 @@ def save_params(params: ParamSet, path) -> None:
 
 
 def load_params(path) -> ParamSet:
-    """Reads a checkpoint written by save_params; gradient/velocity start at zero."""
+    """Reads a checkpoint written by save_params; gradient/velocity start at
+    zero. Each error names the file: truncation, a bad name, a non-finite value."""
     path = Path(path)
     data = path.read_bytes()
 
@@ -131,14 +133,20 @@ def load_params(path) -> ParamSet:
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
     out = ParamSet()
-    for _ in range(count):
+    for i in range(count):
         (nlen,) = struct.unpack("<H", take(2, "name length"))
-        name = take(nlen, "name").decode("utf-8")
+        try:
+            name = take(nlen, "name").decode("utf-8")
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: name of entry {i} is not UTF-8") from None
+        if name in out:
+            raise ValueError(f"{path}: duplicate parameter {name!r}")
         (rank,) = struct.unpack("<B", take(1, "rank"))
         dims = struct.unpack(f"<{rank}I", take(4 * rank, "dims"))
-        size = int(np.prod(dims)) if rank else 1
-        raw = take(8 * size, f"values of {name!r}")
-        out.add(name, np.frombuffer(raw, dtype="<f8").reshape(dims))
+        values = np.frombuffer(take(8 * math.prod(dims), f"values of {name!r}"), dtype="<f8")
+        if not np.isfinite(values).all():
+            raise ValueError(f"{path}: parameter {name!r} has a non-finite value")
+        out.add(name, values.reshape(dims))
     if off != len(data):
         raise ValueError(
             f"{path}: {len(data) - off} trailing bytes after the last of {count} entries"

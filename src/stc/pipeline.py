@@ -248,9 +248,8 @@ def _saliency_bytes(manifest: DatasetManifest, rec: DatasetRecord, image) -> np.
     """(H, W) uint8 saliency of `rec`, whose decoded uint8 image is `image`:
     the stored map as read, else the map computed from `image` in the bytes
     `stc saliency` would store, so both paths agree."""
-    if rec.saliency is not None:
-        return manifest.load_saliency(rec)
-    return _to_bytes01(compute_saliency(image / 255.0))
+    stored = manifest.load_saliency(rec)
+    return stored if stored is not None else _to_bytes01(compute_saliency(image / 255.0))
 
 
 def _saliency_for(manifest: DatasetManifest, rec: DatasetRecord) -> np.ndarray:
@@ -263,54 +262,97 @@ def _write_masks(out_dir, stage_dir: str, dataset, masks) -> None:
         return
     d = Path(out_dir) / stage_dir
     d.mkdir(parents=True, exist_ok=True)
-    for (_, rec), mask in zip(dataset, masks):
+    for (_, rec, *_), mask in zip(dataset, masks):
         write_pgm(d / f"{Path(rec.image).stem}.pgm", mask)
+
+
+@dataclass(frozen=True)
+class Corpus:
+    """A run's checked inputs. `simple` and `complex` hold one (manifest, record,
+    uint8 image, stored uint8 saliency map or None) entry per record."""
+
+    simple: list
+    complex: list
+    eval: DatasetManifest
+    num_classes: int
+
+
+def load_corpus(
+    simple: DatasetManifest, complex_: DatasetManifest, eval_: DatasetManifest,
+    config: TrainConfig, *, num_classes: int | None = None,
+) -> Corpus:
+    """Reads and checks a run's inputs once, on the calling thread: the eval
+    split is not empty, every label is in 1..num_classes (by default the
+    largest label), the eval ground truth passes `_checked_gt`, and each
+    training image is at least `crop_size` and the size of its saliency map."""
+    if not eval_.records:
+        raise ValueError(f"no eval records in {eval_.root}: every stage is evaluated")
+    records = [(m, rec) for m in (simple, complex_, eval_) for rec in m.records]
+    if num_classes is None:
+        num_classes = max(max(rec.labels) for _, rec in records)
+    for m, rec in records:
+        if not all(1 <= c <= num_classes for c in rec.labels):
+            raise ValueError(
+                f"{m.root / 'manifest.jsonl'}: record {rec.image!r} has labels "
+                f"{sorted(rec.labels)}, outside 1..{num_classes}"
+            )
+    for rec in eval_.records:
+        _checked_gt(eval_, rec, num_classes)
+
+    def entry(m: DatasetManifest, rec: DatasetRecord):
+        image = m.load_image_bytes(rec)
+        h, w = image.shape[:2]
+        if min(h, w) < config.crop_size:
+            raise ValueError(
+                f"{m.root / rec.image}: image is {h}x{w}, smaller than config key "
+                f"'crop_size' {config.crop_size}"
+            )
+        saliency = m.load_saliency(rec)
+        if saliency is not None and saliency.shape != (h, w):
+            raise ValueError(
+                f"{m.root / rec.saliency}: saliency map is {saliency.shape[0]}x"
+                f"{saliency.shape[1]}, its image {rec.image!r} is {h}x{w}"
+            )
+        return m, rec, image, saliency
+
+    loaded = [[entry(m, rec) for rec in m.records] for m in (simple, complex_)]
+    return Corpus(*loaded, eval_, num_classes)
 
 
 # Seed salts per stage: (network init, training); enhance round r adds 100 * r.
 _SALTS = {"initial": (1, 11), "enhanced": (2, 12), "powerful": (3, 13)}
 
 
-def _trained_on(name: str, simple, complex_, config: TrainConfig):
-    """The (manifest, record) pairs stage `name` trains on, given the simple
-    and complex manifests: the simple records, or for 'powerful' the complex
-    ones followed, with `include_simple_in_powerful`, by the simple ones.
-    Raises a ValueError naming the stage if there are none."""
-    splits = {"complex": complex_} if name == "powerful" else {"simple": simple}
+def _trained_on(name: str, corpus: Corpus, config: TrainConfig) -> list:
+    """The `corpus` entries stage `name` trains on: the simple ones, or for
+    'powerful' the complex ones followed, with `include_simple_in_powerful`,
+    by the simple ones. A ValueError names the stage if there are none."""
+    splits = {"complex": corpus.complex} if name == "powerful" else {"simple": corpus.simple}
     if name == "powerful" and config.include_simple_in_powerful:
-        splits["simple"] = simple
-    pairs = [(m, rec) for m in splits.values() for rec in m.records]
-    if not pairs:
+        splits["simple"] = corpus.simple
+    entries = [e for split in splits.values() for e in split]
+    if not entries:
         raise ValueError(f"stage {name!r}: no {' or '.join(splits)} records to train on")
-    return pairs
+    return entries
 
 
-def _stage_targets(name: str, net, dataset, images):
-    """The targets of `dataset`'s (manifest, record) pairs, whose decoded
-    uint8 images are `images`: saliency bytes for 'initial', else `net`'s
-    pseudo-masks restricted to each record's labels and background (for a
-    single-label record, its class and background)."""
-    def target(i):
-        (manifest, rec), image = dataset[i], images[i]
-        if name == "initial":
-            return _saliency_bytes(manifest, rec, image)
-        return relabel_complex(net, image / 255.0, rec.labels)
+def _stage_targets(name: str, net, entries: list) -> list:
+    """The targets of `Corpus` entries: for 'initial' the stored saliency
+    bytes, else ones computed from the image; for the later stages `net`'s
+    pseudo-masks restricted to each record's labels and background."""
+    def target(entry):
+        manifest, rec, image, saliency = entry
+        if name != "initial":
+            return relabel_complex(net, image / 255.0, rec.labels)
+        return saliency if saliency is not None else _saliency_bytes(manifest, rec, image)
 
-    return _parallel_map(target, range(len(dataset)))
+    return _parallel_map(target, entries)
 
 
 def run_stage(
-    name: str,
-    prior: ParamSet | None,
-    simple_manifest: DatasetManifest,
-    complex_manifest: DatasetManifest,
-    eval_manifest: DatasetManifest,
-    config: TrainConfig,
-    *,
-    num_classes: int,
-    out_dir=None,
+    name: str, prior: ParamSet | None, corpus: Corpus, config: TrainConfig, *, out_dir=None
 ):
-    """Runs one stage; returns (net, StageReport).
+    """Runs one stage on `corpus` (`load_corpus`); returns (net, StageReport).
 
     'initial' trains a new net of `config.channels` on saliency targets and
     takes no prior. The later stages relabel their images with `prior`, the
@@ -318,31 +360,10 @@ def run_stage(
     `config.warm_start`). The enhanced stage does this `config.enhance_rounds`
     times, each round relabeling with the net the round before trained. The
     prior's masks go to masks_<previous stage>/ under out_dir when given; it
-    is created once the records, the eval ground truth (`_checked_gt`), the
-    training set (`_trained_on`) and the crop size pass their checks. The
-    net is then evaluated on `eval_manifest`. Each training image is decoded
-    once, as uint8 bytes, for the crop check, the targets and training.
+    is created once the stage has records to train on (`_trained_on`). The
+    net is then evaluated on the corpus's eval split.
     """
-    if not eval_manifest.records:
-        raise ValueError(f"no eval records in {eval_manifest.root}: every stage is evaluated")
-    for m in (simple_manifest, complex_manifest, eval_manifest):
-        for rec in m.records:
-            if not all(1 <= c <= num_classes for c in rec.labels):
-                raise ValueError(
-                    f"{m.root / 'manifest.jsonl'}: record {rec.image!r} has labels "
-                    f"{sorted(rec.labels)}, outside 1..{num_classes}"
-                )
-    for rec in eval_manifest.records:
-        _checked_gt(eval_manifest, rec, num_classes)
-    dataset = _trained_on(name, simple_manifest, complex_manifest, config)
-    images = [m.load_image_bytes(rec) for m, rec in dataset]
-    for (m, rec), image in zip(dataset, images):
-        h, w = image.shape[:2]
-        if min(h, w) < config.crop_size:
-            raise ValueError(
-                f"{m.root / rec.image}: image is {h}x{w}, smaller than config key "
-                f"'crop_size' {config.crop_size}"
-            )
+    entries = _trained_on(name, corpus, config)
     if out_dir is not None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
     supervision = SUPERVISION_SALIENCY if name == "initial" else SUPERVISION_MASKS
@@ -351,20 +372,20 @@ def run_stage(
     try:
         net = prior
         for rnd in range(config.enhance_rounds if name == "enhanced" else 1):
-            targets = _stage_targets(name, net, dataset, images)
+            targets = _stage_targets(name, net, entries)
             if rnd == 0 and name != "initial":
                 prev = STAGES[STAGES.index(name) - 1]
-                _write_masks(out_dir, f"masks_{prev}", dataset, targets)
+                _write_masks(out_dir, f"masks_{prev}", entries, targets)
             if config.warm_start and name != "initial":
                 net = net.copy()
             else:
                 seed = _derive_seed(config.seed, init_salt + 100 * rnd)
-                net = init_network(NetworkConfig(num_classes, config.channels, seed=seed))
+                net = init_network(NetworkConfig(corpus.num_classes, config.channels, seed=seed))
             _, losses = train_stage(
-                net, [(rec, im) for (_, rec), im in zip(dataset, images)], supervision, targets,
+                net, [(rec, image) for _, rec, image, _ in entries], supervision, targets,
                 replace(config, seed=_derive_seed(config.seed, train_salt + 100 * rnd)),
             )
-        per_iou, miou = evaluate(net, eval_manifest)
+        per_iou, miou = evaluate(net, corpus.eval)
     except Exception as e:
         raise PipelineError(name, e) from e
     return net, StageReport(name, losses, per_iou, miou, time.perf_counter() - t0)
@@ -382,25 +403,21 @@ def run_stc(
     """Runs all three stages, each on the net the one before trained, with
     the settings `config` holds; returns ({stage: ParamSet}, [StageReport]).
 
-    Pseudo-mask directories masks_initial/ and masks_enhanced/ are written
-    under out_dir when given. Training never reads ground-truth masks.
+    The inputs (`load_corpus`) and each stage's training set are checked
+    before the first stage. Pseudo-mask directories masks_initial/ and
+    masks_enhanced/ are written under out_dir when given. Training never
+    reads ground-truth masks.
     """
+    corpus = load_corpus(
+        simple_manifest, complex_manifest, eval_manifest, config, num_classes=num_classes
+    )
     for name in STAGES:
-        _trained_on(name, simple_manifest, complex_manifest, config)
-    if num_classes is None:
-        num_classes = max(
-            max(rec.labels)
-            for m in (simple_manifest, complex_manifest, eval_manifest)
-            for rec in m.records
-        )
+        _trained_on(name, corpus, config)
     nets: dict[str, ParamSet] = {}
     reports: list[StageReport] = []
     net = None
     for name in STAGES:
-        net, report = run_stage(
-            name, net, simple_manifest, complex_manifest, eval_manifest, config,
-            num_classes=num_classes, out_dir=out_dir,
-        )
+        net, report = run_stage(name, net, corpus, config, out_dir=out_dir)
         nets[name] = net
         reports.append(report)
     return nets, reports

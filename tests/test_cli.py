@@ -226,6 +226,8 @@ class TestRun:
             ("initial_lr", False),
             ("warm_start", 1),
             ("data", 7),
+            ("num_classes", "4"),
+            ("num_classes", None),
         ],
     )
     def test_config_value_type_rejected_naming_file_and_key(
@@ -534,7 +536,7 @@ def test_config_value_out_of_range_rejected_naming_file_and_key_before_any_stage
     [
         (["run"], "simple"),
         (["stage", "--stage", "initial"], "simple"),
-        (["stage", "--stage", "powerful", "--params"], "complex"),
+        (["stage", "--stage", "powerful", "--params"], "simple"),
     ],
     ids=["run", "stage-initial", "stage-powerful"],
 )
@@ -763,13 +765,101 @@ def test_label_above_num_classes_rejected_before_training(
         raise AssertionError("trained although a label id is out of range")
 
     monkeypatch.setattr(pipeline, "train_stage", no_training)
-    argv = [command, "--data", str(d), "--out", str(tmp_path / "out")]
+    cfg = tmp_path / "config.json"  # without the key, num_classes is the largest label
+    cfg.write_text(json.dumps({"num_classes": 4}))
+    argv = [command, "--data", str(d), "--out", str(tmp_path / "out"), "--config", str(cfg)]
     if command == "stage":
         argv += ["--stage", "initial"]
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert str(manifest_path) in err and entry["image"] in err and "7" in err, err
     assert not (tmp_path / "out").exists()
+
+
+def _dataset(tmp_path, *flags) -> Path:
+    d = tmp_path / "data"
+    assert main(["gen", "--out", str(d), "--simple", "4", "--complex", "2",
+                 "--eval", "2", "--seed", "5", *flags]) == 0
+    return d
+
+
+def _no_stage_work(monkeypatch):
+    def no_stage_work(*args, **kwargs):
+        raise AssertionError("stage work ran although an input is bad")
+
+    for fn in ("compute_saliency", "relabel_complex", "train_stage"):
+        monkeypatch.setattr(pipeline, fn, no_stage_work)
+
+
+# defect -> (how one complex image is damaged, what the error says)
+BAD_COMPLEX = {
+    "truncated": (lambda raw: raw[:-100], "truncated pixel data"),
+    "40x40": (lambda raw: b"P6\n40 40\n255\n" + bytes(40 * 40 * 3), "image is 40x40"),
+}
+
+
+@pytest.mark.parametrize("argv", [["run"], ["stage", "--stage", "initial"]], ids=["run", "stage"])
+@pytest.mark.parametrize("defect", list(BAD_COMPLEX))
+def test_bad_complex_image_rejected_before_any_stage_work(
+    tmp_path, capsys, monkeypatch, argv, defect
+):
+    d = _dataset(tmp_path)
+    bad = d / data.read_dataset(d).split("complex").records[1].image
+    damage, want = BAD_COMPLEX[defect]
+    bad.write_bytes(damage(bad.read_bytes()))
+    _no_stage_work(monkeypatch)
+    out = tmp_path / "out"
+    assert main([*argv, "--data", str(d), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"{bad}: {want}" in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["run"], ["stage", "--stage", "initial"]], ids=["run", "stage"])
+def test_stored_saliency_map_of_another_size_rejected_naming_file_and_sizes(
+    tmp_path, capsys, monkeypatch, argv
+):
+    d = _dataset(tmp_path)
+    assert main(["saliency", "--data", str(d)]) == 0
+    imageio.write_pgm(d / "saliency" / "simple_0003.pgm", np.zeros((40, 40), dtype=np.uint8))
+    _no_stage_work(monkeypatch)
+    out = tmp_path / "out"
+    assert main([*argv, "--data", str(d), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    want = "saliency map is 40x40, its image 'images/simple_0003.ppm' is 64x64"
+    assert f"{d / 'saliency' / 'simple_0003.pgm'}: {want}" in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["run"], ["stage", "--stage", "initial"]], ids=["run", "stage"])
+@pytest.mark.parametrize("key", [None, 4], ids=["no-key", "key-4"])
+def test_num_classes_is_the_largest_label_unless_the_config_sets_it(tmp_path, argv, key):
+    d = _dataset(tmp_path, "--classes", "3")
+    cfg = {k: v for k, v in TINY_CONFIG.items() if k != "num_classes"}
+    if key is not None:
+        cfg["num_classes"] = key
+    (tmp_path / "config.json").write_text(json.dumps({**cfg, "epochs": 1}))
+    out = tmp_path / "out"
+    assert main([*argv, "--data", str(d), "--out", str(out),
+                 "--config", str(tmp_path / "config.json")]) == 0
+    want = 3 if key is None else key
+    for ckpt in out.glob("checkpoint_*.json"):
+        assert json.loads(ckpt.read_text())["num_classes"] == want, ckpt
+    if argv == ["run"]:
+        report = json.loads((out / "report.json").read_text())
+        assert all(len(s["per_class_iou"]) == want + 1 for s in report["stages"])
+
+
+def test_stage_params_compared_with_the_class_count_of_the_labels(tmp_path, capsys):
+    d = _dataset(tmp_path, "--classes", "3")
+    path = tmp_path / "four_classes.stcp"
+    save_params(init_network(NetworkConfig(4, seed=0)), path)
+    out = tmp_path / "out"
+    assert main(["stage", "--data", str(d), "--out", str(out), "--stage", "enhanced",
+                 "--params", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"{path}: checkpoint has num_classes 4, the run has num_classes 3" in err, err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["run", "stage"])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stc import imageio
 
@@ -57,3 +59,71 @@ def test_comment_in_header_is_skipped(tmp_path):
     path = tmp_path / "img.pgm"
     path.write_bytes(b"P5\n# comment line\n2 2\n255\n" + bytes([1, 2, 3, 4]))
     assert np.array_equal(imageio.read_pgm(path), [[1, 2], [3, 4]])
+
+
+@pytest.mark.parametrize(
+    "header, field, token",
+    [
+        (b"P6\nabc 64\n255\n", "width", "abc"),
+        (b"P6\n64 +4\n255\n", "height", "+4"),
+        (b"P6\n64 64\n2_55\n", "maxval", "2_55"),
+        (b"P5\n-4 64\n255\n", "width", "-4"),
+        (b"P5\n4 0\n255\n", "height", "0"),
+        (b"P5\n4 1234567890\n255\n", "height", "1234567890"),
+    ],
+)
+def test_header_field_that_is_not_a_positive_integer_names_file_and_field(
+    tmp_path, header, field, token
+):
+    path = tmp_path / ("img.ppm" if header.startswith(b"P6") else "img.pgm")
+    path.write_bytes(header + bytes(64 * 64 * 3))
+    read = imageio.read_ppm_bytes if header.startswith(b"P6") else imageio.read_pgm
+    with pytest.raises(ValueError) as err:
+        read(path)
+    assert str(err.value).startswith(f"{path}: header field {field} ")
+    assert repr(token) in str(err.value)
+
+
+# a mutation of a valid file: ("truncate", at), ("flip", at, xor mask) or
+# ("token", which of width/height/maxval, replacement bytes)
+MUTATIONS = st.one_of(
+    st.tuples(st.just("truncate"), st.integers(0, 200)),
+    st.tuples(st.just("flip"), st.integers(0, 200), st.integers(1, 255)),
+    st.tuples(
+        st.just("token"),
+        st.integers(0, 2),
+        st.sampled_from([b"abc", b"-4", b"0", b"+4", b"1_0", b"4.0", b"9" * 12, b"", b"#"])
+        | st.binary(max_size=8),
+    ),
+)
+
+
+def _mutated_pnm(magic: bytes, mutation) -> bytes:
+    tokens = [b"5", b"3", b"255"]
+    if mutation[0] == "token":
+        tokens[mutation[1]] = mutation[2]
+    pixels = bytes(range(5 * 3 * (3 if magic == b"P6" else 1)))
+    raw = bytearray(magic + b"\n" + tokens[0] + b" " + tokens[1] + b"\n" + tokens[2] + b"\n")
+    raw += pixels
+    if mutation[0] == "truncate":
+        del raw[mutation[1]:]
+    elif mutation[0] == "flip" and mutation[1] < len(raw):
+        raw[mutation[1]] ^= mutation[2]
+    return bytes(raw)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(magic=st.sampled_from([b"P6", b"P5"]), mutation=MUTATIONS)
+def test_mutated_pnm_reads_as_an_image_or_raises_naming_the_file(
+    tmp_path_factory, magic, mutation
+):
+    path = tmp_path_factory.getbasetemp() / "fuzz.pnm"
+    path.write_bytes(_mutated_pnm(magic, mutation))
+    read = imageio.read_ppm_bytes if magic == b"P6" else imageio.read_pgm
+    try:
+        image = read(path)
+    except ValueError as e:
+        assert str(e).startswith(f"{path}: "), e
+        return
+    assert image.dtype == np.uint8 and min(image.shape[:2]) >= 1
+    assert image.shape[2:] == ((3,) if magic == b"P6" else ())

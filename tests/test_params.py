@@ -1,5 +1,9 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import zero_grads
 from stc.params import (
@@ -166,3 +170,94 @@ def test_zero_grads_is_a_test_helper():
         ps[name].grad[...] = 2.0
     zero_grads(ps)
     assert not any(ps[name].grad.any() for name in ps)
+
+
+def _entry(name: bytes, values) -> bytes:
+    values = np.asarray(values, dtype="<f8")
+    return (
+        len(name).to_bytes(2, "little") + name + bytes([values.ndim])
+        + b"".join(d.to_bytes(4, "little") for d in values.shape) + values.tobytes()
+    )
+
+
+def _checkpoint(*entries: bytes) -> bytes:
+    return (
+        CHECKPOINT_MAGIC + (1).to_bytes(4, "little") + len(entries).to_bytes(4, "little")
+        + b"".join(entries)
+    )
+
+
+@pytest.mark.parametrize(
+    "entries, want",
+    [
+        ((_entry(b"w\xff", [1.0]),), "name of entry 0 is not UTF-8"),
+        ((_entry(b"a", [1.0]), _entry(b"b", [1.0, np.nan])), "'b' has a non-finite value"),
+        ((_entry(b"a", [[np.inf]]),), "'a' has a non-finite value"),
+        ((_entry(b"a", [1.0]), _entry(b"a", [2.0])), "duplicate parameter 'a'"),
+    ],
+    ids=["name-not-utf8", "nan", "inf", "duplicate"],
+)
+def test_malformed_entry_rejected_naming_file_and_parameter(tmp_path, entries, want):
+    path = tmp_path / "net.stcp"
+    path.write_bytes(_checkpoint(*entries))
+    with pytest.raises(ValueError) as err:
+        load_params(path)
+    assert str(err.value).startswith(f"{path}: ") and want in str(err.value), err.value
+
+
+def test_dims_whose_product_overflows_int64_are_a_truncation(tmp_path):
+    path = tmp_path / "net.stcp"
+    # (2**32 - 1)**2 wraps to a negative int64
+    dims = b"".join((2**32 - 1).to_bytes(4, "little") for _ in range(2))
+    path.write_bytes(_checkpoint(b"\x01\x00a\x02" + dims))
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: truncated"):
+        load_params(path)
+
+
+def _checkpoint_fields() -> tuple[bytes, list[tuple[int, int]]]:
+    """A valid two-entry checkpoint and the (offset, length) of each of its
+    header fields: magic, version, count, and per entry the name length,
+    the name, the rank and each dim."""
+    entries = [_entry(b"conv1.weight", np.linspace(-1, 1, 6).reshape(2, 3)), _entry(b"b", [0.5])]
+    raw = _checkpoint(*entries)
+    fields, off = [(0, 4), (4, 4), (8, 4)], 12
+    for name, dims in ((b"conv1.weight", (2, 3)), (b"b", (1,))):
+        fields += [(off, 2), (off + 2, len(name)), (off + 2 + len(name), 1)]
+        off += 3 + len(name)
+        fields += [(off + 4 * k, 4) for k in range(len(dims))]
+        off += 4 * len(dims) + 8 * int(np.prod(dims))
+    return raw, fields
+
+
+CHECKPOINT, FIELDS = _checkpoint_fields()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    mutation=st.one_of(
+        st.tuples(st.just("truncate"), st.integers(0, 120)),
+        st.tuples(st.just("flip"), st.integers(0, 120), st.integers(1, 255)),
+        st.tuples(st.just("token"), st.integers(0, len(FIELDS) - 1), st.binary(max_size=4)),
+    )
+)
+def test_mutated_checkpoint_loads_finite_values_or_raises_naming_the_file(
+    tmp_path_factory, mutation
+):
+    raw = bytearray(CHECKPOINT)
+    if mutation[0] == "truncate":
+        del raw[mutation[1]:]
+    elif mutation[0] == "flip" and mutation[1] < len(raw):
+        raw[mutation[1]] ^= mutation[2]
+    elif mutation[0] == "token":
+        off, length = FIELDS[mutation[1]]
+        raw[off : off + length] = mutation[2][:length].ljust(length, b"\xff")
+    path = tmp_path_factory.getbasetemp() / "fuzz.stcp"
+    path.write_bytes(bytes(raw))
+    try:
+        params = load_params(path)
+    except ValueError as e:
+        assert str(e).startswith(f"{path}: "), e
+        return
+    for name in params:
+        value = params[name].value
+        assert value.dtype == np.float64 and np.isfinite(value).all(), name

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import threading
 import time
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from helpers import PEAK_RSS_KB, brute_force_iou
-from stc import data, network, ops
+from stc import cli, data, imageio, network, ops
 from stc import pipeline
 from stc.imageio import read_pgm, write_saliency_pgm
 from stc.network import NetworkConfig, init_network
@@ -538,26 +539,53 @@ class TestWeakSupervisionAudit:
         simple = CountingManifest(corpus.root, corpus.split("simple").records)
         complex_ = CountingManifest(corpus.root, corpus.split("complex").records)
         run_stc(simple, complex_, corpus.split("eval"), TINY)
-        # initial and enhanced train on the 8 simple images, powerful on the
-        # 4 complex ones and the simple ones
-        assert decodes == {"bytes": 8 + 8 + 12, "floats": 0}
+        # the 8 simple and 4 complex images are decoded once for the run, and
+        # every stage trains on those bytes
+        assert decodes == {"bytes": 8 + 4, "floats": 0}
+
+
+def test_each_input_file_is_decoded_once_per_run_and_each_eval_file_once_more_per_stage(
+    tmp_path, monkeypatch
+):
+    data.write_dataset(data.build_dataset(4, 2, 2, seed=2), tmp_path)
+    assert cli.main(["saliency", "--data", str(tmp_path)]) == 0
+    manifest = data.read_dataset(tmp_path)
+    reads = Counter()
+    read_pnm = imageio._read_pnm
+
+    def counting_read(path, magic):
+        reads[path.relative_to(tmp_path).as_posix()] += 1
+        return read_pnm(path, magic)
+
+    monkeypatch.setattr(imageio, "_read_pnm", counting_read)
+    run_stc(*(manifest.split(s) for s in data.SPLITS), replace(TINY, epochs=1))
+    training = [r for r in manifest.records if r.split != "eval"]
+    want = {r.image: 1 for r in training}
+    want |= {r.saliency: 1 for r in training if r.saliency is not None}
+    # the check before the first stage, then each stage's evaluation
+    want |= {f: 1 + 3 for r in manifest.split("eval").records for f in (r.image, r.gt_mask)}
+    assert len(want) == 4 + 2 + 4 + 2 * 2
+    assert reads == want
 
 
 def test_relabel_masks_and_eval_confusion_identical_for_any_stc_threads(corpus, monkeypatch):
     net = init_network(NetworkConfig(4, channels=TINY_CHANNELS, seed=3))
-    simple = simple_pairs(corpus)
-    complex_ = [(corpus.split("complex"), r) for r in corpus.split("complex").records]
     confusions = []
     monkeypatch.setattr(
         pipeline, "iou_from_confusion",
         lambda conf: (confusions.append(conf), iou_from_confusion(conf))[1],
     )
+    loaded = pipeline.load_corpus(
+        corpus.split("simple"), corpus.split("complex"), corpus.split("eval"), TINY
+    )
     runs = []
     for threads in ("1", "2", "3"):
         monkeypatch.setenv("STC_THREADS", threads)
         masks = [
-            pipeline._stage_targets(stage, net, pairs, [m.load_image_bytes(r) for m, r in pairs])
-            for stage, pairs in (("enhanced", simple), ("powerful", complex_ + simple))
+            pipeline._stage_targets(stage, net, entries)
+            for stage, entries in (
+                ("enhanced", loaded.simple), ("powerful", loaded.complex + loaded.simple)
+            )
         ]
         runs.append((masks, evaluate(net, corpus.split("eval"))))
     for (masks, scores), conf in zip(runs[1:], confusions[1:]):
