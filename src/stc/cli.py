@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -23,66 +22,40 @@ from .pipeline import PipelineError, TrainConfig
 from .saliency import compute_saliency
 
 _TRAIN_KEYS = {f.name for f in dataclasses.fields(TrainConfig)}
-_RUN_DEFAULTS = {"num_classes": None, "data": None, "out": None}
-_RUN_KEYS = _TRAIN_KEYS | set(_RUN_DEFAULTS)
+_PATH_KEYS = ("data", "out")
 
 
 def load_run_config(path) -> dict:
-    """Single JSON document holding TrainConfig fields plus the class count
-    and paths; unknown keys, values of the wrong type and values out of
-    range are rejected. A key's type is that of its default, but for
-    num_classes: an integer, by default the dataset's largest label."""
-    doc = json.loads(Path(path).read_text())
+    """One JSON object of TrainConfig fields and the `data` and `out` paths
+    (strings or null). A key left out takes its default, and null is no
+    setting's value. `TrainConfig` checks every setting, as it does for the
+    library; each error starts with the file name."""
+    try:
+        doc = json.loads(Path(path).read_bytes())
+    except (ValueError, RecursionError) as e:
+        raise ValueError(f"{path}: not valid JSON ({e})") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: config must be a JSON object")
-    unknown = sorted(set(doc) - _RUN_KEYS)
+    unknown = sorted(set(doc) - _TRAIN_KEYS - set(_PATH_KEYS))
     if unknown:
         raise ValueError(f"{path}: unknown config keys {unknown}")
-    merged = _default_run_config()
     for key, value in doc.items():
-        want = _type_error(value, 1 if key == "num_classes" else merged[key])
-        if want:
-            raise ValueError(f"{path}: config key {key!r} must be {want}, got {json.dumps(value)}")
-    merged.update(doc)
-    if doc.get("num_classes", 1) < 1:
-        raise ValueError(f"{path}: config key 'num_classes' must be >= 1, got {doc['num_classes']}")
+        if key in _TRAIN_KEYS and value is None:
+            raise ValueError(f"{path}: config key {key!r} is null; leave it out for its default")
+        if key in _PATH_KEYS and not isinstance(value, (str, type(None))):
+            raise ValueError(f"{path}: config key {key!r} must be a path string or null")
+    merged = {**_default_run_config(), **doc}
     try:
-        _train_config_from(merged, None)
+        TrainConfig(**{k: merged[k] for k in _TRAIN_KEYS})
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None
     return merged
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _type_error(value, default) -> str | None:
-    """What `value` should have been, or None if it has the type of `default`."""
-    if isinstance(default, bool):
-        return None if isinstance(value, bool) else "true or false"
-    if isinstance(default, int):
-        return None if _is_int(value) else "an integer"
-    if isinstance(default, float):
-        ok = (_is_int(value) or isinstance(value, float)) and math.isfinite(value)
-        return None if ok else "a finite number"
-    if isinstance(default, list):
-        ok = isinstance(value, list) and value and all(_is_int(v) and v >= 1 for v in value)
-        return None if ok else "a non-empty list of positive integers"
-    return None if value is None or isinstance(value, str) else "a path string or null"
-
-
 def _default_run_config() -> dict:
-    """TrainConfig's defaults and _RUN_DEFAULTS, as JSON holds them."""
+    """TrainConfig's defaults and null paths, as JSON holds them."""
     defaults = dataclasses.asdict(TrainConfig())
-    return {**defaults, "channels": list(defaults["channels"]), **_RUN_DEFAULTS}
-
-
-def _train_config_from(cfg: dict, seed_override: int | None) -> TrainConfig:
-    kwargs = {**{k: cfg[k] for k in _TRAIN_KEYS}, "channels": tuple(cfg["channels"])}
-    if seed_override is not None:
-        kwargs["seed"] = seed_override
-    return TrainConfig(**kwargs)
+    return {**defaults, "channels": list(defaults["channels"]), **dict.fromkeys(_PATH_KEYS)}
 
 
 def _resolve_path(flag_value, cfg: dict, key: str):
@@ -138,6 +111,9 @@ def cmd_gen(args) -> int:
         raise ValueError("--complex and --eval must be >= 0")
     if args.size < 1 or args.size % 4:
         raise ValueError("--size must be a positive multiple of 4 (network output stride)")
+    manifest = Path(args.out) / "manifest.jsonl"
+    if manifest.exists():
+        raise ValueError(f"{manifest}: already exists; --out takes a new dataset")
     examples = data.build_dataset(
         args.simple, args.complex, args.eval, args.classes, args.seed, args.size
     )
@@ -179,18 +155,20 @@ def _write_checkpoint(out: Path, stage: str, net, seed: int) -> Path:
 
 
 def _prepare(args):
-    """The run config, its TrainConfig, the dataset's splits and the output
-    path of `run` and `stage`; `run_stage` creates the directory."""
+    """The run's TrainConfig, the dataset's splits and the output path of
+    `run` and `stage`; `run_stage` creates the directory."""
     cfg = load_run_config(args.config) if args.config else _default_run_config()
+    if args.seed is not None:
+        cfg["seed"] = args.seed
     manifest = data.read_dataset(_resolve_path(args.data, cfg, "data"))
     out = Path(_resolve_path(args.out, cfg, "out"))
     splits = [manifest.split(s) for s in ("simple", "complex", "eval")]
-    return cfg, _train_config_from(cfg, args.seed), splits, out
+    return TrainConfig(**{k: cfg[k] for k in _TRAIN_KEYS}), splits, out
 
 
 def cmd_run(args) -> int:
-    cfg, config, splits, out = _prepare(args)
-    nets, reports = pipeline.run_stc(*splits, config, num_classes=cfg["num_classes"], out_dir=out)
+    config, splits, out = _prepare(args)
+    nets, reports = pipeline.run_stc(*splits, config, out_dir=out)
     for stage in pipeline.STAGES:
         _write_checkpoint(out, stage, nets[stage], config.seed)
     pipeline.write_report_json(reports, out / "report.json", config.seed)
@@ -206,8 +184,8 @@ def cmd_stage(args) -> int:
     if args.stage != "initial" and not args.params:
         raise ValueError(f"stage {args.stage!r} needs --params from the previous stage")
     prior = _load_network(args.params) if args.params else None
-    cfg, config, splits, out = _prepare(args)
-    corpus = pipeline.load_corpus(*splits, config, num_classes=cfg["num_classes"])
+    config, splits, out = _prepare(args)
+    corpus = pipeline.load_corpus(*splits, config)
     if prior is not None:
         num_classes, channels = check_layers(prior)
         if num_classes != corpus.num_classes:

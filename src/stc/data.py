@@ -11,6 +11,7 @@ writing and re-reading a dataset is lossless.
 from __future__ import annotations
 
 import json
+import os
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -323,7 +324,7 @@ def _record_from(entry, where: str) -> DatasetRecord:
     if not isinstance(entry, dict):
         raise ValueError(f"{where}: a record must be a JSON object, got {json.dumps(entry)}")
     for field in ("image", "labels", "split"):
-        if field not in entry:
+        if entry.get(field) is None:
             raise ValueError(f"{where}: missing field {field!r}")
     labels = entry["labels"]
     if not (
@@ -436,13 +437,13 @@ def read_dataset(directory) -> DatasetManifest:
     if not manifest_path.is_file():
         raise ValueError(f"no manifest found at {manifest_path}")
     records = []
-    for lineno, line in enumerate(manifest_path.read_text().splitlines(), 1):
+    for lineno, line in enumerate(manifest_path.read_bytes().splitlines(), 1):
         if not line.strip():
             continue
         where = f"{manifest_path}:{lineno}"
         try:
             entry = json.loads(line)
-        except json.JSONDecodeError as e:
+        except (ValueError, RecursionError) as e:  # not JSON, not Unicode, or nested too deep
             raise ValueError(f"{where}: bad JSON ({e})") from e
         rec = _record_from(entry, where)
         for field in ("image", "saliency", "gt_mask"):
@@ -451,7 +452,7 @@ def read_dataset(directory) -> DatasetManifest:
                 continue
             if not isinstance(rel, str) or Path(rel).is_absolute() or ".." in Path(rel).parts:
                 raise ValueError(f"{where}: {field} {rel!r} is not a path under the dataset root")
-            if not (root / rel).is_file():
+            if not os.path.isfile(root / rel):  # False, not OSError, for an overlong name
                 raise ValueError(f"{where}: {field}: missing file {root / rel}")
         records.append(rec)
     return DatasetManifest(root, records)

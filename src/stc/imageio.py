@@ -62,11 +62,11 @@ def _read_pnm(path: Path, magic: bytes) -> np.ndarray:
     if maxval != 255:
         raise ValueError(f"{path}: unsupported maxval {maxval}")
     channels = 3 if magic == b"P6" else 1
-    need = width * height * channels
-    raw = data[pos : pos + need]
-    if len(raw) != need:
-        raise ValueError(f"{path}: truncated pixel data ({len(raw)} of {need} bytes)")
-    arr = np.frombuffer(raw, dtype=np.uint8)
+    size, need = max(len(data) - pos, 0), width * height * channels
+    if size != need:
+        kind = "truncated" if size < need else "oversized"
+        raise ValueError(f"{path}: {kind} pixel data ({size} bytes, the header gives {need})")
+    arr = np.frombuffer(data[pos:], dtype=np.uint8)
     return arr.reshape(height, width, 3) if channels == 3 else arr.reshape(height, width)
 
 

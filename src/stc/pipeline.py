@@ -10,8 +10,9 @@ C+1 classes. All randomness flows from one root seed.
 from __future__ import annotations
 
 import json
+import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -40,9 +41,29 @@ SUPERVISION_SALIENCY = "saliency_targets"
 SUPERVISION_MASKS = "mask_files"
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _type_error(value, default) -> str | None:
+    """What `value` should have been, or None if it has the type of `default`;
+    an integer is a number, and a None default stands for an integer."""
+    if isinstance(default, bool):
+        return None if isinstance(value, bool) else "true or false"
+    if isinstance(default, float):
+        ok = _is_int(value) or (isinstance(value, float) and math.isfinite(value))
+        return None if ok else "a finite number"
+    if isinstance(default, tuple):
+        ok = isinstance(value, (list, tuple)) and value and all(_is_int(v) for v in value)
+        return None if ok and min(value) >= 1 else "a non-empty list of positive integers"
+    return None if _is_int(value) or (value is None and default is None) else "an integer"
+
+
 @dataclass(frozen=True)
 class TrainConfig:
-    """The settings of a run: SGD, crops, the net's width and the pipeline flags."""
+    """The settings of a run: SGD, crops, the net's width, the class count
+    (None: the largest label) and the pipeline flags. Building one checks
+    every setting's type and range; each error names its config key."""
 
     batch_size: int = 8
     initial_lr: float = 0.001
@@ -58,25 +79,28 @@ class TrainConfig:
     include_simple_in_powerful: bool = True
     warm_start: bool = False
     enhance_rounds: int = 1
+    num_classes: int | None = None
 
     def __post_init__(self):
-        """Range checks; each error names its config key."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            want = _type_error(value, f.default)
+            if want:
+                raise ValueError(f"config key {f.name!r} must be {want}, got {value!r}")
+        object.__setattr__(self, "channels", tuple(self.channels))
         for key in (
             "batch_size", "initial_lr", "final_layer_lr_multiplier", "lr_decay_factor",
-            "lr_decay_every_epochs", "crop_size", "enhance_rounds",
+            "lr_decay_every_epochs", "crop_size", "enhance_rounds", "num_classes",
         ):
-            if getattr(self, key) <= 0:
-                raise ValueError(f"config key {key!r} must be positive, got {getattr(self, key)}")
-        for key in ("momentum", "weight_decay", "epochs"):
+            value = getattr(self, key)
+            if value is not None and value <= 0:
+                raise ValueError(f"config key {key!r} must be positive, got {value}")
+        for key in ("momentum", "weight_decay", "epochs", "seed"):
             if getattr(self, key) < 0:
                 raise ValueError(f"config key {key!r} must be >= 0, got {getattr(self, key)}")
         if self.crop_size % 4:
             raise ValueError(
                 f"config key 'crop_size' must be divisible by 4, got {self.crop_size}"
-            )
-        if not self.channels or min(self.channels) < 1:
-            raise ValueError(
-                f"config key 'channels' must be non-empty and positive, got {self.channels}"
             )
 
 
@@ -278,18 +302,16 @@ class Corpus:
 
 
 def load_corpus(
-    simple: DatasetManifest, complex_: DatasetManifest, eval_: DatasetManifest,
-    config: TrainConfig, *, num_classes: int | None = None,
+    simple: DatasetManifest, complex_: DatasetManifest, eval_: DatasetManifest, config: TrainConfig
 ) -> Corpus:
     """Reads and checks a run's inputs once, on the calling thread: the eval
-    split is not empty, every label is in 1..num_classes (by default the
-    largest label), the eval ground truth passes `_checked_gt`, and each
+    split is not empty, every label is in 1..`config.num_classes` (by default
+    the largest label), the eval ground truth passes `_checked_gt`, and each
     training image is at least `crop_size` and the size of its saliency map."""
     if not eval_.records:
         raise ValueError(f"no eval records in {eval_.root}: every stage is evaluated")
     records = [(m, rec) for m in (simple, complex_, eval_) for rec in m.records]
-    if num_classes is None:
-        num_classes = max(max(rec.labels) for _, rec in records)
+    num_classes = config.num_classes or max(max(rec.labels) for _, rec in records)
     for m, rec in records:
         if not all(1 <= c <= num_classes for c in rec.labels):
             raise ValueError(
@@ -397,7 +419,6 @@ def run_stc(
     eval_manifest: DatasetManifest,
     config: TrainConfig,
     *,
-    num_classes: int | None = None,
     out_dir=None,
 ):
     """Runs all three stages, each on the net the one before trained, with
@@ -408,9 +429,7 @@ def run_stc(
     masks_enhanced/ are written under out_dir when given. Training never
     reads ground-truth masks.
     """
-    corpus = load_corpus(
-        simple_manifest, complex_manifest, eval_manifest, config, num_classes=num_classes
-    )
+    corpus = load_corpus(simple_manifest, complex_manifest, eval_manifest, config)
     for name in STAGES:
         _trained_on(name, corpus, config)
     nets: dict[str, ParamSet] = {}

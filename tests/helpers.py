@@ -1,4 +1,5 @@
-"""Independent reference implementations used as test oracles.
+"""Independent reference implementations used as test oracles, and the
+mutations the fuzz tests apply to valid JSON inputs.
 
 Everything here is deliberately naive (explicit loops), or an earlier
 formula of an op that has since been rewritten for speed, and shares no
@@ -7,6 +8,43 @@ code with the package under test.
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import strategies as st
+
+# a mutation of a JSON object: ("truncate", at), ("flip", at, xor mask),
+# ("token", which value, replacement bytes) or ("splice", at, at in the
+# other document): the head of this one joined to the tail of another
+JSON_MUTATIONS = st.one_of(
+    st.tuples(st.just("truncate"), st.integers(0, 200)),
+    st.tuples(st.just("flip"), st.integers(0, 200), st.integers(1, 255)),
+    st.tuples(
+        st.just("token"),
+        st.integers(0, 20),
+        st.sampled_from(
+            [b"null", b"true", b"0", b"-1", b"2.5", b"1e999", b"NaN", b"9" * 30, b'"x"',
+             b'"../x"', b"[]", b"[0]", b"[1,1]", b"{}", b""]
+        )
+        | st.binary(max_size=6),
+    ),
+    st.tuples(st.just("splice"), st.integers(0, 200), st.integers(0, 200)),
+)
+
+
+def mutated_json_object(fields: dict, other: bytes, mutation) -> bytes:
+    """The JSON object of `fields` (key -> the value's JSON text, bytes)
+    with one `JSON_MUTATIONS` draw applied; `other` is the document a
+    splice takes its tail from."""
+    values = list(fields.values())
+    if mutation[0] == "token":
+        values[mutation[1] % len(values)] = mutation[2]
+    pairs = (b'"%s":%s' % (key.encode(), value) for key, value in zip(fields, values))
+    raw = bytearray(b"{" + b",".join(pairs) + b"}")
+    if mutation[0] == "truncate":
+        del raw[mutation[1]:]
+    elif mutation[0] == "flip" and mutation[1] < len(raw):
+        raw[mutation[1]] ^= mutation[2]
+    elif mutation[0] == "splice":
+        raw[mutation[1]:] = other[mutation[2]:]
+    return bytes(raw)
 
 
 def naive_conv2d(x, kernel, bias):

@@ -8,8 +8,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from helpers import PEAK_RSS_KB
+from helpers import JSON_MUTATIONS, PEAK_RSS_KB, mutated_json_object
 from stc import cli, data, imageio, pipeline
 from stc.cli import load_run_config, main
 from stc.network import NetworkConfig, init_network, predict
@@ -88,6 +89,18 @@ class TestGen:
         assert "could not place classes [1, 4, 3] in a 12x12 image" in err, err
         assert list(tmp_path.iterdir()) == []  # the 40 simple images it wrote are gone
 
+    def test_out_holding_a_manifest_rejected_before_writing_anything(self, tmp_path, capsys):
+        argv = ["gen", "--out", str(tmp_path), "--simple", "4", "--complex", "2", "--eval", "2",
+                "--seed", "1"]
+        assert main(argv) == 0
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        capsys.readouterr()
+        assert main([*argv, "--size", "12"]) == 1
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'manifest.jsonl'}: " in err, err
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+        assert len(data.read_dataset(tmp_path)) == 8
+
     def test_same_seed_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for d in (a, b):
@@ -147,11 +160,14 @@ class TestSaliencyCommand:
             (lambda e: e.update(labels=[True]), "labels"),
             (lambda e: e.update(labels=[]), "labels"),
             (lambda e: e.update(labels=None), "labels"),
+            (lambda e: e.update(image=None), "image"),
+            (lambda e: e.update(image="images/" + "a" * 300 + ".ppm"), "image"),
             ([1, 2], "object"),
         ],
         ids=[
             "no-image", "no-labels", "no-split", "labels-int", "labels-str",
-            "labels-float", "labels-bool", "labels-empty", "labels-null", "array",
+            "labels-float", "labels-bool", "labels-empty", "labels-null", "image-null",
+            "image-name-too-long", "array",
         ],
     )
     def test_bad_manifest_line_names_file_line_and_field(self, tmp_path, capsys, edit, field):
@@ -190,6 +206,20 @@ class TestRun:
         rc = main(["run", "--data", str(tmp_path / "nope"), "--out", str(tmp_path)])
         assert rc != 0
         assert "manifest" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "raw", [b'{"epochs": 1', b'\xff{"epochs": 1}', b"[" * 100_000], ids=["json", "utf8", "deep"]
+    )
+    def test_config_that_is_not_json_rejected_naming_the_file(
+        self, dataset_dir, tmp_path, capsys, raw
+    ):
+        cfg = tmp_path / "bad.json"
+        cfg.write_bytes(raw)
+        rc = main(
+            ["run", "--data", str(dataset_dir), "--out", str(tmp_path), "--config", str(cfg)]
+        )
+        assert rc == 1
+        assert f"error: {cfg}: not valid JSON (" in capsys.readouterr().err
 
     def test_unknown_config_key_rejected(self, dataset_dir, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
@@ -247,6 +277,23 @@ class TestRun:
         cfg.write_text(json.dumps({"initial_lr": 1, "momentum": 0, "data": "d", "out": None}))
         merged = load_run_config(cfg)
         assert merged["initial_lr"] == 1 and merged["data"] == "d"
+
+
+RUN_CONFIG_TEXT = {k: json.dumps(v).encode() for k, v in {**TINY_CONFIG, "data": "d"}.items()}
+
+
+@settings(max_examples=300)
+@given(mutation=JSON_MUTATIONS)
+def test_mutated_run_config_loads_or_raises_naming_the_file(tmp_path_factory, mutation):
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    other = json.dumps(cli._default_run_config()).encode()
+    path.write_bytes(mutated_json_object(RUN_CONFIG_TEXT, other, mutation))
+    try:
+        merged = load_run_config(path)
+    except ValueError as e:
+        assert str(e).startswith(f"{path}: "), e
+        return
+    assert sorted(merged) == sorted(cli._default_run_config())
 
 
 class TestEval:
@@ -510,6 +557,7 @@ class TestStageCommand:
         ("epochs", -1),
         ("enhance_rounds", 0),
         ("num_classes", 0),
+        ("seed", -1),
     ],
 )
 def test_config_value_out_of_range_rejected_naming_file_and_key_before_any_stage_work(

@@ -1,8 +1,12 @@
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import JSON_MUTATIONS, mutated_json_object
 from stc import data
 
 
@@ -204,3 +208,37 @@ def test_write_dataset_that_fails_removes_what_it_wrote(tmp_path):
     assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
         "keep", "keep/notes.txt"
     ]
+
+
+def test_manifest_line_nested_too_deep_rejected_naming_file_and_line(tmp_path):
+    data.write_dataset(data.build_dataset(2, 0, 0, seed=3), tmp_path)
+    path = tmp_path / "manifest.jsonl"
+    path.write_bytes(path.read_bytes() + b"[" * 100_000 + b"\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:3: bad JSON")):
+        data.read_dataset(tmp_path)
+
+
+@pytest.fixture(scope="module")
+def manifest_lines(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    data.write_dataset(data.build_dataset(2, 1, 1, seed=3), root)
+    return root, (root / "manifest.jsonl").read_bytes().splitlines()
+
+
+@settings(max_examples=300)
+@given(line=st.integers(0, 3), mutation=JSON_MUTATIONS)
+def test_mutated_manifest_line_loads_or_raises_naming_the_file(manifest_lines, line, mutation):
+    root, lines = manifest_lines
+    fields = {k: json.dumps(v).encode() for k, v in json.loads(lines[line]).items()}
+    other = lines[(line + 1) % len(lines)]
+    mutated = [*lines[:line], mutated_json_object(fields, other, mutation), *lines[line + 1:]]
+    path = root / "manifest.jsonl"
+    path.write_bytes(b"\n".join(mutated) + b"\n")
+    try:
+        manifest = data.read_dataset(root)
+    except ValueError as e:
+        assert str(e).startswith(f"{path}:"), e
+        return
+    for rec in manifest.records:
+        assert rec.split in data.SPLITS and (root / rec.image).is_file()
+        assert all(type(c) is int and c >= 1 for c in rec.labels), rec

@@ -61,6 +61,30 @@ def test_comment_in_header_is_skipped(tmp_path):
     assert np.array_equal(imageio.read_pgm(path), [[1, 2], [3, 4]])
 
 
+def _ppm_with_header(path, image_size, header_size, extra=b""):
+    imageio.write_ppm(path, np.zeros((*image_size, 3)))
+    raw = path.read_bytes().replace(b"%d %d" % image_size[::-1], b"%d %d" % header_size[::-1], 1)
+    path.write_bytes(raw + extra)
+
+
+@pytest.mark.parametrize(
+    "image_size, header_size, extra",
+    [((4, 4), (4, 4), bytes(700)), ((64, 64), (32, 64), b"")],
+    ids=["4x4-and-700-bytes-of-garbage", "64x64-whose-header-says-64-32"],
+)
+def test_bytes_after_the_pixel_data_rejected_naming_file_and_both_counts(
+    tmp_path, image_size, header_size, extra
+):
+    path = tmp_path / "img.ppm"
+    _ppm_with_header(path, image_size, header_size, extra)
+    stored = 3 * image_size[0] * image_size[1] + len(extra)
+    need = 3 * header_size[0] * header_size[1]
+    with pytest.raises(ValueError) as err:
+        imageio.read_ppm_bytes(path)
+    assert str(err.value).startswith(f"{path}: "), err.value
+    assert f"{stored} bytes" in str(err.value) and str(need) in str(err.value), err.value
+
+
 @pytest.mark.parametrize(
     "header, field, token",
     [
@@ -84,10 +108,15 @@ def test_header_field_that_is_not_a_positive_integer_names_file_and_field(
     assert repr(token) in str(err.value)
 
 
-# a mutation of a valid file: ("truncate", at), ("flip", at, xor mask) or
-# ("token", which of width/height/maxval, replacement bytes)
+# a mutation of a valid file: ("truncate", at), ("flip", at, xor mask),
+# ("token", which of width/height/maxval, replacement bytes) or ("splice",
+# at, at in the other file, the other file's magic): the head of this file
+# joined to the tail of another valid one
 MUTATIONS = st.one_of(
     st.tuples(st.just("truncate"), st.integers(0, 200)),
+    st.tuples(
+        st.just("splice"), st.integers(0, 60), st.integers(0, 60), st.sampled_from([b"P6", b"P5"])
+    ),
     st.tuples(st.just("flip"), st.integers(0, 200), st.integers(1, 255)),
     st.tuples(
         st.just("token"),
@@ -109,10 +138,12 @@ def _mutated_pnm(magic: bytes, mutation) -> bytes:
         del raw[mutation[1]:]
     elif mutation[0] == "flip" and mutation[1] < len(raw):
         raw[mutation[1]] ^= mutation[2]
+    elif mutation[0] == "splice":
+        raw[mutation[1]:] = _mutated_pnm(mutation[3], ("none",))[mutation[2]:]
     return bytes(raw)
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(magic=st.sampled_from([b"P6", b"P5"]), mutation=MUTATIONS)
 def test_mutated_pnm_reads_as_an_image_or_raises_naming_the_file(
     tmp_path_factory, magic, mutation

@@ -114,7 +114,7 @@ class TestMultilabelCeGrad:
 
 
 class TestSinglelabelCe:
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(st.integers(0, 2**32 - 1))
     def test_equals_multilabel_with_one_hot(self, seed):
         rng = np.random.default_rng(seed)

@@ -385,7 +385,7 @@ class TestChannelSoftmax:
         assert np.abs(p.sum(axis=1) - 1.0).max() < 1e-9
         assert p.min() > 0.0 and p.max() < 1.0
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(st.integers(0, 2**32 - 1), st.floats(-50.0, 50.0))
     def test_shift_invariance(self, seed, shift):
         # adding a per-pixel constant across channels leaves the output unchanged

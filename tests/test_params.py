@@ -232,7 +232,7 @@ def _checkpoint_fields() -> tuple[bytes, list[tuple[int, int]]]:
 CHECKPOINT, FIELDS = _checkpoint_fields()
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(
     mutation=st.one_of(
         st.tuples(st.just("truncate"), st.integers(0, 120)),

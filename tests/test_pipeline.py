@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import re
 import subprocess
@@ -10,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import PEAK_RSS_KB, brute_force_iou
 from stc import cli, data, imageio, network, ops
@@ -171,11 +174,65 @@ class TestEvaluate:
 
 
 @pytest.mark.parametrize(
-    "key, value", [("enhance_rounds", 0), ("channels", ()), ("channels", (8, 0))]
+    "key, value",
+    [
+        ("enhance_rounds", 0), ("channels", ()), ("channels", (8, 0)), ("num_classes", 0),
+        ("seed", -1),
+    ],
 )
 def test_train_config_out_of_range_error_names_the_key(key, value):
     with pytest.raises(ValueError, match=f"config key {key!r}"):
         TrainConfig(**{key: value})
+
+
+@pytest.mark.parametrize(
+    "key, value, want",
+    [
+        ("epochs", 2.5, "an integer"),
+        ("crop_size", 48.0, "an integer"),
+        ("seed", 1.5, "an integer"),
+        ("channels", (8.5,), "a non-empty list of positive integers"),
+        ("batch_size", True, "an integer"),
+        ("initial_lr", "0.1", "a finite number"),
+        ("initial_lr", float("nan"), "a finite number"),
+        ("warm_start", 1, "true or false"),
+        ("num_classes", 3.0, "an integer"),
+    ],
+)
+def test_train_config_value_of_another_type_rejected_naming_the_key(key, value, want):
+    # the library gets the checks `stc run --config` gets, when the config is built
+    with pytest.raises(ValueError, match=re.escape(f"config key {key!r} must be {want}, got ")):
+        TrainConfig(**{key: value})
+
+
+def test_train_config_takes_an_integer_for_a_number_and_a_list_for_channels():
+    config = TrainConfig(initial_lr=1, channels=[4, 6], num_classes=3)
+    assert config.initial_lr == 1 and config.channels == (4, 6) and config.num_classes == 3
+    assert TrainConfig().num_classes is None
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=300)
+@given(key=st.sampled_from([f.name for f in dataclasses.fields(TrainConfig)]), value=JSON_VALUES)
+def test_train_config_of_any_json_value_builds_or_raises_naming_the_key(key, value):
+    try:
+        TrainConfig(**{key: value})
+    except ValueError as e:
+        assert str(e).startswith(f"config key {key!r} "), e
+
+
+@pytest.mark.parametrize("num_classes, want", [(None, 4), (6, 6)])
+def test_load_corpus_class_count_is_the_configs_else_the_largest_label(corpus, num_classes, want):
+    loaded = pipeline.load_corpus(
+        *(corpus.split(s) for s in data.SPLITS), replace(TINY, num_classes=num_classes)
+    )
+    assert loaded.num_classes == want
 
 
 def test_train_config_channels_default_is_the_networks():

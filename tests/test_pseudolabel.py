@@ -64,14 +64,14 @@ class TestArgmaxRestricted:
                 argmax_restricted(pred, allowed), restricted_argmax_scan(pred, allowed)
             )
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(st.integers(0, 2**32 - 1), st.sets(st.integers(1, 4), max_size=3))
     def test_soundness_property(self, seed, extra):
         allowed = {0} | extra
         out = argmax_restricted(probmap(seed), allowed)
         assert set(np.unique(out)) <= allowed
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(st.integers(0, 2**32 - 1))
     def test_removing_nonwinner_never_changes_output(self, seed):
         pred = probmap(seed)

@@ -25,7 +25,7 @@ class TestNormalize:
         raw = np.array([[0.0, 0.25], [0.75, 1.0]])
         assert np.array_equal(normalize_saliency(raw), raw)
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(st.integers(0, 2**32 - 1), st.floats(-1e6, 1e6))
     def test_shift_invariance(self, seed, shift):
         raw = np.random.default_rng(seed).uniform(size=(5, 5))
