@@ -186,18 +186,10 @@ def cmd_stage(args) -> int:
     prior = _load_network(args.params) if args.params else None
     config, splits, out = _prepare(args)
     corpus = pipeline.load_corpus(*splits, config)
-    if prior is not None:
-        num_classes, channels = check_layers(prior)
-        if num_classes != corpus.num_classes:
-            raise ValueError(
-                f"{args.params}: checkpoint has num_classes {num_classes}, "
-                f"the run has num_classes {corpus.num_classes}"
-            )
-        if config.warm_start and channels != config.channels:
-            raise ValueError(
-                f"{args.params}: checkpoint has channels {list(channels)}, the run config "
-                f"has channels {list(config.channels)}, and warm_start trains the checkpoint"
-            )
+    try:
+        pipeline.check_prior(args.stage, prior, corpus, config)
+    except ValueError as e:
+        raise ValueError(f"{args.params}: {e}") from None
     net, r = pipeline.run_stage(args.stage, prior, corpus, config, out_dir=out)
     ckpt = _write_checkpoint(out, args.stage, net, config.seed)
     print(f"{r.stage}: miou {r.miou:.4f} ({r.seconds:.1f}s)")
@@ -263,7 +255,7 @@ def main(argv=None) -> int:
     except PipelineError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, KeyError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

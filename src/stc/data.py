@@ -436,7 +436,7 @@ def read_dataset(directory) -> DatasetManifest:
     manifest_path = root / "manifest.jsonl"
     if not manifest_path.is_file():
         raise ValueError(f"no manifest found at {manifest_path}")
-    records = []
+    records = {}  # by image stem, which names the image's pseudo-masks and saliency map
     for lineno, line in enumerate(manifest_path.read_bytes().splitlines(), 1):
         if not line.strip():
             continue
@@ -454,5 +454,7 @@ def read_dataset(directory) -> DatasetManifest:
                 raise ValueError(f"{where}: {field} {rel!r} is not a path under the dataset root")
             if not os.path.isfile(root / rel):  # False, not OSError, for an overlong name
                 raise ValueError(f"{where}: {field}: missing file {root / rel}")
-        records.append(rec)
-    return DatasetManifest(root, records)
+        taken = records.setdefault(Path(rec.image).stem, rec)
+        if taken is not rec:
+            raise ValueError(f"{where}: image: {rec.image!r} has the stem of {taken.image!r}")
+    return DatasetManifest(root, list(records.values()))

@@ -110,7 +110,11 @@ def num_blocks(params: ParamSet) -> int:
 
 
 def output_stride(params: ParamSet) -> int:
-    return 2 ** min(_MAX_POOLS, num_blocks(params))
+    return stride_for(num_blocks(params))
+
+
+def stride_for(blocks: int) -> int:
+    return 2 ** min(_MAX_POOLS, blocks)
 
 
 def worker_count() -> int:

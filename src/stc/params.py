@@ -146,7 +146,10 @@ def load_params(path) -> ParamSet:
         values = np.frombuffer(take(8 * math.prod(dims), f"values of {name!r}"), dtype="<f8")
         if not np.isfinite(values).all():
             raise ValueError(f"{path}: parameter {name!r} has a non-finite value")
-        out.add(name, values.reshape(dims))
+        try:
+            out.add(name, values.reshape(dims))
+        except ValueError:  # a zero dim beside dims whose product overflows
+            raise ValueError(f"{path}: {name!r} has shape {dims}, too large for an array") from None
     if off != len(data):
         raise ValueError(
             f"{path}: {len(data) - off} trailing bytes after the last of {count} entries"

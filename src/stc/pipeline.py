@@ -29,6 +29,7 @@ from .network import (
     init_network,
     predict,
     step_arrays,
+    stride_for,
     worker_count,  # callers read STC_THREADS through pipeline.worker_count
 )
 from .params import ParamSet, sgd_step
@@ -125,6 +126,20 @@ def _derive_seed(root_seed: int, salt: int) -> int:
     return int(np.random.SeedSequence([root_seed, salt]).generate_state(1)[0])
 
 
+def _check_size(where, image, config: TrainConfig, training: bool = True) -> None:
+    """`image`'s sides are multiples of the output stride of the net that
+    `config.channels` builds, as stages run nets on whole images, and for
+    training at least `crop_size`; else a ValueError starts with `where`."""
+    h, w = image.shape[:2]
+    stride = stride_for(len(config.channels))
+    if h % stride or w % stride:
+        raise ValueError(f"{where}: image is {h}x{w}, not a multiple of the output stride {stride}")
+    if training and min(h, w) < config.crop_size:
+        raise ValueError(
+            f"{where}: image is {h}x{w}, smaller than config key 'crop_size' {config.crop_size}"
+        )
+
+
 def train_stage(params: ParamSet, dataset, supervision: str, targets, config: TrainConfig):
     """SGD over random crops of `dataset`, (record, image) pairs whose image
     is the (H, W, 3) uint8 array `load_image_bytes` gives, for the head's
@@ -158,8 +173,7 @@ def train_stage(params: ParamSet, dataset, supervision: str, targets, config: Tr
     for rec, img in dataset:
         if img.dtype != np.uint8:
             raise ValueError(f"image of {rec.image!r} is not uint8 bytes")
-        if img.shape[0] < crop or img.shape[1] < crop:
-            raise ValueError(f"crop_size {crop} exceeds image size {img.shape[:2]}")
+        _check_size(f"record {rec.image!r}", img, config)
     classes, _ = check_layers(params)
     full = step_arrays(params, (min(config.batch_size, len(dataset)), 3, crop, crop))
     images = [img.transpose(2, 0, 1) for _, img in dataset]
@@ -306,8 +320,8 @@ def load_corpus(
 ) -> Corpus:
     """Reads and checks a run's inputs once, on the calling thread: the eval
     split is not empty, every label is in 1..`config.num_classes` (by default
-    the largest label), the eval ground truth passes `_checked_gt`, and each
-    training image is at least `crop_size` and the size of its saliency map."""
+    the largest label), the eval ground truth passes `_checked_gt`, each image
+    `_check_size`, and each training image is the size of its saliency map."""
     if not eval_.records:
         raise ValueError(f"no eval records in {eval_.root}: every stage is evaluated")
     records = [(m, rec) for m in (simple, complex_, eval_) for rec in m.records]
@@ -319,16 +333,13 @@ def load_corpus(
                 f"{sorted(rec.labels)}, outside 1..{num_classes}"
             )
     for rec in eval_.records:
-        _checked_gt(eval_, rec, num_classes)
+        image, _ = _checked_gt(eval_, rec, num_classes)
+        _check_size(eval_.root / rec.image, image, config, training=False)
 
     def entry(m: DatasetManifest, rec: DatasetRecord):
         image = m.load_image_bytes(rec)
+        _check_size(m.root / rec.image, image, config)
         h, w = image.shape[:2]
-        if min(h, w) < config.crop_size:
-            raise ValueError(
-                f"{m.root / rec.image}: image is {h}x{w}, smaller than config key "
-                f"'crop_size' {config.crop_size}"
-            )
         saliency = m.load_saliency(rec)
         if saliency is not None and saliency.shape != (h, w):
             raise ValueError(
@@ -358,6 +369,26 @@ def _trained_on(name: str, corpus: Corpus, config: TrainConfig) -> list:
     return entries
 
 
+def check_prior(name: str, prior: ParamSet | None, corpus: Corpus, config: TrainConfig) -> None:
+    """Stage `name` can run from `prior`: 'initial' takes none, and a later
+    stage takes a net that passes `check_layers` and has the class count of
+    `corpus` and, with `config.warm_start`, the config's channels."""
+    if (prior is None) != (name == "initial"):
+        raise ValueError(f"stage {name!r} takes {'no' if name == 'initial' else 'a'} prior")
+    if prior is None:
+        return
+    classes, channels = check_layers(prior)
+    if classes != corpus.num_classes:
+        raise ValueError(
+            f"checkpoint has num_classes {classes}, the run has num_classes {corpus.num_classes}"
+        )
+    if config.warm_start and channels != config.channels:
+        raise ValueError(
+            f"checkpoint has channels {list(channels)}, the run config has channels "
+            f"{list(config.channels)}, and warm_start trains the checkpoint"
+        )
+
+
 def _stage_targets(name: str, net, entries: list) -> list:
     """The targets of `Corpus` entries: for 'initial' the stored saliency
     bytes, else ones computed from the image; for the later stages `net`'s
@@ -382,10 +413,11 @@ def run_stage(
     `config.warm_start`). The enhanced stage does this `config.enhance_rounds`
     times, each round relabeling with the net the round before trained. The
     prior's masks go to masks_<previous stage>/ under out_dir when given; it
-    is created once the stage has records to train on (`_trained_on`). The
-    net is then evaluated on the corpus's eval split.
+    is created once the stage has records to train on (`_trained_on`) and a
+    prior that `check_prior` passes. The net is then evaluated on the eval split.
     """
     entries = _trained_on(name, corpus, config)
+    check_prior(name, prior, corpus, config)
     if out_dir is not None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
     supervision = SUPERVISION_SALIENCY if name == "initial" else SUPERVISION_MASKS

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -88,6 +89,19 @@ class TestGen:
         err = capsys.readouterr().err
         assert "could not place classes [1, 4, 3] in a 12x12 image" in err, err
         assert list(tmp_path.iterdir()) == []  # the 40 simple images it wrote are gone
+
+    @pytest.mark.parametrize(
+        "flag, value, want",
+        [("--complex", "-1", "--complex and --eval must be >= 0"),
+         ("--classes", "5", "num_classes must be 1..4, got 5")],
+    )
+    def test_bad_count_rejected_naming_it_before_writing_anything(
+        self, tmp_path, capsys, flag, value, want
+    ):
+        out = tmp_path / "out"
+        assert main(["gen", "--out", str(out), flag, value]) == 1
+        assert capsys.readouterr().err == f"error: {want}\n"
+        assert not out.exists()
 
     def test_out_holding_a_manifest_rejected_before_writing_anything(self, tmp_path, capsys):
         argv = ["gen", "--out", str(tmp_path), "--simple", "4", "--complex", "2", "--eval", "2",
@@ -220,6 +234,47 @@ class TestRun:
         )
         assert rc == 1
         assert f"error: {cfg}: not valid JSON (" in capsys.readouterr().err
+
+    def test_config_that_is_not_an_object_rejected_naming_the_file(
+        self, dataset_dir, tmp_path, capsys
+    ):
+        cfg = tmp_path / "list.json"
+        cfg.write_text("[1, 2]")
+        out = tmp_path / "out"
+        argv = ["run", "--data", str(dataset_dir), "--out", str(out), "--config", str(cfg)]
+        assert main(argv) == 1
+        assert f"error: {cfg}: config must be a JSON object" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_data_required_on_the_command_line_or_in_the_config(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "--data is required (on the command line or in the config file)" in err, err
+        assert not out.exists()
+
+    def test_seed_flag_overrides_the_configs_seed(self, dataset_dir, tmp_path):
+        outputs = []
+        for config_seed, flags in ((0, ["--seed", "3"]), (3, [])):
+            cfg = tmp_path / f"seed{config_seed}.json"
+            cfg.write_text(json.dumps({**TINY_CONFIG, "epochs": 1, "seed": config_seed}))
+            out = tmp_path / f"out{config_seed}"
+            assert main(["run", "--data", str(dataset_dir), "--out", str(out),
+                         "--config", str(cfg), *flags]) == 0
+            outputs.append({
+                p.relative_to(out): p.read_bytes() for p in out.rglob("*")
+                if p.is_file() and not p.name.startswith("report.")  # reports hold timings
+            })
+        assert len(outputs[0]) == 6 + 8 + 12 and outputs[0] == outputs[1]
+
+    def test_negative_seed_flag_rejected_before_any_stage_work(
+        self, dataset_dir, tmp_path, capsys, monkeypatch
+    ):
+        _no_stage_work(monkeypatch)
+        out = tmp_path / "out"
+        assert main(["run", "--data", str(dataset_dir), "--out", str(out), "--seed", "-1"]) == 1
+        assert "config key 'seed' must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_config_key_rejected(self, dataset_dir, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
@@ -401,7 +456,7 @@ SIDECAR_EDITS = {
 
 
 @pytest.mark.parametrize("command", ["eval", "stage"])
-@pytest.mark.parametrize("edit", [*SIDECAR_EDITS, "missing-field", "not-json"])
+@pytest.mark.parametrize("edit", [*SIDECAR_EDITS, "missing-field", "not-json", "array"])
 def test_sidecar_that_disagrees_with_the_weights_names_file_and_field(
     dataset_dir, tmp_path, capsys, command, edit
 ):
@@ -412,15 +467,17 @@ def test_sidecar_that_disagrees_with_the_weights_names_file_and_field(
     if edit == "missing-field":
         field = "channels"
         del sidecar[field]
-    elif edit != "not-json":
+    elif edit in SIDECAR_EDITS:
         sidecar[field] = SIDECAR_EDITS[field]
-    text = "{not json" if edit == "not-json" else json.dumps(sidecar)
+    text = {"not-json": "{not json", "array": "[]"}.get(edit, json.dumps(sidecar))
     path.with_suffix(".json").write_text(text)
     out = tmp_path / "stage_out"
     assert main(_command_loading(command, path, dataset_dir, out)) == 1
     err = capsys.readouterr().err
     assert str(path.with_suffix(".json")) in err
-    if edit != "not-json":
+    if edit == "array":
+        assert "checkpoint sidecar must be a JSON object" in err, err
+    elif edit != "not-json":
         assert repr(field) in err
     assert not out.exists()
 
@@ -864,6 +921,26 @@ def test_bad_complex_image_rejected_before_any_stage_work(
 
 
 @pytest.mark.parametrize("argv", [["run"], ["stage", "--stage", "initial"]], ids=["run", "stage"])
+@pytest.mark.parametrize("split", data.SPLITS)
+def test_image_side_not_a_multiple_of_the_output_stride_rejected_before_any_stage_work(
+    tmp_path, capsys, monkeypatch, argv, split
+):
+    d = tmp_path / "data"
+    examples = list(data.build_dataset(4, 2, 2, seed=5, size=68))
+    i = next(i for i, ex in enumerate(examples) if ex.split == split)
+    cut = examples[i]
+    examples[i] = dataclasses.replace(cut, image=cut.image[:66, :66], gt_mask=cut.gt_mask[:66, :66])
+    data.write_dataset(examples, d)
+    _no_stage_work(monkeypatch)
+    out = tmp_path / "out"
+    assert main([*argv, "--data", str(d), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    want = f"{d / 'images' / cut.name}.ppm: image is 66x66, not a multiple of the output stride 4"
+    assert f"error: {want}\n" == err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["run"], ["stage", "--stage", "initial"]], ids=["run", "stage"])
 def test_stored_saliency_map_of_another_size_rejected_naming_file_and_sizes(
     tmp_path, capsys, monkeypatch, argv
 ):
@@ -983,3 +1060,13 @@ def test_failed_write_leaves_the_previous_file(tmp_path, monkeypatch, writer, me
     assert sorted(tmp_path.rglob("*")) == files  # no temporary file left
     _write(writer, tmp_path, 1)
     assert (tmp_path / writer).read_bytes() != before
+
+
+def test_key_error_inside_a_command_is_a_fault_not_bad_input(dataset_dir, tmp_path, monkeypatch):
+    # every loader reports bad input as a ValueError; a KeyError is a bug
+    def fault(*args, **kwargs):
+        raise KeyError("conv9.weight")
+
+    monkeypatch.setattr(pipeline, "run_stc", fault)
+    with pytest.raises(KeyError, match="conv9.weight"):
+        main(["run", "--data", str(dataset_dir), "--out", str(tmp_path / "out")])

@@ -157,6 +157,24 @@ class TestDatasetRoundTrip:
         with pytest.raises(ValueError, match=rf"manifest\.jsonl:2: .*{field}"):
             data.read_dataset(root)
 
+    def test_second_image_with_a_taken_stem_rejected_naming_its_line_and_both_paths(
+        self, tmp_path
+    ):
+        # pseudo-masks and saliency maps are named by the image's stem
+        data.write_dataset(data.build_dataset(2, 0, 0, seed=0), tmp_path)
+        (tmp_path / "other").mkdir()
+        (tmp_path / "other/simple_0000.ppm").write_bytes(
+            (tmp_path / "images/simple_0000.ppm").read_bytes()
+        )
+        manifest_path = tmp_path / "manifest.jsonl"
+        lines = manifest_path.read_text().splitlines()
+        lines.append(lines[0].replace("images/", "other/"))
+        manifest_path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as err:
+            data.read_dataset(tmp_path)
+        want = "image: 'other/simple_0000.ppm' has the stem of 'images/simple_0000.ppm'"
+        assert str(err.value).startswith(f"{manifest_path}:3: {want}"), err.value
+
     def test_eval_record_without_gt_rejected(self, tmp_path):
         data.write_dataset(data.build_dataset(1, 0, 1, seed=0), tmp_path)
         manifest_path = tmp_path / "manifest.jsonl"

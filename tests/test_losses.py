@@ -69,6 +69,10 @@ class TestMultilabelCe:
         target = one_hot(np.zeros((2, 2), dtype=int), 1)
         assert multilabel_ce(target, target) == pytest.approx(0.0, abs=1e-12)
 
+    def test_one_hot_rejects_a_label_above_the_class_count(self):
+        with pytest.raises(ValueError, match=r"mask labels outside 0\.\.2"):
+            one_hot(np.array([[0, 3]]), 2)
+
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             multilabel_ce(np.zeros((2, 3, 3)), np.zeros((2, 4, 4)))

@@ -46,6 +46,10 @@ class TestConvForward:
         with pytest.raises(ValueError, match="odd"):
             ops.conv2d_forward(np.zeros((1, 1, 4, 4)), np.zeros((1, 1, 2, 2)), np.zeros(1))
 
+    def test_bias_of_another_length_rejected(self):
+        with pytest.raises(ValueError, match=r"bias shape \(2,\) does not match 1 output"):
+            ops.conv2d_forward(np.zeros((1, 1, 4, 4)), np.zeros((1, 1, 3, 3)), np.zeros(2))
+
     def test_output_is_finite(self, rng):
         y = ops.conv2d_forward(
             rng.normal(size=(2, 2, 4, 4)), rng.normal(size=(3, 2, 3, 3)), rng.normal(size=3)

@@ -194,8 +194,13 @@ def _checkpoint(*entries: bytes) -> bytes:
         ((_entry(b"a", [1.0]), _entry(b"b", [1.0, np.nan])), "'b' has a non-finite value"),
         ((_entry(b"a", [[np.inf]]),), "'a' has a non-finite value"),
         ((_entry(b"a", [1.0]), _entry(b"a", [2.0])), "duplicate parameter 'a'"),
+        # no values to read, but no array has these dims
+        (
+            (b"\x01\x00a\x03" + np.array([2**32 - 1, 2**32 - 1, 0], "<u4").tobytes(),),
+            "'a' has shape (4294967295, 4294967295, 0), too large for an array",
+        ),
     ],
-    ids=["name-not-utf8", "nan", "inf", "duplicate"],
+    ids=["name-not-utf8", "nan", "inf", "duplicate", "huge-empty"],
 )
 def test_malformed_entry_rejected_naming_file_and_parameter(tmp_path, entries, want):
     path = tmp_path / "net.stcp"
@@ -230,6 +235,8 @@ def _checkpoint_fields() -> tuple[bytes, list[tuple[int, int]]]:
 
 
 CHECKPOINT, FIELDS = _checkpoint_fields()
+# a second valid checkpoint, whose tail a splice joins to the head of the first
+OTHER_CHECKPOINT = _checkpoint(_entry(b"head.bias", [1.0, -2.0, 3.0]))
 
 
 @settings(max_examples=300)
@@ -238,6 +245,7 @@ CHECKPOINT, FIELDS = _checkpoint_fields()
         st.tuples(st.just("truncate"), st.integers(0, 120)),
         st.tuples(st.just("flip"), st.integers(0, 120), st.integers(1, 255)),
         st.tuples(st.just("token"), st.integers(0, len(FIELDS) - 1), st.binary(max_size=4)),
+        st.tuples(st.just("splice"), st.integers(0, 120), st.integers(0, 60)),
     )
 )
 def test_mutated_checkpoint_loads_finite_values_or_raises_naming_the_file(
@@ -251,6 +259,8 @@ def test_mutated_checkpoint_loads_finite_values_or_raises_naming_the_file(
     elif mutation[0] == "token":
         off, length = FIELDS[mutation[1]]
         raw[off : off + length] = mutation[2][:length].ljust(length, b"\xff")
+    elif mutation[0] == "splice":
+        raw[mutation[1]:] = OTHER_CHECKPOINT[mutation[2]:]
     path = tmp_path_factory.getbasetemp() / "fuzz.stcp"
     path.write_bytes(bytes(raw))
     try:

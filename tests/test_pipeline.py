@@ -235,6 +235,76 @@ def test_load_corpus_class_count_is_the_configs_else_the_largest_label(corpus, n
     assert loaded.num_classes == want
 
 
+def _corpus_with_one_cut_image(root, split: str):
+    """An 8/4/3 corpus of 68-px images whose first `split` image (and its
+    mask) is cut to 66 px."""
+    examples = list(data.build_dataset(8, 4, 3, seed=2, size=68))
+    i = next(i for i, ex in enumerate(examples) if ex.split == split)
+    cut = examples[i]
+    examples[i] = replace(cut, image=cut.image[:66, :66], gt_mask=cut.gt_mask[:66, :66])
+    data.write_dataset(examples, root)
+    return data.read_dataset(root), f"images/{cut.name}.ppm"
+
+
+@pytest.mark.parametrize("split", data.SPLITS)
+@pytest.mark.parametrize("channels, stride", [(TINY_CHANNELS, 4), ((6,), 2)])
+def test_load_corpus_holds_every_image_side_to_the_output_stride_of_the_configs_net(
+    tmp_path, split, channels, stride
+):
+    manifest, cut = _corpus_with_one_cut_image(tmp_path, split)
+    splits = [manifest.split(s) for s in data.SPLITS]
+    config = replace(TINY, channels=channels)
+    if stride == 2:  # a one-block net pools once, so a side of 66 is fine
+        assert pipeline.load_corpus(*splits, config).num_classes == 4
+        return
+    with pytest.raises(ValueError) as err:
+        pipeline.load_corpus(*splits, config)
+    want = f"{tmp_path / cut}: image is 66x66, not a multiple of the output stride 4"
+    assert str(err.value) == want
+
+
+def _prior(num_classes: int, channels=TINY_CHANNELS):
+    return init_network(NetworkConfig(num_classes, channels=channels, seed=4))
+
+
+# case -> (stage, prior, whether the config warm-starts, the error)
+BAD_PRIORS = {
+    "none": ("enhanced", None, False, "stage 'enhanced' takes a prior"),
+    "classes": (
+        "powerful", lambda: _prior(2), False,
+        "checkpoint has num_classes 2, the run has num_classes 4",
+    ),
+    "initial": ("initial", lambda: _prior(4), False, "stage 'initial' takes no prior"),
+    "warm-channels": (
+        "enhanced", lambda: _prior(4, (6, 8)), True,
+        "checkpoint has channels [6, 8], the run config has channels [6, 8, 10], "
+        "and warm_start trains the checkpoint",
+    ),
+    "layers": (
+        "enhanced", lambda: _prior(4).subset(["conv1.weight", "head.weight"]), False,
+        "missing conv1.bias",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_PRIORS))
+def test_run_stage_rejects_a_bad_prior_before_any_stage_work(corpus, tmp_path, monkeypatch, case):
+    stage, prior, warm_start, want = BAD_PRIORS[case]
+    loaded = pipeline.load_corpus(*(corpus.split(s) for s in data.SPLITS), TINY)
+
+    def no_stage_work(*args, **kwargs):
+        raise AssertionError("stage work ran although the prior is bad")
+
+    for fn in ("compute_saliency", "relabel_complex", "train_stage", "init_network"):
+        monkeypatch.setattr(pipeline, fn, no_stage_work)
+    out = tmp_path / "out"
+    config = replace(TINY, warm_start=warm_start)
+    with pytest.raises(ValueError) as err:
+        pipeline.run_stage(stage, prior and prior(), loaded, config, out_dir=out)
+    assert str(err.value).startswith(want), err.value
+    assert not out.exists()
+
+
 def test_train_config_channels_default_is_the_networks():
     assert TrainConfig().channels == NetworkConfig(1).channels
 
@@ -462,6 +532,13 @@ print((peak_rss_kb() - before) // 1024)
         train_stage(net, decoded(pairs), supervision, maps, replace(TINY, epochs=1))
         assert shapes and all(shape[1:] == (3, 12, 12) for shape in shapes), shapes
 
+    def test_target_count_must_match_the_records(self, corpus):
+        net = init_network(NetworkConfig(4, channels=TINY_CHANNELS, seed=1))
+        pairs = simple_pairs(corpus)
+        maps = saliency_maps(pairs)[:-1]
+        with pytest.raises(ValueError, match="^7 targets for 8 records$"):
+            train_stage(net, decoded(pairs), SUPERVISION_SALIENCY, maps, TINY)
+
     def test_unknown_supervision_rejected(self, corpus):
         net = init_network(NetworkConfig(4, channels=TINY_CHANNELS, seed=1))
         with pytest.raises(ValueError, match="supervision"):
@@ -485,7 +562,8 @@ print((peak_rss_kb() - before) // 1024)
                 net, decoded(pairs), SUPERVISION_SALIENCY, maps,
                 TrainConfig(crop_size=42),
             )
-        with pytest.raises(ValueError, match="exceeds"):
+        want = "record 'images/simple_0000.ppm': image is 64x64, smaller than config key"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)} 'crop_size' 128$"):
             train_stage(
                 net, decoded(pairs), SUPERVISION_SALIENCY, maps,
                 TrainConfig(crop_size=128),
