@@ -3,7 +3,9 @@
 
 Generates a fresh default-scale corpus per seed, runs the full three-stage
 pipeline, and prints a per-seed table of eval mIoU plus the monotonicity
-verdict. This is the same experiment the acceptance suite freezes. Each row
+verdict. This is the same experiment the acceptance suite freezes. A line
+above the table states the thread settings (STC_THREADS, and the worker
+count it gives; OPENBLAS_NUM_THREADS), since timings depend on them. Each row
 ends with a short sha256 digest of each stage's parameters (names and
 float64 bytes), so two checkouts that train byte-identical networks print
 identical digests.
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import os
 import statistics
 import tempfile
 import time
@@ -23,7 +26,7 @@ from pathlib import Path
 # takes effect before numpy loads
 from stc import data
 from stc.params import ParamSet
-from stc.pipeline import TrainConfig, run_stc
+from stc.pipeline import TrainConfig, run_stc, worker_count
 
 import numpy as np
 
@@ -60,6 +63,11 @@ def main() -> int:
     workdir = args.out or Path(tempfile.mkdtemp(prefix="stc-trend-"))
     workdir.mkdir(parents=True, exist_ok=True)
 
+    env = os.environ
+    print(
+        f"threads: STC_THREADS={env.get('STC_THREADS', 'unset')} (workers: {worker_count()}),"
+        f" OPENBLAS_NUM_THREADS={env.get('OPENBLAS_NUM_THREADS', 'unset')}"
+    )
     print(
         f"{'seed':>6} {'initial':>9} {'enhanced':>9} {'powerful':>9} {'monotone':>9}"
         f" {'secs':>7}  digests (initial/enhanced/powerful)"

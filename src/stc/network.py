@@ -5,7 +5,8 @@ Architecture: [3x3 conv -> relu -> 2x2 mean pool] x 2 -> 3x3 conv -> relu ->
 Inputs are RGB in [0,1] and are standardized inside the forward pass:
 centered at 0.5 and divided by a nominal pixel std of 0.25. The layer stack
 is recovered from parameter shapes, so a checkpoint alone is enough to run
-inference.
+inference. A pass computes in the dtype of the weights: float64 as built
+and loaded, float32 in the copy a train step runs through.
 """
 from __future__ import annotations
 
@@ -196,7 +197,11 @@ def _parallel_map(fn, items) -> list:
 
 
 def _checked_images(params: ParamSet, images) -> np.ndarray:
-    images = np.asarray(images, dtype=np.float64)
+    """`images` as an array, in its own floating dtype (else float64), once
+    their sides are multiples of the output stride."""
+    images = np.asarray(images)
+    if images.dtype.kind != "f":
+        images = images.astype(np.float64)
     stride = output_stride(params)
     _, _, h, w = images.shape
     if h % stride or w % stride:
@@ -206,9 +211,12 @@ def _checked_images(params: ParamSet, images) -> np.ndarray:
 
 def step_arrays(params: ParamSet, shape) -> dict[str, np.ndarray]:
     """Every array of a forward and backward pass on a batch of `shape`
-    (n, 3, h, w), by name. `train_stage` allocates them once, at full batch
-    size, and every step writes into them, as Caffe keeps a layer's blobs; a
-    smaller batch takes the leading rows (`a[:n]`, still contiguous).
+    (n, 3, h, w), by name, in the dtype of `params`' weights: float64 for a
+    net as `init_network` and checkpoints give it, float32 for the compute
+    copy `train_stage` trains through. `train_stage` allocates them once, at
+    full batch size, and every step writes into them, as Caffe keeps a
+    layer's blobs; a smaller batch takes the leading rows (`a[:n]`, still
+    contiguous).
     Without reuse, glibc hands the freed temporaries back to the OS and each
     step page-faults them in again. The forward's arrays are the cache that
     `backward` reads. At n == 1 the same layout is the inference plan that
@@ -223,7 +231,8 @@ def step_arrays(params: ParamSet, shape) -> dict[str, np.ndarray]:
 
     `images` is the batch of crops, which `train_stage` divides by 255
     into it from the uint8 images it keeps.
-    `params` must pass `check_layers`, so every conv is 3x3. For conv i,
+    `params` must pass `check_layers`, so every conv is 3x3, and every
+    value must have the dtype of `conv1.weight`. For conv i,
     named `conv{i}.*` (c/cout = in/out channels, (h, w) = its input size):
 
     - `padded` (n, c, h+2, w+2): the conv's input, zero-padded. The layer
@@ -255,40 +264,42 @@ def step_arrays(params: ParamSet, shape) -> dict[str, np.ndarray]:
     check_layers(params)
     n, _, h, w = shape
     k = _KERNEL_SIZE
-    arrays = {"images": _mapped(shape)}
+    arrays = {"images": _mapped(params, shape)}
     nb = num_blocks(params)
     src = None  # the output of the block before, when it does not pool
     for i in range(1, nb + 1):
         cout, c, _, _ = params[f"conv{i}.weight"].value.shape
-        padded = arrays[f"conv{i}.padded"] = _mapped((n, c, h + 2, w + 2))
+        padded = arrays[f"conv{i}.padded"] = _mapped(params, (n, c, h + 2, w + 2))
         inner = padded[:, :, 1:-1, 1:-1]  # a 3x3 conv pads by one pixel
         arrays[f"conv{i}.in"] = inner if src is None else src
         if src is not None:
             arrays[f"conv{i - 1}.grad"] = inner
-        arrays[f"conv{i}.cols"] = _mapped((n, c * k * k, h * w))
-        src = arrays[f"conv{i}.out"] = _mapped((n, cout, h, w))
-        arrays[f"conv{i}.kernel_grad"] = _mapped((n, cout, c * k * k))
+        arrays[f"conv{i}.cols"] = _mapped(params, (n, c * k * k, h * w))
+        src = arrays[f"conv{i}.out"] = _mapped(params, (n, cout, h, w))
+        arrays[f"conv{i}.kernel_grad"] = _mapped(params, (n, cout, c * k * k))
         if i <= _MAX_POOLS:
             arrays[f"conv{i}.grad"] = src
             h, w = h // 2, w // 2
             src = None
     classes, c, _, _ = params["head.weight"].value.shape
-    arrays["head.input_grad"] = _mapped((n, c, h * w))
-    arrays["head.in"] = _mapped((n, c, h, w)) if src is None else src
+    arrays["head.input_grad"] = _mapped(params, (n, c, h * w))
+    arrays["head.in"] = _mapped(params, (n, c, h, w)) if src is None else src
     if src is not None:
         arrays[f"conv{nb}.grad"] = arrays["head.input_grad"].reshape(src.shape)
-    arrays["head.kernel_grad"] = _mapped((n, classes, c))
-    arrays["logits"] = _mapped((n, classes, h, w))
+    arrays["head.kernel_grad"] = _mapped(params, (n, classes, c))
+    arrays["logits"] = _mapped(params, (n, classes, h, w))
     return arrays
 
 
-def _mapped(shape) -> np.ndarray:
-    """An uninitialised float64 array in a private anonymous memory mapping
-    of its own. Freed heap memory that lies below blocks still in use stays
-    resident; a mapping goes back to the OS when the array is freed."""
+def _mapped(params: ParamSet, shape) -> np.ndarray:
+    """An uninitialised array of `shape`, in the dtype of `params`'
+    `conv1.weight`, in a private anonymous memory mapping of its own. Freed
+    heap memory that lies below blocks still in use stays resident; a
+    mapping goes back to the OS when the array is freed."""
+    dtype = params["conv1.weight"].value.dtype
     size = math.prod(shape)
-    buf = mmap.mmap(-1, max(8 * size, 1), flags=mmap.MAP_PRIVATE)
-    return np.frombuffer(buf, dtype=np.float64, count=size).reshape(shape)
+    buf = mmap.mmap(-1, max(dtype.itemsize * size, 1), flags=mmap.MAP_PRIVATE)
+    return np.frombuffer(buf, dtype=dtype, count=size).reshape(shape)
 
 
 def _forward_into(params: ParamSet, images: np.ndarray, arrays) -> np.ndarray:
@@ -347,7 +358,7 @@ def forward(params: ParamSet, images: np.ndarray) -> np.ndarray:
     n, c, h, w = images.shape
     try:
         plan = _inference_plan(params, (1, c, h, w))
-        logits = np.empty((n, *plan["logits"].shape[1:]))
+        logits = np.empty((n, *plan["logits"].shape[1:]), plan["logits"].dtype)
         for j in range(n):
             logits[j] = _forward_into(params, images[j : j + 1], plan)[0]
     finally:
@@ -405,8 +416,12 @@ def backward(params: ParamSet, arrays, grad_logits: np.ndarray) -> None:
 
 def _inference_plan(params: ParamSet, shape) -> dict[str, np.ndarray]:
     """This thread's plan, `step_arrays(params, shape)`, made again only
-    when the weight shapes or the image shape change."""
-    key = (tuple((name, p.value.shape) for name, p in params.items()), shape)
+    when the weight shapes, their dtype or the image shape change."""
+    key = (
+        tuple((name, p.value.shape) for name, p in params.items()),
+        params["conv1.weight"].value.dtype,
+        shape,
+    )
     plan = getattr(_plans, "plan", None)
     if plan is None or plan[0] != key:
         plan = _plans.plan = key, step_arrays(params, shape)

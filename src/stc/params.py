@@ -1,8 +1,10 @@
 """Named parameter store with gradient and momentum state.
 
 Holds the network weights as an insertion-ordered mapping of name ->
-(value, gradient, velocity), all float64 arrays of identical shape. Also
-provides momentum SGD and the binary checkpoint format (magic "STCP").
+(value, gradient, velocity), all float64 arrays of identical shape. The
+values are the master weights: training computes each step through a
+float32 copy of them (`float32_copy`), and its gradients, momentum SGD and
+the binary checkpoint format (magic "STCP") stay float64.
 Gradients are checked against central finite differences in the test
 suite (`numeric_grad` and `rel_err` in its helpers).
 """
@@ -66,6 +68,15 @@ class ParamSet:
         out = ParamSet()
         for name in names:
             out._entries[name] = self._entries[name]
+        return out
+
+    def float32_copy(self) -> "ParamSet":
+        """float32 copies of the values that share this set's gradient and
+        velocity arrays, so a `backward` through the copy adds into the
+        float64 gradients; `np.copyto` refreshes its values after an update."""
+        out = ParamSet()
+        for name, p in self._entries.items():
+            out._entries[name] = Param(p.value.astype(np.float32), p.grad, p.velocity)
         return out
 
     def copy(self) -> "ParamSet":

@@ -27,6 +27,7 @@ from .network import (
     backward,
     check_layers,
     init_network,
+    output_stride,
     predict,
     step_arrays,
     stride_for,
@@ -126,17 +127,16 @@ def _derive_seed(root_seed: int, salt: int) -> int:
     return int(np.random.SeedSequence([root_seed, salt]).generate_state(1)[0])
 
 
-def _check_size(where, image, config: TrainConfig, training: bool = True) -> None:
-    """`image`'s sides are multiples of the output stride of the net that
-    `config.channels` builds, as stages run nets on whole images, and for
-    training at least `crop_size`; else a ValueError starts with `where`."""
+def _check_size(where, image, stride: int, crop_size: int = 0) -> None:
+    """`image`'s sides are multiples of `stride`, the output stride of a net
+    that runs on the whole image, and at least `crop_size`, that of a
+    training image; else a ValueError starts with `where`."""
     h, w = image.shape[:2]
-    stride = stride_for(len(config.channels))
     if h % stride or w % stride:
         raise ValueError(f"{where}: image is {h}x{w}, not a multiple of the output stride {stride}")
-    if training and min(h, w) < config.crop_size:
+    if min(h, w) < crop_size:
         raise ValueError(
-            f"{where}: image is {h}x{w}, smaller than config key 'crop_size' {config.crop_size}"
+            f"{where}: image is {h}x{w}, smaller than config key 'crop_size' {crop_size}"
         )
 
 
@@ -147,7 +147,15 @@ def train_stage(params: ParamSet, dataset, supervision: str, targets, config: Tr
     full-resolution uint8 saliency maps for SUPERVISION_SALIENCY, integer
     masks for SUPERVISION_MASKS. Returns (params, per-epoch mean losses);
     params are updated in place. Images and saliency maps stay uint8; each
-    step divides its crops by 255. Every step writes into one set of
+    step divides its image crops by 255 into float32.
+
+    Each step computes in float32, as Caffe does, against float64 master
+    weights (Micikevicius et al. 2017): the compute copy
+    (`ParamSet.float32_copy`) lives here for the stage, and after the two
+    `sgd_step` calls on `params` its values are refreshed once, with
+    `np.copyto`. Its gradients are those of `params`, so `backward` adds
+    into the float64 gradients, and the momentum, the update and the
+    values stay float64. Every step writes into one set of float32
     `step_arrays`, allocated at full batch size and dropped on return. Each
     step's forward and backward split the batch into up to `worker_count()`
     row ranges; the result is bit-identical for any worker count.
@@ -169,13 +177,14 @@ def train_stage(params: ParamSet, dataset, supervision: str, targets, config: Tr
     if config.epochs == 0 or not dataset:
         return params, []
 
-    crop = config.crop_size
+    crop, stride = config.crop_size, output_stride(params)
     for rec, img in dataset:
         if img.dtype != np.uint8:
             raise ValueError(f"image of {rec.image!r} is not uint8 bytes")
-        _check_size(f"record {rec.image!r}", img, config)
+        _check_size(f"record {rec.image!r}", img, stride, crop)
     classes, _ = check_layers(params)
-    full = step_arrays(params, (min(config.batch_size, len(dataset)), 3, crop, crop))
+    compute = params.float32_copy()
+    full = step_arrays(compute, (min(config.batch_size, len(dataset)), 3, crop, crop))
     images = [img.transpose(2, 0, 1) for _, img in dataset]
     class_ids = [min(r.labels) for r, _ in dataset]
     th, tw = full["logits"].shape[2:]
@@ -207,11 +216,11 @@ def train_stage(params: ParamSet, dataset, supervision: str, targets, config: Tr
                 else:
                     m = downsample_mask_nearest(window, th, tw)
                     tgts.append(one_hot(m, classes))
-            logits = _forward_cached(params, arrays["images"], arrays)
+            logits = _forward_cached(compute, arrays["images"], arrays)
             loss, grad = batch_ce_and_grad(logits, np.stack(tgts))
             if not np.isfinite(loss):
                 raise ValueError(f"non-finite loss at step {step}")
-            backward(params, arrays, grad)
+            backward(compute, arrays, grad)
             sgd_step(trunk, lr, config.momentum, config.weight_decay)
             sgd_step(
                 head,
@@ -219,6 +228,8 @@ def train_stage(params: ParamSet, dataset, supervision: str, targets, config: Tr
                 config.momentum,
                 config.weight_decay,
             )
+            for name, p in compute.items():
+                np.copyto(p.value, params[name].value)
             step_losses.append(loss)
             step += 1
         epoch_losses.append(float(np.mean(step_losses)))
@@ -321,7 +332,8 @@ def load_corpus(
     """Reads and checks a run's inputs once, on the calling thread: the eval
     split is not empty, every label is in 1..`config.num_classes` (by default
     the largest label), the eval ground truth passes `_checked_gt`, each image
-    `_check_size`, and each training image is the size of its saliency map."""
+    `_check_size` against the output stride of the net `config.channels`
+    builds, and each training image is the size of its saliency map."""
     if not eval_.records:
         raise ValueError(f"no eval records in {eval_.root}: every stage is evaluated")
     records = [(m, rec) for m in (simple, complex_, eval_) for rec in m.records]
@@ -332,13 +344,14 @@ def load_corpus(
                 f"{m.root / 'manifest.jsonl'}: record {rec.image!r} has labels "
                 f"{sorted(rec.labels)}, outside 1..{num_classes}"
             )
+    stride = stride_for(len(config.channels))
     for rec in eval_.records:
         image, _ = _checked_gt(eval_, rec, num_classes)
-        _check_size(eval_.root / rec.image, image, config, training=False)
+        _check_size(eval_.root / rec.image, image, stride)
 
     def entry(m: DatasetManifest, rec: DatasetRecord):
         image = m.load_image_bytes(rec)
-        _check_size(m.root / rec.image, image, config)
+        _check_size(m.root / rec.image, image, stride, config.crop_size)
         h, w = image.shape[:2]
         saliency = m.load_saliency(rec)
         if saliency is not None and saliency.shape != (h, w):
@@ -356,13 +369,23 @@ def load_corpus(
 _SALTS = {"initial": (1, 11), "enhanced": (2, 12), "powerful": (3, 13)}
 
 
-def _trained_on(name: str, corpus: Corpus, config: TrainConfig) -> list:
-    """The `corpus` entries stage `name` trains on: the simple ones, or for
-    'powerful' the complex ones followed, with `include_simple_in_powerful`,
-    by the simple ones. A ValueError names the stage if there are none."""
+def _splits_of(name: str, corpus: Corpus, config: TrainConfig) -> dict[str, list]:
+    """The `corpus` splits stage `name` trains on, by name: the simple one,
+    or for 'powerful' the complex one followed, with
+    `include_simple_in_powerful`, by the simple one. A ValueError names
+    `STAGES` if `name` is not one of them."""
+    if name not in STAGES:
+        raise ValueError(f"unknown stage {name!r}: the stages are {', '.join(STAGES)}")
     splits = {"complex": corpus.complex} if name == "powerful" else {"simple": corpus.simple}
     if name == "powerful" and config.include_simple_in_powerful:
         splits["simple"] = corpus.simple
+    return splits
+
+
+def _trained_on(name: str, corpus: Corpus, config: TrainConfig) -> list:
+    """The entries of `_splits_of` in order. A ValueError names the stage if
+    there are none."""
+    splits = _splits_of(name, corpus, config)
     entries = [e for split in splits.values() for e in split]
     if not entries:
         raise ValueError(f"stage {name!r}: no {' or '.join(splits)} records to train on")
@@ -372,7 +395,10 @@ def _trained_on(name: str, corpus: Corpus, config: TrainConfig) -> list:
 def check_prior(name: str, prior: ParamSet | None, corpus: Corpus, config: TrainConfig) -> None:
     """Stage `name` can run from `prior`: 'initial' takes none, and a later
     stage takes a net that passes `check_layers` and has the class count of
-    `corpus` and, with `config.warm_start`, the config's channels."""
+    `corpus` and, with `config.warm_start`, the config's channels. The
+    images the stage relabels with the prior must pass `_check_size`
+    against its output stride, which a deeper net than `config.channels`
+    builds may not divide."""
     if (prior is None) != (name == "initial"):
         raise ValueError(f"stage {name!r} takes {'no' if name == 'initial' else 'a'} prior")
     if prior is None:
@@ -387,6 +413,10 @@ def check_prior(name: str, prior: ParamSet | None, corpus: Corpus, config: Train
             f"checkpoint has channels {list(channels)}, the run config has channels "
             f"{list(config.channels)}, and warm_start trains the checkpoint"
         )
+    stride = output_stride(prior)
+    for split in _splits_of(name, corpus, config).values():
+        for m, rec, image, _ in split:
+            _check_size(m.root / rec.image, image, stride)
 
 
 def _stage_targets(name: str, net, entries: list) -> list:

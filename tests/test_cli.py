@@ -785,21 +785,22 @@ def test_run_is_byte_identical_for_any_stc_threads(dataset_dir, tmp_path, monkey
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(TINY_CONFIG))
     outs = []
-    for threads in ("1", "2"):
+    for threads in ("1", "2", "3"):
         monkeypatch.setenv("STC_THREADS", threads)
         out = tmp_path / f"threads{threads}"
         assert main(
             ["run", "--data", str(dataset_dir), "--out", str(out), "--config", str(cfg)]
         ) == 0
         outs.append(out)
-    for stage in ("initial", "enhanced", "powerful"):
-        name = f"checkpoint_{stage}.stcp"
-        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
-    for sub in ("masks_initial", "masks_enhanced"):
-        masks = sorted(p.name for p in (outs[0] / sub).glob("*.pgm"))
-        assert masks and masks == sorted(p.name for p in (outs[1] / sub).glob("*.pgm"))
-        for name in masks:
-            assert (outs[0] / sub / name).read_bytes() == (outs[1] / sub / name).read_bytes()
+    for other in outs[1:]:
+        for stage in ("initial", "enhanced", "powerful"):
+            name = f"checkpoint_{stage}.stcp"
+            assert (outs[0] / name).read_bytes() == (other / name).read_bytes(), name
+        for sub in ("masks_initial", "masks_enhanced"):
+            masks = sorted(p.name for p in (outs[0] / sub).glob("*.pgm"))
+            assert masks and masks == sorted(p.name for p in (other / sub).glob("*.pgm"))
+            for name in masks:
+                assert (outs[0] / sub / name).read_bytes() == (other / sub / name).read_bytes()
 
 
 @pytest.mark.parametrize("fails", [False, True], ids=["returns", "stage-fails"])
@@ -937,6 +938,31 @@ def test_image_side_not_a_multiple_of_the_output_stride_rejected_before_any_stag
     err = capsys.readouterr().err
     want = f"{d / 'images' / cut.name}.ppm: image is 66x66, not a multiple of the output stride 4"
     assert f"error: {want}\n" == err, err
+    assert not out.exists()
+
+
+def test_stage_prior_deeper_than_the_config_rejected_naming_checkpoint_and_image(
+    tmp_path, capsys, monkeypatch
+):
+    # channels [6] pool once, so 66-px images load; the 3-block prior that
+    # relabels them has output stride 4
+    d = tmp_path / "data"
+    examples = list(data.build_dataset(4, 2, 2, seed=5, size=68))
+    i = next(i for i, ex in enumerate(examples) if ex.split == "simple")
+    cut = examples[i]
+    examples[i] = dataclasses.replace(cut, image=cut.image[:66, :66], gt_mask=cut.gt_mask[:66, :66])
+    data.write_dataset(examples, d)
+    prior = tmp_path / "prior.stcp"
+    save_params(init_network(NetworkConfig(4, channels=(6, 8, 10), seed=0)), prior)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({**TINY_CONFIG, "channels": [6]}))
+    _no_stage_work(monkeypatch)
+    out = tmp_path / "out"
+    assert main(["stage", "--stage", "enhanced", "--params", str(prior), "--data", str(d),
+                 "--out", str(out), "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    want = f"{d / 'images' / cut.name}.ppm: image is 66x66, not a multiple of the output stride 4"
+    assert f"error: {prior}: {want}\n" == err, err
     assert not out.exists()
 
 

@@ -18,7 +18,9 @@ from helpers import PEAK_RSS_KB, brute_force_iou
 from stc import cli, data, imageio, network, ops
 from stc import pipeline
 from stc.imageio import read_pgm, write_saliency_pgm
-from stc.network import NetworkConfig, init_network
+from stc.losses import batch_ce_and_grad, build_simple_target
+from stc.network import NetworkConfig, _forward_cached, backward, init_network, step_arrays
+from stc.params import save_params
 from stc.pipeline import (
     SUPERVISION_MASKS,
     SUPERVISION_SALIENCY,
@@ -284,24 +286,65 @@ BAD_PRIORS = {
         "enhanced", lambda: _prior(4).subset(["conv1.weight", "head.weight"]), False,
         "missing conv1.bias",
     ),
+    "unknown-stage": (
+        "Enhanced", lambda: _prior(4), False,
+        "unknown stage 'Enhanced': the stages are initial, enhanced, powerful",
+    ),
 }
+
+
+def _no_stage_work(monkeypatch):
+    def no_stage_work(*args, **kwargs):
+        raise AssertionError("stage work ran although an input is bad")
+
+    for fn in ("compute_saliency", "relabel_complex", "train_stage", "init_network"):
+        monkeypatch.setattr(pipeline, fn, no_stage_work)
 
 
 @pytest.mark.parametrize("case", list(BAD_PRIORS))
 def test_run_stage_rejects_a_bad_prior_before_any_stage_work(corpus, tmp_path, monkeypatch, case):
     stage, prior, warm_start, want = BAD_PRIORS[case]
     loaded = pipeline.load_corpus(*(corpus.split(s) for s in data.SPLITS), TINY)
-
-    def no_stage_work(*args, **kwargs):
-        raise AssertionError("stage work ran although the prior is bad")
-
-    for fn in ("compute_saliency", "relabel_complex", "train_stage", "init_network"):
-        monkeypatch.setattr(pipeline, fn, no_stage_work)
+    _no_stage_work(monkeypatch)
     out = tmp_path / "out"
     config = replace(TINY, warm_start=warm_start)
     with pytest.raises(ValueError) as err:
         pipeline.run_stage(stage, prior and prior(), loaded, config, out_dir=out)
     assert str(err.value).startswith(want), err.value
+    assert not out.exists()
+
+
+# (stage, the split with a 66-px image, include_simple_in_powerful) -> whether
+# the stage relabels that image with its prior
+DEEP_PRIOR_CASES = {
+    ("enhanced", "simple", True): True,
+    ("enhanced", "complex", True): False,
+    ("powerful", "complex", True): True,
+    ("powerful", "simple", True): True,
+    ("powerful", "simple", False): False,
+}
+
+
+@pytest.mark.parametrize("case", list(DEEP_PRIOR_CASES), ids=lambda c: "-".join(map(str, c)))
+def test_check_prior_holds_each_relabelled_image_to_the_priors_output_stride(
+    tmp_path, monkeypatch, case
+):
+    # a 3-block prior (stride 4) relabels for a config of one block (stride 2),
+    # so `load_corpus` passes the 66-px image but the prior cannot run on it
+    stage, split, include_simple = case
+    manifest, cut = _corpus_with_one_cut_image(tmp_path / "data", split)
+    config = replace(TINY, channels=(6,), include_simple_in_powerful=include_simple)
+    loaded = pipeline.load_corpus(*(manifest.split(s) for s in data.SPLITS), config)
+    prior = _prior(4)
+    if not DEEP_PRIOR_CASES[case]:
+        assert pipeline.check_prior(stage, prior, loaded, config) is None
+        return
+    _no_stage_work(monkeypatch)
+    out = tmp_path / "out"
+    with pytest.raises(ValueError) as err:
+        pipeline.run_stage(stage, prior, loaded, config, out_dir=out)
+    want = f"{tmp_path / 'data' / cut}: image is 66x66, not a multiple of the output stride 4"
+    assert str(err.value) == want
     assert not out.exists()
 
 
@@ -439,9 +482,11 @@ class TestTrainStage:
     def test_peak_memory_of_an_epoch_at_crop_96(self, tmp_path):
         # in a fresh interpreter, so that the peak is not an earlier test's:
         # one epoch over 64 images of 128 px at crop 96, batch 8, as the
-        # initial stage of a 128-px run trains. The images stay uint8, and a
-        # pooled block's gradient goes over its conv output; float64 images
-        # and a separate gradient array grew it by about 32 MB more
+        # initial stage of a 128-px run trains. The images stay uint8, a
+        # pooled block's gradient goes over its conv output, and the step
+        # arrays are float32: it grew by 42 MB, and by 83-84 MB with float64
+        # step arrays (float64 images and a separate gradient array added
+        # about 32 MB more to that)
         data.write_dataset(data.build_dataset(64, 0, 0, seed=3, size=128), tmp_path)
         code = PEAK_RSS_KB + f"""
 from stc import data
@@ -462,7 +507,64 @@ print((peak_rss_kb() - before) // 1024)
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
         grown_mb = int(run.stdout)
-        assert grown_mb < 100, f"an epoch at crop 96 grew peak RSS by {grown_mb} MB"
+        assert grown_mb < 60, f"an epoch at crop 96 grew peak RSS by {grown_mb} MB"
+
+    # worst over parameters of max |float32 grad - float64 grad| / max |float64
+    # grad| for one batch-8 step: 1.3e-7 to 4.1e-7 over five net seeds, at
+    # init and after three epochs; float32's epsilon is 1.2e-7
+    FLOAT32_GRAD_TOL = 1e-5
+
+    def test_float32_step_gradients_are_within_tolerance_of_the_float64_step(self, corpus):
+        pairs = simple_pairs(corpus)
+        images = [m.load_image_bytes(r) for m, r in pairs]
+        x = np.stack([im[8:56, 8:56].transpose(2, 0, 1) for im in images]) / 255.0
+        t = np.stack([
+            build_simple_target(s[8:56, 8:56] / 255, min(r.labels), 12, 12, 4)
+            for s, (_, r) in zip(saliency_maps(pairs), pairs)
+        ])
+        net = init_network(NetworkConfig(4, channels=TINY_CHANNELS, seed=1))
+        masters = {}
+        for dtype in (np.float64, np.float32):
+            master = masters[dtype] = net.copy()
+            compute = master if dtype == np.float64 else master.float32_copy()
+            arrays = step_arrays(compute, x.shape)
+            assert arrays["conv1.cols"].dtype == dtype
+            _, g = batch_ce_and_grad(_forward_cached(compute, x.astype(dtype), arrays), t)
+            backward(compute, arrays, g)
+        for name, want in masters[np.float64].items():
+            got = masters[np.float32][name].grad
+            assert got.dtype == np.float64, name  # the compute copy adds into the master's
+            err = np.abs(got - want.grad).max() / np.abs(want.grad).max()
+            assert err < self.FLOAT32_GRAD_TOL, (name, err)
+
+    def test_master_weights_gradients_momentum_and_checkpoint_stay_float64(
+        self, corpus, tmp_path
+    ):
+        net = init_network(NetworkConfig(4, channels=TINY_CHANNELS, seed=1))
+        pairs = simple_pairs(corpus)
+        config = replace(TINY, epochs=1, batch_size=8)  # one step
+        train_stage(net, decoded(pairs), SUPERVISION_SALIENCY, saliency_maps(pairs), config)
+        save_params(net, tmp_path / "net.stcp")
+        checkpoint = (tmp_path / "net.stcp").read_bytes()
+        for name, p in net.items():
+            assert {a.dtype for a in (p.value, p.grad, p.velocity)} == {np.dtype(np.float64)}
+            # the update lands in float64, off float32's grid
+            assert not np.array_equal(p.value.astype(np.float32), p.value), name
+            assert p.value.astype("<f8").tobytes() in checkpoint, name
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_non_finite_float32_loss_leaves_the_master_unchanged(self, corpus):
+        # 1e39 is a finite float64 whose float32 copy is inf
+        net = init_network(NetworkConfig(4, channels=TINY_CHANNELS, seed=1))
+        net["head.weight"].value[...] = 1e39
+        before = {n: (p.value.copy(), p.velocity.copy()) for n, p in net.items()}
+        pairs = simple_pairs(corpus)
+        with pytest.raises(ValueError, match="non-finite loss at step 0"):
+            train_stage(net, decoded(pairs), SUPERVISION_SALIENCY, saliency_maps(pairs), TINY)
+        for name, p in net.items():
+            assert np.array_equal(p.value, before[name][0]), name
+            assert np.array_equal(p.velocity, before[name][1]), name
+            assert not p.grad.any(), name
 
     def test_training_changes_parameters(self, corpus):
         net = init_network(NetworkConfig(4, channels=TINY_CHANNELS, seed=1))
