@@ -15,11 +15,10 @@ import sys
 from pathlib import Path
 
 from . import data, pipeline
-from .imageio import write_atomic, write_saliency_pgm
+from .imageio import write_atomic, write_pgm
 from .network import check_layers
 from .params import load_params, save_params
 from .pipeline import PipelineError, TrainConfig
-from .saliency import compute_saliency
 
 _TRAIN_KEYS = {f.name for f in dataclasses.fields(TrainConfig)}
 _PATH_KEYS = ("data", "out")
@@ -128,19 +127,18 @@ def cmd_gen(args) -> int:
 
 def cmd_saliency(args) -> int:
     manifest = data.read_dataset(args.data)
-    root = manifest.root
+    root, simple = manifest.root, manifest.split("simple").records
+    maps = pipeline._parallel_map(
+        lambda rec: pipeline._saliency_bytes(manifest.load_image_bytes(rec)), simple
+    )
     (root / "saliency").mkdir(exist_ok=True)
-    updated = []
-    n = 0
-    for rec in manifest.records:
-        if rec.split == "simple":
-            rel = f"saliency/{Path(rec.image).stem}.pgm"
-            write_saliency_pgm(root / rel, compute_saliency(manifest.load_image(rec)))
-            rec = dataclasses.replace(rec, saliency=rel)
-            n += 1
-        updated.append(rec)
-    data.write_manifest(root, updated)
-    print(f"wrote saliency maps for {n} simple images under {root / 'saliency'}")
+    stored = {}
+    for rec, saliency in zip(simple, maps):
+        rel = f"saliency/{Path(rec.image).stem}.pgm"
+        write_pgm(root / rel, saliency)
+        stored[rec.image] = dataclasses.replace(rec, saliency=rel)
+    data.write_manifest(root, [stored.get(rec.image, rec) for rec in manifest.records])
+    print(f"wrote saliency maps for {len(simple)} simple images under {root / 'saliency'}")
     return 0
 
 
@@ -186,6 +184,7 @@ def cmd_stage(args) -> int:
     prior = _load_network(args.params) if args.params else None
     config, splits, out = _prepare(args)
     corpus = pipeline.load_corpus(*splits, config)
+    pipeline._trained_on(args.stage, corpus, config)  # its error is not about --params
     try:
         pipeline.check_prior(args.stage, prior, corpus, config)
     except ValueError as e:

@@ -229,8 +229,6 @@ def step_arrays(params: ParamSet, shape) -> dict[str, np.ndarray]:
     `logits`) costs only those, and a dropped plan leaves no resident memory
     behind.
 
-    `images` is the batch of crops, which `train_stage` divides by 255
-    into it from the uint8 images it keeps.
     `params` must pass `check_layers`, so every conv is 3x3, and every
     value must have the dtype of `conv1.weight`. For conv i,
     named `conv{i}.*` (c/cout = in/out channels, (h, w) = its input size):
@@ -241,7 +239,9 @@ def step_arrays(params: ParamSet, shape) -> dict[str, np.ndarray]:
       there. Dead once im2col has read it; backward's col2im then
       scatter-adds onto it, so the input gradient is its interior, and the
       next step's im2col zeroes its border again.
-    - `in`: the view the layer before writes conv i's input into.
+    - `in`: the view the layer before writes conv i's input into. For conv1,
+      `train_stage` divides its crops by 255 into it, and the forward
+      standardizes them there in place.
     - `cols` (n, c*9, h*w): the patch matrix, kept for the kernel gradient,
       then overwritten by `W^T @ g` in backward.
     - `out` (n, cout, h, w): the conv output, ReLU applied in place. Backward
@@ -264,7 +264,7 @@ def step_arrays(params: ParamSet, shape) -> dict[str, np.ndarray]:
     check_layers(params)
     n, _, h, w = shape
     k = _KERNEL_SIZE
-    arrays = {"images": _mapped(params, shape)}
+    arrays = {}
     nb = num_blocks(params)
     src = None  # the output of the block before, when it does not pool
     for i in range(1, nb + 1):

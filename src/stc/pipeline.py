@@ -147,7 +147,8 @@ def train_stage(params: ParamSet, dataset, supervision: str, targets, config: Tr
     full-resolution uint8 saliency maps for SUPERVISION_SALIENCY, integer
     masks for SUPERVISION_MASKS. Returns (params, per-epoch mean losses);
     params are updated in place. Images and saliency maps stay uint8; each
-    step divides its image crops by 255 into float32.
+    step divides its image crops by 255 into conv1's float32 input
+    (`conv1.in`), where the forward standardizes them in place.
 
     Each step computes in float32, as Caffe does, against float64 master
     weights (Micikevicius et al. 2017): the compute copy
@@ -209,14 +210,14 @@ def train_stage(params: ParamSet, dataset, supervision: str, targets, config: Tr
                 oy = int(rng.integers(0, ih - crop + 1))
                 ox = int(rng.integers(0, iw - crop + 1))
                 crop_bytes = images[i][:, oy : oy + crop, ox : ox + crop]
-                np.divide(crop_bytes, 255.0, out=arrays["images"][j])
+                np.divide(crop_bytes, 255.0, out=arrays["conv1.in"][j])
                 window = targets[i][oy : oy + crop, ox : ox + crop]
                 if supervision == SUPERVISION_SALIENCY:
                     tgts.append(build_simple_target(window / 255, class_ids[i], th, tw, classes))
                 else:
                     m = downsample_mask_nearest(window, th, tw)
                     tgts.append(one_hot(m, classes))
-            logits = _forward_cached(compute, arrays["images"], arrays)
+            logits = _forward_cached(compute, arrays["conv1.in"], arrays)
             loss, grad = batch_ce_and_grad(logits, np.stack(tgts))
             if not np.isfinite(loss):
                 raise ValueError(f"non-finite loss at step {step}")
@@ -257,9 +258,10 @@ def iou_from_confusion(conf: np.ndarray):
     return [float(v) for v in iou], float(iou.mean())
 
 
-def _checked_gt(manifest: DatasetManifest, rec: DatasetRecord, num_classes: int):
+def _checked_eval(manifest: DatasetManifest, rec: DatasetRecord, num_classes: int, stride: int):
     """(image, ground-truth mask) of eval record `rec`, once the mask is
-    there, the size of its image and labelled within 0..num_classes."""
+    there, the size of its image and labelled within 0..num_classes, and
+    the image passes `_check_size` against `stride`."""
     gt = manifest.load_gt_mask(rec)
     img = manifest.load_image(rec)
     where = manifest.root / rec.gt_mask
@@ -271,17 +273,20 @@ def _checked_gt(manifest: DatasetManifest, rec: DatasetRecord, num_classes: int)
     bad = gt[(gt < 0) | (gt > num_classes)]
     if bad.size:
         raise ValueError(f"{where}: ground-truth label {int(bad[0])} outside 0..{num_classes}")
+    _check_size(manifest.root / rec.image, img, stride)
     return img, gt
 
 
 def evaluate(params: ParamSet, eval_manifest: DatasetManifest):
-    """Corpus-wide mean IoU of full-resolution argmax predictions."""
+    """Corpus-wide mean IoU of full-resolution argmax predictions. Each
+    eval record passes `_checked_eval` against the net's output stride."""
     num_classes, _ = check_layers(params)
+    stride = output_stride(params)
     if not eval_manifest.records:
         raise ValueError(f"no eval records in {eval_manifest.root}")
 
     def one(rec: DatasetRecord) -> np.ndarray:
-        img, gt = _checked_gt(eval_manifest, rec, num_classes)
+        img, gt = _checked_eval(eval_manifest, rec, num_classes, stride)
         pred = argmax_full(predict(params, img))
         return confusion_matrix(gt, pred, num_classes + 1)
 
@@ -293,17 +298,19 @@ def evaluate(params: ParamSet, eval_manifest: DatasetManifest):
 # Full procedure
 
 
-def _saliency_bytes(manifest: DatasetManifest, rec: DatasetRecord, image) -> np.ndarray:
-    """(H, W) uint8 saliency of `rec`, whose decoded uint8 image is `image`:
-    the stored map as read, else the map computed from `image` in the bytes
-    `stc saliency` would store, so both paths agree."""
-    stored = manifest.load_saliency(rec)
-    return stored if stored is not None else _to_bytes01(compute_saliency(image / 255.0))
+def _saliency_bytes(image: np.ndarray) -> np.ndarray:
+    """(H, W) uint8 saliency of the decoded (H, W, 3) uint8 `image`: the one
+    route that makes a map, so the bytes `stc saliency` stores are those the
+    initial stage computes for an image without a stored map."""
+    return _to_bytes01(compute_saliency(image / 255.0))
 
 
 def _saliency_for(manifest: DatasetManifest, rec: DatasetRecord) -> np.ndarray:
-    """`_saliency_bytes` as floats in [0, 1], on the 8-bit grid k/255."""
-    return _saliency_bytes(manifest, rec, manifest.load_image_bytes(rec)) / 255.0
+    """The saliency of `rec` as floats in [0, 1], on the 8-bit grid k/255:
+    its stored map, else `_saliency_bytes` of its image."""
+    stored = manifest.load_saliency(rec)
+    saliency = stored if stored is not None else _saliency_bytes(manifest.load_image_bytes(rec))
+    return saliency / 255.0
 
 
 def _write_masks(out_dir, stage_dir: str, dataset, masks) -> None:
@@ -329,11 +336,13 @@ class Corpus:
 def load_corpus(
     simple: DatasetManifest, complex_: DatasetManifest, eval_: DatasetManifest, config: TrainConfig
 ) -> Corpus:
-    """Reads and checks a run's inputs once, on the calling thread: the eval
-    split is not empty, every label is in 1..`config.num_classes` (by default
-    the largest label), the eval ground truth passes `_checked_gt`, each image
+    """Reads and checks a run's inputs once, on the calling thread: the
+    thread count (`worker_count`) is valid, the eval split is not empty,
+    every label is in 1..`config.num_classes` (by default the largest label),
+    each eval record passes `_checked_eval` and each training image
     `_check_size` against the output stride of the net `config.channels`
     builds, and each training image is the size of its saliency map."""
+    worker_count()
     if not eval_.records:
         raise ValueError(f"no eval records in {eval_.root}: every stage is evaluated")
     records = [(m, rec) for m in (simple, complex_, eval_) for rec in m.records]
@@ -346,8 +355,7 @@ def load_corpus(
             )
     stride = stride_for(len(config.channels))
     for rec in eval_.records:
-        image, _ = _checked_gt(eval_, rec, num_classes)
-        _check_size(eval_.root / rec.image, image, stride)
+        _checked_eval(eval_, rec, num_classes, stride)
 
     def entry(m: DatasetManifest, rec: DatasetRecord):
         image = m.load_image_bytes(rec)
@@ -369,23 +377,16 @@ def load_corpus(
 _SALTS = {"initial": (1, 11), "enhanced": (2, 12), "powerful": (3, 13)}
 
 
-def _splits_of(name: str, corpus: Corpus, config: TrainConfig) -> dict[str, list]:
-    """The `corpus` splits stage `name` trains on, by name: the simple one,
-    or for 'powerful' the complex one followed, with
-    `include_simple_in_powerful`, by the simple one. A ValueError names
-    `STAGES` if `name` is not one of them."""
+def _trained_on(name: str, corpus: Corpus, config: TrainConfig) -> list:
+    """The `corpus` entries stage `name` trains on: the simple ones, or for
+    'powerful' the complex ones followed, with `include_simple_in_powerful`,
+    by the simple ones. A ValueError names `STAGES` if `name` is not one of
+    them, and the stage if it has no entries."""
     if name not in STAGES:
         raise ValueError(f"unknown stage {name!r}: the stages are {', '.join(STAGES)}")
     splits = {"complex": corpus.complex} if name == "powerful" else {"simple": corpus.simple}
     if name == "powerful" and config.include_simple_in_powerful:
         splits["simple"] = corpus.simple
-    return splits
-
-
-def _trained_on(name: str, corpus: Corpus, config: TrainConfig) -> list:
-    """The entries of `_splits_of` in order. A ValueError names the stage if
-    there are none."""
-    splits = _splits_of(name, corpus, config)
     entries = [e for split in splits.values() for e in split]
     if not entries:
         raise ValueError(f"stage {name!r}: no {' or '.join(splits)} records to train on")
@@ -396,9 +397,9 @@ def check_prior(name: str, prior: ParamSet | None, corpus: Corpus, config: Train
     """Stage `name` can run from `prior`: 'initial' takes none, and a later
     stage takes a net that passes `check_layers` and has the class count of
     `corpus` and, with `config.warm_start`, the config's channels. The
-    images the stage relabels with the prior must pass `_check_size`
-    against its output stride, which a deeper net than `config.channels`
-    builds may not divide."""
+    entries the stage trains on (`_trained_on`), which it relabels with the
+    prior, must pass `_check_size` against the prior's output stride, which
+    a deeper net than `config.channels` builds may not divide."""
     if (prior is None) != (name == "initial"):
         raise ValueError(f"stage {name!r} takes {'no' if name == 'initial' else 'a'} prior")
     if prior is None:
@@ -414,20 +415,19 @@ def check_prior(name: str, prior: ParamSet | None, corpus: Corpus, config: Train
             f"{list(config.channels)}, and warm_start trains the checkpoint"
         )
     stride = output_stride(prior)
-    for split in _splits_of(name, corpus, config).values():
-        for m, rec, image, _ in split:
-            _check_size(m.root / rec.image, image, stride)
+    for m, rec, image, _ in _trained_on(name, corpus, config):
+        _check_size(m.root / rec.image, image, stride)
 
 
 def _stage_targets(name: str, net, entries: list) -> list:
     """The targets of `Corpus` entries: for 'initial' the stored saliency
-    bytes, else ones computed from the image; for the later stages `net`'s
+    bytes, else `_saliency_bytes` of the image; for the later stages `net`'s
     pseudo-masks restricted to each record's labels and background."""
     def target(entry):
-        manifest, rec, image, saliency = entry
+        _, rec, image, saliency = entry
         if name != "initial":
             return relabel_complex(net, image / 255.0, rec.labels)
-        return saliency if saliency is not None else _saliency_bytes(manifest, rec, image)
+        return saliency if saliency is not None else _saliency_bytes(image)
 
     return _parallel_map(target, entries)
 

@@ -161,6 +161,29 @@ class TestSaliencyCommand:
         for p, blob in snapshot.items():
             assert p.read_bytes() == blob
 
+    def test_same_dataset_for_any_stc_threads(self, tmp_path, monkeypatch):
+        written = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("STC_THREADS", threads)
+            d = tmp_path / f"threads{threads}"
+            assert main(["gen", "--out", str(d), "--simple", "5", "--complex", "2",
+                         "--eval", "1", "--seed", "2"]) == 0
+            assert main(["saliency", "--data", str(d)]) == 0
+            written.append({p.relative_to(d): p.read_bytes() for p in d.rglob("*.*")})
+        assert len([p for p in written[0] if p.parts[0] == "saliency"]) == 5
+        assert written[0] == written[1]
+
+    def test_bad_stc_threads_rejected_before_anything_is_written(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        d = _dataset(tmp_path)
+        before = (d / "manifest.jsonl").read_bytes()
+        monkeypatch.setenv("STC_THREADS", "0")
+        assert main(["saliency", "--data", str(d)]) == 1
+        assert capsys.readouterr().err == "error: STC_THREADS must be an integer >= 1, got '0'\n"
+        assert not (d / "saliency").exists()
+        assert (d / "manifest.jsonl").read_bytes() == before
+
 
     @pytest.mark.parametrize(
         "edit, field",
@@ -717,7 +740,7 @@ def test_stage_with_nothing_to_train_on_rejected_before_any_stage_runs(
         save_params(init_network(NetworkConfig(4, channels=(6, 8, 10), seed=0)), argv[-1])
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert "stage 'powerful': no complex records to train on" in err, err
+    assert err == "error: stage 'powerful': no complex records to train on\n", err
     assert not (tmp_path / "out").exists()
 
 
@@ -801,6 +824,27 @@ def test_run_is_byte_identical_for_any_stc_threads(dataset_dir, tmp_path, monkey
             assert masks and masks == sorted(p.name for p in (other / sub).glob("*.pgm"))
             for name in masks:
                 assert (outs[0] / sub / name).read_bytes() == (other / sub / name).read_bytes()
+
+
+def test_run_with_stored_saliency_maps_matches_run_that_computes_them(tmp_path):
+    # the initial stage trains on the bytes `stc saliency` stores
+    d = _dataset(tmp_path)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(TINY_CONFIG))
+    computed, stored = tmp_path / "computed", tmp_path / "stored"
+    assert main(["run", "--data", str(d), "--out", str(computed), "--config", str(cfg)]) == 0
+    assert main(["saliency", "--data", str(d)]) == 0
+    assert all(r.saliency for r in data.read_dataset(d).split("simple").records)
+    assert main(["run", "--data", str(d), "--out", str(stored), "--config", str(cfg)]) == 0
+
+    def outputs(out: Path) -> dict:  # checkpoints and pseudo-masks
+        files = [p for p in out.rglob("*") if p.suffix in (".stcp", ".pgm")]
+        return {p.relative_to(out): p.read_bytes() for p in files}
+
+    want, got = outputs(computed), outputs(stored)
+    assert len(want) == 3 + 4 + 6 and got.keys() == want.keys()
+    for name, blob in want.items():
+        assert got[name] == blob, name
 
 
 @pytest.mark.parametrize("fails", [False, True], ids=["returns", "stage-fails"])
@@ -938,6 +982,35 @@ def test_image_side_not_a_multiple_of_the_output_stride_rejected_before_any_stag
     err = capsys.readouterr().err
     want = f"{d / 'images' / cut.name}.ppm: image is 66x66, not a multiple of the output stride 4"
     assert f"error: {want}\n" == err, err
+    assert not out.exists()
+
+
+def test_eval_image_the_nets_stride_does_not_divide_rejected_naming_it(tmp_path, capsys):
+    # `stc eval` holds each eval image to the output stride of the checkpoint
+    d = tmp_path / "data"
+    examples = list(data.build_dataset(2, 1, 2, seed=5, size=68))
+    i = next(i for i, ex in enumerate(examples) if ex.split == "eval")
+    cut = examples[i]
+    examples[i] = dataclasses.replace(cut, image=cut.image[:66, :66], gt_mask=cut.gt_mask[:66, :66])
+    data.write_dataset(examples, d)
+    path = tmp_path / "ckpt.stcp"
+    save_params(init_network(NetworkConfig(4, seed=0)), path)
+    assert main(["eval", "--checkpoint", str(path), "--data", str(d)]) == 1
+    err = capsys.readouterr().err
+    image = d / "images" / f"{cut.name}.ppm"
+    assert err.startswith(f"error: {image}: "), err
+    assert err == f"error: {image}: image is 66x66, not a multiple of the output stride 4\n"
+
+
+@pytest.mark.parametrize("argv", [["run"], ["stage", "--stage", "initial"]], ids=["run", "stage"])
+def test_bad_stc_threads_rejected_before_any_stage_work(
+    dataset_dir, tmp_path, capsys, monkeypatch, argv
+):
+    monkeypatch.setenv("STC_THREADS", "0")
+    _no_stage_work(monkeypatch)
+    out = tmp_path / "out"
+    assert main([*argv, "--data", str(dataset_dir), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: STC_THREADS must be an integer >= 1, got '0'\n"
     assert not out.exists()
 
 

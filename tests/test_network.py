@@ -371,12 +371,10 @@ class TestBackward:
 
 
 def nan_filled(arrays):
-    """`arrays` with every one but the stacked `images` filled with NaN: a
-    read before a write shows, also a read of rows another range has not
-    written yet."""
-    for name, a in arrays.items():
-        if name != "images":
-            a[...] = np.nan
+    """`arrays` with every one filled with NaN: a read before a write
+    shows, also a read of rows another range has not written yet."""
+    for a in arrays.values():
+        a[...] = np.nan
     return arrays
 
 

@@ -62,7 +62,7 @@ def decoded(pairs):
 
 
 def saliency_maps(pairs):
-    return [_saliency_bytes(m, r, m.load_image_bytes(r)) for m, r in pairs]
+    return [_saliency_bytes(m.load_image_bytes(r)) for m, r in pairs]
 
 
 class TestMetrics:
@@ -364,10 +364,11 @@ def test_saliency_bytes_stored_and_computed_agree_and_saliency_for_divides_them(
     stored = data.DatasetManifest(tmp_path, stored)
     for rec, stored_rec in zip(computed.records, stored.records):
         image = computed.load_image_bytes(rec)
-        got = _saliency_bytes(computed, rec, image)
+        got = _saliency_bytes(image)
         assert got.dtype == np.uint8
-        assert np.array_equal(got, _saliency_bytes(stored, stored_rec, image))
+        assert np.array_equal(got, stored.load_saliency(stored_rec))
         assert np.array_equal(_saliency_for(computed, rec), got / 255.0)
+        assert np.array_equal(_saliency_for(stored, stored_rec), got / 255.0)
 
 
 class TestTrainStage:
@@ -415,9 +416,12 @@ class TestTrainStage:
         forward_cached = pipeline._forward_cached
 
         def nan_filled_first(params, images, arrays):
+            # `images` is conv1's input, the interior of conv1.padded
             for name, a in arrays.items():
-                if name != "images":
+                if name not in ("conv1.in", "conv1.padded"):
                     a[...] = np.nan
+            for border in (np.s_[:, :, [0, -1]], np.s_[:, :, :, [0, -1]]):
+                arrays["conv1.padded"][border] = np.nan
             return forward_cached(params, images, arrays)
 
         monkeypatch.setattr(pipeline, "_forward_cached", nan_filled_first)
@@ -494,7 +498,7 @@ from stc.network import NetworkConfig, init_network
 from stc.pipeline import SUPERVISION_SALIENCY, TrainConfig, _saliency_bytes, train_stage
 m = data.read_dataset({str(tmp_path)!r})
 pairs = [(r, m.load_image_bytes(r)) for r in m.records]
-maps = [_saliency_bytes(m, r, image) for r, image in pairs]
+maps = [_saliency_bytes(image) for _, image in pairs]
 net = init_network(NetworkConfig(4, seed=1))
 config = TrainConfig(epochs=1, crop_size=96, seed=2)
 before = peak_rss_kb()
@@ -839,6 +843,16 @@ def test_worker_count_error_names_the_variable(monkeypatch, value):
     with pytest.raises(ValueError) as err:
         worker_count()
     assert str(err.value) == f"STC_THREADS must be an integer >= 1, got {value!r}"
+
+
+def test_bad_stc_threads_rejected_by_run_stc_before_any_stage_work(corpus, tmp_path, monkeypatch):
+    monkeypatch.setenv("STC_THREADS", "0")
+    _no_stage_work(monkeypatch)
+    out = tmp_path / "out"
+    with pytest.raises(ValueError) as err:
+        run_stc(*(corpus.split(s) for s in data.SPLITS), TINY, out_dir=out)
+    assert str(err.value) == "STC_THREADS must be an integer >= 1, got '0'"
+    assert not out.exists()
 
 
 def test_worker_count_env(monkeypatch):

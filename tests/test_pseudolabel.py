@@ -151,7 +151,7 @@ def test_trained_pseudo_masks_beat_thresholded_saliency(tmp_path):
     manifest = data.read_dataset(tmp_path)
     pairs = [(manifest, r) for r in manifest.records]
     decoded = [(r, manifest.load_image_bytes(r)) for r in manifest.records]
-    maps = [_saliency_bytes(manifest, r, image) for r, image in decoded]
+    maps = [_saliency_bytes(image) for _, image in decoded]
     trained = init_network(NetworkConfig(4, seed=40))
     train_stage(trained, decoded, SUPERVISION_SALIENCY, maps, TrainConfig(seed=41))
 
