@@ -3,7 +3,10 @@
 
 Generates a fresh default-scale corpus per seed, runs the full three-stage
 pipeline, and prints a per-seed table of eval mIoU plus the monotonicity
-verdict. This is the same experiment the acceptance suite freezes. A line
+verdict. This is the same experiment the acceptance suite freezes, and the
+script holds its gate: it exits 1, naming the gate, when the trend is
+monotone in fewer than 4/5 of the seeds (rounded up) or the median
+powerful-stage mIoU is below POWERFUL_MIOU_FLOOR. A line
 above the table states the thread settings (STC_THREADS, and the worker
 count it gives; OPENBLAS_NUM_THREADS), since timings depend on them. Each row
 ends with a short sha256 digest of each stage's parameters (names and
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import os
 import statistics
 import tempfile
@@ -29,6 +33,10 @@ from stc.params import ParamSet
 from stc.pipeline import TrainConfig, run_stc, worker_count
 
 import numpy as np
+
+# the acceptance gate of tests/test_acceptance.py (its POWERFUL_MIOU_FLOOR)
+POWERFUL_MIOU_FLOOR = 0.55
+MONOTONE_SHARE = 4 / 5
 
 
 def param_digest(params: ParamSet) -> str:
@@ -54,11 +62,11 @@ def run_one(seed: int, workdir: Path):
     return [r.miou for r in reports], [param_digest(nets[r.stage]) for r in reports], secs
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--seeds", type=int, nargs="+", default=[11, 22, 33, 44, 55])
     ap.add_argument("--out", type=Path, default=None, help="keep corpora here")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     workdir = args.out or Path(tempfile.mkdtemp(prefix="stc-trend-"))
     workdir.mkdir(parents=True, exist_ok=True)
@@ -84,7 +92,15 @@ def main() -> int:
     wins = sum(1 for _, _, m in rows if m)
     median_powerful = statistics.median(m[2] for _, m, _ in rows)
     print(f"\nmonotone in {wins}/{len(rows)} seeds; median powerful miou {median_powerful:.4f}")
-    return 0
+    need = math.ceil(MONOTONE_SHARE * len(rows))
+    failed = []
+    if wins < need:
+        failed.append(f"monotone in {wins}/{len(rows)} seeds, fewer than {need}")
+    if median_powerful < POWERFUL_MIOU_FLOOR:
+        failed.append(f"median powerful miou {median_powerful:.4f} < {POWERFUL_MIOU_FLOOR}")
+    for gate in failed:
+        print(f"gate failed: {gate}")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

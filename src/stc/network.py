@@ -5,8 +5,11 @@ Architecture: [3x3 conv -> relu -> 2x2 mean pool] x 2 -> 3x3 conv -> relu ->
 Inputs are RGB in [0,1] and are standardized inside the forward pass:
 centered at 0.5 and divided by a nominal pixel std of 0.25. The layer stack
 is recovered from parameter shapes, so a checkpoint alone is enough to run
-inference. A pass computes in the dtype of the weights: float64 as built
-and loaded, float32 in the copy a train step runs through.
+inference. `forward` computes in the dtype of the weights: float64 as built
+and loaded (the finite-difference gradient checks run it so), float32 in
+the copy a train step runs through. Inference (`predict`, and the relabeling
+in `pseudolabel`) always runs a float32 copy, so its plans are float32, and
+takes the softmax of the small stride-s logits in float64.
 """
 from __future__ import annotations
 
@@ -163,7 +166,8 @@ def _parallel_map(fn, items) -> list:
     single range. So a step gives the same bits for any number of workers.
 
     An inference pass maps over images: each thread's `forward` calls (one
-    per `predict`) reuse that thread's plan. A plan lives for one call: the
+    per `predict` or relabeled image, each through a float32 copy of the
+    weights) reuse that thread's float32 plan. A plan lives for one call: the
     helpers' plans end with their threads, and the calling thread drops its
     own on return, so no plan is held while a stage trains.
     """
@@ -197,11 +201,11 @@ def _parallel_map(fn, items) -> list:
 
 
 def _checked_images(params: ParamSet, images) -> np.ndarray:
-    """`images` as an array, in its own floating dtype (else float64), once
-    their sides are multiples of the output stride."""
+    """`images` as an array, once they are floating-point (values in [0,1],
+    not bytes) and their sides are multiples of the output stride."""
     images = np.asarray(images)
     if images.dtype.kind != "f":
-        images = images.astype(np.float64)
+        raise ValueError(f"images must be floating-point in [0,1], got dtype {images.dtype}")
     stride = output_stride(params)
     _, _, h, w = images.shape
     if h % stride or w % stride:
@@ -347,7 +351,8 @@ def _forward_cached(params: ParamSet, images: np.ndarray, arrays) -> np.ndarray:
 
 
 def forward(params: ParamSet, images: np.ndarray) -> np.ndarray:
-    """images: (N, 3, H, W) with H, W divisible by 4 -> logits (N, C+1, h, w).
+    """images: (N, 3, H, W) floats in [0,1], H and W divisible by the
+    output stride -> logits (N, C+1, h, w), in the dtype of `params`.
 
     Runs one image at a time into this thread's inference plan (see
     `_parallel_map`) and copies its logits out, so the result never shares
@@ -428,16 +433,26 @@ def _inference_plan(params: ParamSet, shape) -> dict[str, np.ndarray]:
     return plan[1]
 
 
-def predict(params: ParamSet, image: np.ndarray) -> np.ndarray:
-    """Full-resolution class distribution for one (H, W, 3) image.
-
-    Softmax of `forward`'s logits, bilinear upsample per channel, then
-    per-pixel renormalization to sum exactly 1.
-    """
-    image = np.asarray(image, dtype=np.float64)
+def _stride_probs(params: ParamSet, image) -> np.ndarray:
+    """The class distribution (C+1, H/s, W/s) at the output stride s of one
+    (H, W, 3) image, in float64: `forward` through a float32 copy of
+    `params`, made for this call, then `channel_softmax` of its logits cast
+    to float64. The one inference route: `predict` and the relabeling of
+    `pseudolabel` upsample from it."""
+    image = np.asarray(image)
     if image.ndim != 3 or image.shape[2] != 3:
         raise ValueError(f"expected (H, W, 3) image, got shape {image.shape}")
-    probs = channel_softmax(forward(params, image.transpose(2, 0, 1)[None])[0])
-    up = bilinear_resize(probs, *image.shape[:2])
+    logits = forward(params.float32_copy(), image.transpose(2, 0, 1)[None])[0]
+    return channel_softmax(logits.astype(np.float64))
+
+
+def predict(params: ParamSet, image: np.ndarray) -> np.ndarray:
+    """Full-resolution float64 class distribution for one (H, W, 3) image.
+
+    `_stride_probs` (a float32 forward, a float64 softmax), bilinear
+    upsample per channel, then per-pixel renormalization to sum exactly 1.
+    """
+    probs = _stride_probs(params, image)
+    up = bilinear_resize(probs, *np.shape(image)[:2])
     up /= up.sum(axis=0, keepdims=True)
     return up

@@ -18,10 +18,12 @@ slice-adds), which is the input gradient. Every forward pass
 array of its plan (`network.step_arrays`), and passes it to
 `conv2d_forward` as `cols=`; training keeps it for `conv2d_backward`, so a
 train step builds one patch matrix per conv. Inference (`network.forward`,
-from which `network.predict` gets its forward pass) runs one image at a
-time through one plan per thread, so its patch matrices land in the same
-arrays on every call. The network's conv blocks are all 3x3 and its head is
-1x1; these ops take any odd k.
+run by `network.predict` and the relabeling of `pseudolabel` through a
+float32 copy of the weights) runs one image at a time through one float32
+plan per thread, so its patch matrices land in the same arrays on every
+call; `channel_softmax` then takes the logits cast to float64, and
+`bilinear_resize` upsamples the float64 probabilities. The network's conv
+blocks are all 3x3 and its head is 1x1; these ops take any odd k.
 
 Every op computes in the dtype of the array it transforms, a floating-point
 one (x in the forward ops and `conv2d_backward`, `upstream` in the other

@@ -116,6 +116,16 @@ class TestForward:
         ps = init_network(NetworkConfig(num_classes=4, seed=9))
         assert np.all(np.isfinite(forward(ps, rng.uniform(size=(2, 3, 16, 16)))))
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64, np.bool_])
+    def test_integer_images_rejected_naming_the_dtype(self, dtype):
+        # bytes 0..255 standardized as if in [0,1] would be garbage, not an error
+        ps = init_network(NetworkConfig(num_classes=2, seed=0))
+        img = np.full((16, 12, 3), 128).astype(dtype)
+        with pytest.raises(ValueError, match=np.dtype(dtype).name):
+            predict(ps, img)
+        with pytest.raises(ValueError, match=np.dtype(dtype).name):
+            forward(ps, img.transpose(2, 0, 1)[None])
+
     def test_empty_batch_gives_empty_logits(self):
         ps = init_network(NetworkConfig(num_classes=4, seed=0))
         assert forward(ps, np.zeros((0, 3, 16, 12))).shape == (0, 5, 4, 3)
@@ -204,9 +214,32 @@ class TestInferencePlan:
         ps = init_network(NetworkConfig(num_classes=3, seed=4))
         for size in ((16, 12), (8, 8), (16, 12)):
             img = rng.uniform(size=(*size, 3))
-            probs = ops.channel_softmax(forward(ps, img.transpose(2, 0, 1)[None])[0])
+            logits = forward(ps.float32_copy(), img.transpose(2, 0, 1)[None])[0]
+            probs = ops.channel_softmax(logits.astype(np.float64))
             up = gathered_bilinear_resize(probs, *size)
             assert np.array_equal(predict(ps, img), up / up.sum(axis=0, keepdims=True)), size
+
+    def test_predict_computes_in_float32_whatever_the_weights(self, rng):
+        ps = init_network(NetworkConfig(num_classes=3, seed=4))
+        img = rng.uniform(size=(16, 12, 3))
+        got = predict(ps, img)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, predict(ps.float32_copy(), img))
+        # forward still follows its weights: the float64 net stays the gradient oracle
+        assert forward(ps, img.transpose(2, 0, 1)[None]).dtype == np.float64
+        assert ps["conv1.weight"].value.dtype == np.float64
+
+    @pytest.mark.parametrize("size", [16, 64, 128])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_float32_probabilities_are_within_1e5_of_the_float64_route(self, seed, size):
+        ps = init_network(NetworkConfig(num_classes=4, seed=seed))
+        img = np.random.default_rng(seed).uniform(size=(size, size, 3))
+        probs = ops.channel_softmax(forward(ps, img.transpose(2, 0, 1)[None])[0])
+        up = ops.bilinear_resize(probs, size, size)
+        up /= up.sum(axis=0, keepdims=True)
+        got = predict(ps, img)
+        assert np.max(np.abs(got - up)) <= 1e-5
+        assert np.max(np.abs(got.sum(axis=0) - 1.0)) <= 1e-9
 
     def test_second_predict_leaves_the_first_result_unchanged(self, rng):
         ps = init_network(NetworkConfig(num_classes=3, seed=4))

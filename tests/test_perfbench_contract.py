@@ -69,7 +69,9 @@ def test_tracer_spans_predict_and_parallel_map_then_restores_them(spans, monkeyp
     assert all(np.array_equal(m, w) for m, w in zip(masks, want[1]))
 
     metrics = spans.layer_metrics(tracer.spans)
-    assert metrics["network.predict.calls"] == 4
+    # relabeling shares predict's forward and softmax, not predict itself
+    assert metrics["network.predict.calls"] == 1
+    assert metrics["pseudolabel.relabel_complex.calls"] == 3
     assert metrics["ops.conv2d_forward.calls"] == 4 * 4  # 3 convs and the head
     assert metrics["ops.bilinear_resize.calls"] == 4
     assert metrics["pipeline._parallel_map.calls"] == 1

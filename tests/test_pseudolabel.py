@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import restricted_argmax_scan
-from stc.network import NetworkConfig, init_network
+from stc.network import NetworkConfig, init_network, predict
 from stc.ops import channel_softmax
 from stc.pseudolabel import argmax_full, argmax_restricted, relabel_complex, relabel_simple
 
@@ -113,10 +113,29 @@ class TestRelabel:
             assert np.array_equal(relabel_complex(net, image, {c}), relabel_simple(net, image, c))
 
     def test_complex_with_all_classes_equals_full(self, net, image):
-        from stc.network import predict
-
         full = argmax_full(predict(net, image))
         assert np.array_equal(relabel_complex(net, image, {1, 2, 3, 4}), full)
+
+    @settings(max_examples=100)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 6),
+        st.lists(st.integers(1, 16), min_size=1, max_size=3),
+        st.integers(2, 32),
+        st.integers(2, 32),
+        st.data(),
+    )
+    def test_relabel_is_restricted_argmax_of_predict(self, seed, classes, channels, h, w, data):
+        # relabel upsamples only the allowed channels and skips the
+        # renormalization; its masks must still be those of the full route
+        net = init_network(NetworkConfig(classes, channels=tuple(channels), seed=seed))
+        image = np.random.default_rng(seed).uniform(size=(4 * h, 4 * w, 3))
+        labels = data.draw(st.sets(st.integers(1, classes), min_size=1))
+        pred = predict(net, image)
+        want = argmax_restricted(pred, labels | {0})
+        assert np.array_equal(relabel_complex(net, image, labels), want)
+        c = data.draw(st.sampled_from(sorted(labels)))
+        assert np.array_equal(relabel_simple(net, image, c), argmax_restricted(pred, {0, c}))
 
     def test_masks_are_uint8(self, net, image):
         assert relabel_simple(net, image, 3).dtype == np.uint8
@@ -127,8 +146,6 @@ class TestRelabel:
             relabel_complex(net, image, set())
 
     def test_pixels_with_allowed_winner_unchanged(self, net, image):
-        from stc.network import predict
-
         pred = predict(net, image)
         full = argmax_full(pred)
         restricted = relabel_complex(net, image, {1, 2})
