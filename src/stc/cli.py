@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import data, pipeline
 from .imageio import write_atomic, write_pgm
-from .network import check_layers
+from .network import NetworkConfig, check_layers, stride_for
 from .params import load_params, save_params
 from .pipeline import PipelineError, TrainConfig
 
@@ -108,8 +108,9 @@ def cmd_gen(args) -> int:
         raise ValueError("--simple must be >= 1: the initial stage trains on simple images")
     if args.complex < 0 or args.eval < 0:
         raise ValueError("--complex and --eval must be >= 0")
-    if args.size < 1 or args.size % 4:
-        raise ValueError("--size must be a positive multiple of 4 (network output stride)")
+    stride = stride_for(len(NetworkConfig.channels))
+    if args.size < 1 or args.size % stride:
+        raise ValueError(f"--size must be a positive multiple of {stride} (network output stride)")
     manifest = Path(args.out) / "manifest.jsonl"
     if manifest.exists():
         raise ValueError(f"{manifest}: already exists; --out takes a new dataset")

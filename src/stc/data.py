@@ -344,8 +344,8 @@ def _record_from(entry, where: str) -> DatasetRecord:
     )
     if rec.split not in SPLITS:
         raise ValueError(f"{where}: unknown split {rec.split!r}")
-    if min(rec.labels) < 1:
-        raise ValueError(f"{where}: labels must be class ids >= 1, got {sorted(rec.labels)}")
+    if not all(1 <= c <= 255 for c in rec.labels):  # masks store class ids as bytes
+        raise ValueError(f"{where}: labels must be class ids in 1..255, got {sorted(rec.labels)}")
     if rec.split == "simple" and len(rec.labels) != 1:
         raise ValueError(f"{where}: labels: simple images carry exactly one label")
     if rec.split == "eval" and rec.gt_mask is None:

@@ -9,7 +9,9 @@ inference. `forward` computes in the dtype of the weights: float64 as built
 and loaded (the finite-difference gradient checks run it so), float32 in
 the copy a train step runs through. Inference (`predict`, and the relabeling
 in `pseudolabel`) always runs a float32 copy, so its plans are float32, and
-takes the softmax of the small stride-s logits in float64.
+takes the softmax of the small stride-s logits in float64 (`_stride_probs`),
+which `predict` upsamples without renormalizing. `_check_size` is the one
+image-size rule.
 """
 from __future__ import annotations
 
@@ -200,16 +202,25 @@ def _parallel_map(fn, items) -> list:
     return results
 
 
+def _check_size(where, h: int, w: int, stride: int, crop_size: int = 0) -> None:
+    """The one image-size rule: an `h` x `w` image's sides are multiples of
+    `stride`, a net's output stride, and at least `crop_size` (training);
+    else a ValueError says so, starting with `where` when it is given."""
+    at = f"{where}: " if where is not None else ""
+    if h % stride or w % stride:
+        raise ValueError(f"{at}image is {h}x{w}, not a multiple of the output stride {stride}")
+    if min(h, w) < crop_size:
+        raise ValueError(f"{at}image is {h}x{w}, smaller than config key 'crop_size' {crop_size}")
+
+
 def _checked_images(params: ParamSet, images) -> np.ndarray:
     """`images` as an array, once they are floating-point (values in [0,1],
-    not bytes) and their sides are multiples of the output stride."""
+    not bytes) and pass `_check_size` against the output stride."""
     images = np.asarray(images)
     if images.dtype.kind != "f":
         raise ValueError(f"images must be floating-point in [0,1], got dtype {images.dtype}")
-    stride = output_stride(params)
     _, _, h, w = images.shape
-    if h % stride or w % stride:
-        raise ValueError(f"spatial dims {h}x{w} not divisible by output stride {stride}")
+    _check_size(None, h, w, output_stride(params))
     return images
 
 
@@ -351,8 +362,8 @@ def _forward_cached(params: ParamSet, images: np.ndarray, arrays) -> np.ndarray:
 
 
 def forward(params: ParamSet, images: np.ndarray) -> np.ndarray:
-    """images: (N, 3, H, W) floats in [0,1], H and W divisible by the
-    output stride -> logits (N, C+1, h, w), in the dtype of `params`.
+    """images: (N, 3, H, W) floats in [0,1] that pass `_check_size` against
+    the output stride -> logits (N, C+1, h, w), in the dtype of `params`.
 
     Runs one image at a time into this thread's inference plan (see
     `_parallel_map`) and copies its logits out, so the result never shares
@@ -447,12 +458,9 @@ def _stride_probs(params: ParamSet, image) -> np.ndarray:
 
 
 def predict(params: ParamSet, image: np.ndarray) -> np.ndarray:
-    """Full-resolution float64 class distribution for one (H, W, 3) image.
-
-    `_stride_probs` (a float32 forward, a float64 softmax), bilinear
-    upsample per channel, then per-pixel renormalization to sum exactly 1.
-    """
-    probs = _stride_probs(params, image)
-    up = bilinear_resize(probs, *np.shape(image)[:2])
-    up /= up.sum(axis=0, keepdims=True)
-    return up
+    """Full-resolution float64 class distribution for one (H, W, 3) image:
+    the bilinear upsample, channel by channel, of `_stride_probs` (a float32
+    forward, a float64 softmax). It is not renormalized: each output pixel
+    blends its source pixels with one set of weights summing to 1, so its
+    channels sum to 1 within 1e-9."""
+    return bilinear_resize(_stride_probs(params, image), *np.shape(image)[:2])

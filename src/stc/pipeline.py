@@ -22,6 +22,7 @@ from .imageio import _to_bytes01, write_atomic, write_pgm
 from .losses import batch_ce_and_grad, build_simple_target, downsample_mask_nearest, one_hot
 from .network import (
     NetworkConfig,
+    _check_size,
     _forward_cached,
     _parallel_map,
     backward,
@@ -100,9 +101,11 @@ class TrainConfig:
         for key in ("momentum", "weight_decay", "epochs", "seed"):
             if getattr(self, key) < 0:
                 raise ValueError(f"config key {key!r} must be >= 0, got {getattr(self, key)}")
-        if self.crop_size % 4:
+        stride = stride_for(len(self.channels))
+        if self.crop_size % stride:
             raise ValueError(
-                f"config key 'crop_size' must be divisible by 4, got {self.crop_size}"
+                f"config key 'crop_size' must be a multiple of {stride}, the output stride "
+                f"of channels {list(self.channels)}, got {self.crop_size}"
             )
 
 
@@ -127,28 +130,17 @@ def _derive_seed(root_seed: int, salt: int) -> int:
     return int(np.random.SeedSequence([root_seed, salt]).generate_state(1)[0])
 
 
-def _check_size(where, image, stride: int, crop_size: int = 0) -> None:
-    """`image`'s sides are multiples of `stride`, the output stride of a net
-    that runs on the whole image, and at least `crop_size`, that of a
-    training image; else a ValueError starts with `where`."""
-    h, w = image.shape[:2]
-    if h % stride or w % stride:
-        raise ValueError(f"{where}: image is {h}x{w}, not a multiple of the output stride {stride}")
-    if min(h, w) < crop_size:
-        raise ValueError(
-            f"{where}: image is {h}x{w}, smaller than config key 'crop_size' {crop_size}"
-        )
-
-
 def train_stage(params: ParamSet, dataset, supervision: str, targets, config: TrainConfig):
     """SGD over random crops of `dataset`, (record, image) pairs whose image
     is the (H, W, 3) uint8 array `load_image_bytes` gives, for the head's
     classes; it reads no files. `targets` is aligned with the dataset:
     full-resolution uint8 saliency maps for SUPERVISION_SALIENCY, integer
-    masks for SUPERVISION_MASKS. Returns (params, per-epoch mean losses);
-    params are updated in place. Images and saliency maps stay uint8; each
-    step divides its image crops by 255 into conv1's float32 input
-    (`conv1.in`), where the forward standardizes them in place.
+    masks for SUPERVISION_MASKS. Each image must pass `network._check_size`
+    against the output stride of `params` and `config.crop_size` (which
+    `TrainConfig` holds to the stride of `config.channels`). Returns
+    (params, per-epoch mean losses); params are updated in place. Images and
+    saliency maps stay uint8; each step divides its image crops by 255 into
+    conv1's float32 input (`conv1.in`), where the forward standardizes them.
 
     Each step computes in float32, as Caffe does, against float64 master
     weights (Micikevicius et al. 2017): the compute copy
@@ -182,7 +174,7 @@ def train_stage(params: ParamSet, dataset, supervision: str, targets, config: Tr
     for rec, img in dataset:
         if img.dtype != np.uint8:
             raise ValueError(f"image of {rec.image!r} is not uint8 bytes")
-        _check_size(f"record {rec.image!r}", img, stride, crop)
+        _check_size(f"record {rec.image!r}", *img.shape[:2], stride, crop)
     classes, _ = check_layers(params)
     compute = params.float32_copy()
     full = step_arrays(compute, (min(config.batch_size, len(dataset)), 3, crop, crop))
@@ -258,22 +250,28 @@ def iou_from_confusion(conf: np.ndarray):
     return [float(v) for v in iou], float(iou.mean())
 
 
+def _check_map_size(where, kind: str, m: np.ndarray, rec: DatasetRecord, image) -> None:
+    """The one map-size rule: `m`, the `kind` map of `rec` read from `where`,
+    is the size of `rec`'s `image`; else a ValueError gives both sizes."""
+    if m.shape != image.shape[:2]:
+        raise ValueError(
+            f"{where}: {kind} is {m.shape[0]}x{m.shape[1]}, "
+            f"its image {rec.image!r} is {image.shape[0]}x{image.shape[1]}"
+        )
+
+
 def _checked_eval(manifest: DatasetManifest, rec: DatasetRecord, num_classes: int, stride: int):
     """(image, ground-truth mask) of eval record `rec`, once the mask is
-    there, the size of its image and labelled within 0..num_classes, and
-    the image passes `_check_size` against `stride`."""
+    there, passes `_check_map_size` and is labelled within 0..num_classes,
+    and the image passes `network._check_size` against `stride`."""
     gt = manifest.load_gt_mask(rec)
     img = manifest.load_image(rec)
     where = manifest.root / rec.gt_mask
-    if gt.shape != img.shape[:2]:
-        raise ValueError(
-            f"{where}: ground-truth mask is {gt.shape[0]}x{gt.shape[1]}, "
-            f"its image {rec.image!r} is {img.shape[0]}x{img.shape[1]}"
-        )
+    _check_map_size(where, "ground-truth mask", gt, rec, img)
     bad = gt[(gt < 0) | (gt > num_classes)]
     if bad.size:
         raise ValueError(f"{where}: ground-truth label {int(bad[0])} outside 0..{num_classes}")
-    _check_size(manifest.root / rec.image, img, stride)
+    _check_size(manifest.root / rec.image, *img.shape[:2], stride)
     return img, gt
 
 
@@ -340,8 +338,9 @@ def load_corpus(
     thread count (`worker_count`) is valid, the eval split is not empty,
     every label is in 1..`config.num_classes` (by default the largest label),
     each eval record passes `_checked_eval` and each training image
-    `_check_size` against the output stride of the net `config.channels`
-    builds, and each training image is the size of its saliency map."""
+    `network._check_size` against the output stride of the net
+    `config.channels` builds and against `config.crop_size`, and each stored
+    saliency map passes `_check_map_size`."""
     worker_count()
     if not eval_.records:
         raise ValueError(f"no eval records in {eval_.root}: every stage is evaluated")
@@ -359,14 +358,10 @@ def load_corpus(
 
     def entry(m: DatasetManifest, rec: DatasetRecord):
         image = m.load_image_bytes(rec)
-        _check_size(m.root / rec.image, image, stride, config.crop_size)
-        h, w = image.shape[:2]
+        _check_size(m.root / rec.image, *image.shape[:2], stride, config.crop_size)
         saliency = m.load_saliency(rec)
-        if saliency is not None and saliency.shape != (h, w):
-            raise ValueError(
-                f"{m.root / rec.saliency}: saliency map is {saliency.shape[0]}x"
-                f"{saliency.shape[1]}, its image {rec.image!r} is {h}x{w}"
-            )
+        if saliency is not None:
+            _check_map_size(m.root / rec.saliency, "saliency map", saliency, rec, image)
         return m, rec, image, saliency
 
     loaded = [[entry(m, rec) for rec in m.records] for m in (simple, complex_)]
@@ -398,8 +393,8 @@ def check_prior(name: str, prior: ParamSet | None, corpus: Corpus, config: Train
     stage takes a net that passes `check_layers` and has the class count of
     `corpus` and, with `config.warm_start`, the config's channels. The
     entries the stage trains on (`_trained_on`), which it relabels with the
-    prior, must pass `_check_size` against the prior's output stride, which
-    a deeper net than `config.channels` builds may not divide."""
+    prior, must pass `network._check_size` against the prior's output
+    stride, which a deeper net than `config.channels` builds may not divide."""
     if (prior is None) != (name == "initial"):
         raise ValueError(f"stage {name!r} takes {'no' if name == 'initial' else 'a'} prior")
     if prior is None:
@@ -416,7 +411,7 @@ def check_prior(name: str, prior: ParamSet | None, corpus: Corpus, config: Train
         )
     stride = output_stride(prior)
     for m, rec, image, _ in _trained_on(name, corpus, config):
-        _check_size(m.root / rec.image, image, stride)
+        _check_size(m.root / rec.image, *image.shape[:2], stride)
 
 
 def _stage_targets(name: str, net, entries: list) -> list:

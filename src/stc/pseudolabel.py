@@ -7,13 +7,10 @@ to the smallest label id. Pseudo-masks are uint8 (H, W) label ids, as PGM
 stores them, so a label id above 255 is rejected; `argmax_full`, which only
 evaluation uses, gives int64.
 
-Relabeling runs the inference route of `network.predict` (`_stride_probs`)
-but upsamples only the allowed channels: `bilinear_resize` works per
-channel, so each is bit-identical to that channel of `predict`'s map before
-renormalization. The argmax is taken without renormalizing: that divides
-all channels of a pixel by one positive sum, which keeps their order, so
-the masks are those of `argmax_restricted(predict(...))`, as a property
-test checks bit for bit.
+Relabeling runs the inference route of `network.predict`: `predict` is the
+per-channel `bilinear_resize` of `_stride_probs`, and relabeling resizes
+only the allowed channels of the same array, so its masks are
+`argmax_restricted(predict(...))` by construction.
 """
 from __future__ import annotations
 
@@ -52,7 +49,7 @@ def argmax_restricted(pred: np.ndarray, allowed) -> np.ndarray:
 
 def _relabel(params: ParamSet, image, allowed) -> np.ndarray:
     """`argmax_restricted(predict(params, image), allowed)`, upsampling only
-    the allowed channels and leaving out the renormalization."""
+    the allowed channels."""
     probs = _stride_probs(params, image)
     lut = _allowed_ids(allowed, probs.shape[0])
     up = bilinear_resize(probs[lut], *np.shape(image)[:2])

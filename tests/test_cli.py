@@ -948,6 +948,29 @@ BAD_COMPLEX = {
 }
 
 
+def test_label_id_above_255_rejected_naming_the_manifest_line_before_any_stage_work(
+    tmp_path, capsys, monkeypatch
+):
+    # a mask stores class ids as bytes, so reading the manifest rejects a
+    # larger one, before the initial stage trains
+    d = _dataset(tmp_path)
+    path = d / "manifest.jsonl"
+    entries = [json.loads(line) for line in path.read_text().splitlines()]
+    for entry in entries:
+        if entry["split"] != "eval":
+            entry["labels"] = [300 if c == 2 else c for c in entry["labels"]]
+    path.write_text("".join(json.dumps(e) + "\n" for e in entries))
+    line = 1 + next(i for i, e in enumerate(entries) if 300 in e["labels"])
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"epochs": 1}))
+    _no_stage_work(monkeypatch)
+    out = tmp_path / "out"
+    assert main(["run", "--data", str(d), "--out", str(out), "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:{line}: labels must be class ids in 1..255"), err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [["run"], ["stage", "--stage", "initial"]], ids=["run", "stage"])
 @pytest.mark.parametrize("defect", list(BAD_COMPLEX))
 def test_bad_complex_image_rejected_before_any_stage_work(

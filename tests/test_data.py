@@ -133,6 +133,21 @@ class TestDatasetRoundTrip:
         with pytest.raises(ValueError, match="exactly one label"):
             data.read_dataset(tmp_path)
 
+    @pytest.mark.parametrize("line, labels", [(0, [300]), (1, [2, 256])])
+    def test_label_id_above_255_rejected_naming_its_line(self, tmp_path, line, labels):
+        # ground-truth masks and pseudo-masks store class ids as PGM bytes
+        data.write_dataset(data.build_dataset(1, 1, 0, seed=0), tmp_path)
+        manifest_path = tmp_path / "manifest.jsonl"
+        lines = manifest_path.read_text().splitlines()
+        entry = json.loads(lines[line])
+        entry["labels"] = labels
+        lines[line] = json.dumps(entry)
+        manifest_path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as err:
+            data.read_dataset(tmp_path)
+        want = f"{manifest_path}:{line + 1}: labels must be class ids in 1..255, got {labels}"
+        assert str(err.value) == want
+
     @pytest.mark.parametrize(
         "field, value",
         [
@@ -259,4 +274,4 @@ def test_mutated_manifest_line_loads_or_raises_naming_the_file(manifest_lines, l
         return
     for rec in manifest.records:
         assert rec.split in data.SPLITS and (root / rec.image).is_file()
-        assert all(type(c) is int and c >= 1 for c in rec.labels), rec
+        assert all(type(c) is int and 1 <= c <= 255 for c in rec.labels), rec

@@ -108,9 +108,13 @@ class TestForward:
         assert np.allclose(forward(ps, x), 2.0 * base, atol=1e-12)
 
     def test_indivisible_dims_rejected(self, rng):
+        # the sentence of the pipeline's size check, with no file named
         ps = init_network(NetworkConfig(num_classes=2, seed=0))
-        with pytest.raises(ValueError, match="divisible"):
+        want = "^image is 10x12, not a multiple of the output stride 4$"
+        with pytest.raises(ValueError, match=want):
             forward(ps, rng.uniform(size=(1, 3, 10, 12)))
+        with pytest.raises(ValueError, match=want):
+            predict(ps, rng.uniform(size=(10, 12, 3)))
 
     def test_finite_outputs(self, rng):
         ps = init_network(NetworkConfig(num_classes=4, seed=9))
@@ -210,14 +214,16 @@ def held_plan():
 
 
 class TestInferencePlan:
-    def test_predict_is_softmax_upsample_renormalise_of_forward(self, rng):
+    def test_predict_is_softmax_upsample_of_forward(self, rng):
+        # no renormalization: relabeling reads these very values
         ps = init_network(NetworkConfig(num_classes=3, seed=4))
-        for size in ((16, 12), (8, 8), (16, 12)):
+        for size in ((16, 12), (8, 8), (16, 12), (44, 28)):
             img = rng.uniform(size=(*size, 3))
             logits = forward(ps.float32_copy(), img.transpose(2, 0, 1)[None])[0]
             probs = ops.channel_softmax(logits.astype(np.float64))
-            up = gathered_bilinear_resize(probs, *size)
-            assert np.array_equal(predict(ps, img), up / up.sum(axis=0, keepdims=True)), size
+            got = predict(ps, img)
+            assert np.array_equal(got, gathered_bilinear_resize(probs, *size)), size
+            assert np.max(np.abs(got.sum(axis=0) - 1.0)) <= 1e-9, size
 
     def test_predict_computes_in_float32_whatever_the_weights(self, rng):
         ps = init_network(NetworkConfig(num_classes=3, seed=4))

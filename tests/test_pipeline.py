@@ -663,17 +663,40 @@ print((peak_rss_kb() - before) // 1024)
         net = init_network(NetworkConfig(4, channels=TINY_CHANNELS, seed=1))
         pairs = simple_pairs(corpus)
         maps = saliency_maps(pairs)
-        with pytest.raises(ValueError, match="divisible by 4"):
+        want = (
+            "config key 'crop_size' must be a multiple of 4, the output stride of "
+            "channels [16, 32, 64], got 42"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
             train_stage(
                 net, decoded(pairs), SUPERVISION_SALIENCY, maps,
                 TrainConfig(crop_size=42),
             )
+        with pytest.raises(ValueError, match=re.escape("multiple of 2, the output stride of ")):
+            TrainConfig(crop_size=9, channels=(6,))
+        assert TrainConfig(crop_size=10, channels=(6,)).crop_size == 10
         want = "record 'images/simple_0000.ppm': image is 64x64, smaller than config key"
         with pytest.raises(ValueError, match=f"^{re.escape(want)} 'crop_size' 128$"):
             train_stage(
                 net, decoded(pairs), SUPERVISION_SALIENCY, maps,
                 TrainConfig(crop_size=128),
             )
+
+
+def test_one_block_net_trains_end_to_end_on_a_crop_of_2_mod_4(tmp_path):
+    # one pool gives output stride 2, so a crop of 10 is a multiple of it
+    d, out = tmp_path / "data", tmp_path / "out"
+    assert cli.main(["gen", "--out", str(d), "--simple", "4", "--complex", "2", "--eval", "2",
+                     "--seed", "1", "--size", "32"]) == 0
+    manifest = data.read_dataset(d)
+    config = TrainConfig(batch_size=2, epochs=1, crop_size=10, seed=3, channels=(4,))
+    nets, reports = run_stc(*(manifest.split(s) for s in data.SPLITS), config, out_dir=out)
+    assert [r.stage for r in reports] == list(pipeline.STAGES)
+    assert all(network.output_stride(net) == 2 for net in nets.values())
+    assert all(len(r.epoch_losses) == 1 and 0.0 <= r.miou <= 1.0 for r in reports)
+    for rec in manifest.split("complex").records:
+        mask = read_pgm(out / "masks_enhanced" / f"{Path(rec.image).stem}.pgm")
+        assert mask.shape == (32, 32) and set(np.unique(mask).tolist()) <= rec.labels | {0}
 
 
 @pytest.fixture(scope="module")
