@@ -4,7 +4,7 @@
 simple images, `run` executes the full three-stage pipeline, `stage` runs
 one of its stages from the previous stage's checkpoint, and `eval` scores a
 checkpoint. All commands exit 0 on success; on failure they print a message
-on stderr and exit 1 for bad input or 2 for a stage that failed.
+on stderr and exit 1 for bad input (usage errors too) or 2 for a failed stage.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import data, pipeline
 from .imageio import write_atomic, write_pgm
-from .network import NetworkConfig, check_layers, stride_for
+from .network import OUTPUT_STRIDE, check_layers
 from .params import load_params, save_params
 from .pipeline import PipelineError, TrainConfig
 
@@ -108,9 +108,12 @@ def cmd_gen(args) -> int:
         raise ValueError("--simple must be >= 1: the initial stage trains on simple images")
     if args.complex < 0 or args.eval < 0:
         raise ValueError("--complex and --eval must be >= 0")
-    stride = stride_for(len(NetworkConfig.channels))
-    if args.size < 1 or args.size % stride:
-        raise ValueError(f"--size must be a positive multiple of {stride} (network output stride)")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
+    if not 1 <= args.classes <= data.MAX_CLASSES:
+        raise ValueError(f"--classes must be 1..{data.MAX_CLASSES}, got {args.classes}")
+    if args.size < 1 or args.size % OUTPUT_STRIDE:
+        raise ValueError(f"--size must be a positive multiple of {OUTPUT_STRIDE} (output stride)")
     manifest = Path(args.out) / "manifest.jsonl"
     if manifest.exists():
         raise ValueError(f"{manifest}: already exists; --out takes a new dataset")
@@ -207,8 +210,16 @@ def cmd_eval(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, but a usage error exits 1, as other bad input does."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="stc", description=__doc__)
+    p = _Parser(prog="stc", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate a synthetic dataset")

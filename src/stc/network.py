@@ -9,7 +9,7 @@ inference. `forward` computes in the dtype of the weights: float64 as built
 and loaded (the finite-difference gradient checks run it so), float32 in
 the copy a train step runs through. Inference (`predict`, and the relabeling
 in `pseudolabel`) always runs a float32 copy, so its plans are float32, and
-takes the softmax of the small stride-s logits in float64 (`_stride_probs`),
+takes the softmax of the small stride-4 logits in float64 (`_stride_probs`),
 which `predict` upsamples without renormalizing. `_check_size` is the one
 image-size rule.
 """
@@ -39,7 +39,8 @@ from .params import ParamSet
 
 _INPUT_CHANNELS = 3
 _KERNEL_SIZE = 3  # every conv block is 3x3, as every conv of VGG-16 (DeepLab's trunk)
-_MAX_POOLS = 2
+_BLOCKS = 3  # conv1 and conv2 pool 2x2, conv3 does not
+OUTPUT_STRIDE = 4
 _INPUT_MEAN = 0.5
 _INPUT_STD = 0.25
 
@@ -53,8 +54,8 @@ class NetworkConfig:
     def __post_init__(self):
         if self.num_classes < 1:
             raise ValueError("num_classes must be >= 1")
-        if not self.channels:
-            raise ValueError("need at least one block")
+        if len(self.channels) != _BLOCKS:
+            raise ValueError(f"channels must be {_BLOCKS} widths, got {self.channels}")
         if min(self.channels) < 1:
             raise ValueError(f"channels must all be >= 1, got {self.channels}")
 
@@ -87,40 +88,25 @@ def check_layers(params: ParamSet) -> tuple[int, tuple[int, ...]]:
     """(num_classes, channels), read off `head.weight` and the conv weights,
     once `params` has just the names and shapes `_layer_shapes` gives for
     them; else a ValueError names the first missing, extra or misshapen one."""
-    for name in ("conv1.weight", "head.weight"):
+    blocks = range(1, _BLOCKS + 1)
+    for name in [*(f"conv{i}.weight" for i in blocks), "head.weight"]:
         if name not in params:
             raise ValueError(f"missing {name}")
     head = params["head.weight"].value.shape
     num_classes = (head[0] if head else 0) - 1
     if num_classes < 1:
         raise ValueError(f"head.weight has shape {head}: the head needs C+1 >= 2 output channels")
-    blocks = range(1, num_blocks(params) + 1)
     channels = tuple((params[f"conv{i}.weight"].value.shape or (0,))[0] for i in blocks)
     want = dict(_layer_shapes(num_classes, channels))
+    extra = [name for name in params if name not in want]
+    if extra:
+        raise ValueError(f"{extra[0]} is not part of the layer stack")
     for name, shape in want.items():
         if name not in params:
             raise ValueError(f"missing {name}, of shape {shape}")
         if params[name].value.shape != shape:
             raise ValueError(f"{name} has shape {params[name].value.shape}, expected {shape}")
-    extra = [name for name in params if name not in want]
-    if extra:
-        raise ValueError(f"{extra[0]} is not part of the layer stack")
     return num_classes, channels
-
-
-def num_blocks(params: ParamSet) -> int:
-    n = 0
-    while f"conv{n + 1}.weight" in params:
-        n += 1
-    return n
-
-
-def output_stride(params: ParamSet) -> int:
-    return stride_for(num_blocks(params))
-
-
-def stride_for(blocks: int) -> int:
-    return 2 ** min(_MAX_POOLS, blocks)
 
 
 def worker_count() -> int:
@@ -202,25 +188,27 @@ def _parallel_map(fn, items) -> list:
     return results
 
 
-def _check_size(where, h: int, w: int, stride: int, crop_size: int = 0) -> None:
+def _check_size(where, h: int, w: int, crop_size: int = 0) -> None:
     """The one image-size rule: an `h` x `w` image's sides are multiples of
-    `stride`, a net's output stride, and at least `crop_size` (training);
-    else a ValueError says so, starting with `where` when it is given."""
+    `OUTPUT_STRIDE` and at least `crop_size` (training); else a ValueError
+    says so, starting with `where` when it is given."""
     at = f"{where}: " if where is not None else ""
-    if h % stride or w % stride:
-        raise ValueError(f"{at}image is {h}x{w}, not a multiple of the output stride {stride}")
+    if h % OUTPUT_STRIDE or w % OUTPUT_STRIDE:
+        raise ValueError(
+            f"{at}image is {h}x{w}, not a multiple of the output stride {OUTPUT_STRIDE}"
+        )
     if min(h, w) < crop_size:
         raise ValueError(f"{at}image is {h}x{w}, smaller than config key 'crop_size' {crop_size}")
 
 
-def _checked_images(params: ParamSet, images) -> np.ndarray:
+def _checked_images(images) -> np.ndarray:
     """`images` as an array, once they are floating-point (values in [0,1],
-    not bytes) and pass `_check_size` against the output stride."""
+    not bytes) and pass `_check_size`."""
     images = np.asarray(images)
     if images.dtype.kind != "f":
         raise ValueError(f"images must be floating-point in [0,1], got dtype {images.dtype}")
     _, _, h, w = images.shape
-    _check_size(None, h, w, output_stride(params))
+    _check_size(None, h, w)
     return images
 
 
@@ -250,57 +238,47 @@ def step_arrays(params: ParamSet, shape) -> dict[str, np.ndarray]:
 
     - `padded` (n, c, h+2, w+2): the conv's input, zero-padded. The layer
       before writes its output (the standardized images, for conv1) into the
-      interior, unless it is an unpooled conv whose output im2col copies
-      there. Dead once im2col has read it; backward's col2im then
+      interior. Dead once im2col has read it; backward's col2im then
       scatter-adds onto it, so the input gradient is its interior, and the
       next step's im2col zeroes its border again.
-    - `in`: the view the layer before writes conv i's input into. For conv1,
-      `train_stage` divides its crops by 255 into it, and the forward
-      standardizes them there in place.
+    - `in`: the interior of `padded`, which the layer before writes conv i's
+      input into. For conv1, `train_stage` divides its crops by 255 into it,
+      and the forward standardizes them there in place.
     - `cols` (n, c*9, h*w): the patch matrix, kept for the kernel gradient,
       then overwritten by `W^T @ g` in backward.
     - `out` (n, cout, h, w): the conv output, ReLU applied in place. Backward
       takes the ReLU mask from it (r > 0 iff z > 0).
     - `grad` (n, cout, h, w): the gradient at the conv output, on which ReLU
-      backward runs in place. A pooled block's is its `out` itself: once
-      backward has taken the ReLU mask, the output is dead and pool
-      backward writes over it. An unpooled block's is the view the layer
-      above writes its input gradient into, the interior of the next
-      conv's `padded` or `head.input_grad` reshaped.
+      backward runs in place. For conv1 and conv2, which pool, it is `out`
+      itself: once backward has taken the ReLU mask, the output is dead and
+      pool backward writes over it. For conv3 it is `head.input_grad`
+      reshaped, which the head's backward writes.
     - `kernel_grad` (n, cout, c*9): per-image kernel-gradient products,
       summed into the parameter gradient.
 
-    The head (1x1) has `head.in` (the last conv's `out`, or a new array when
-    the last block pools), `head.kernel_grad` and `head.input_grad`, its
-    `W^T @ g`: its patch matrix is its input itself, the ReLU output that
-    backward still needs. `logits` (n, C+1, h/s, w/s), s the output stride,
+    The head (1x1) has `head.in` (conv3's `out`), `head.kernel_grad` and
+    `head.input_grad`, its `W^T @ g`: its patch matrix is its input itself,
+    the ReLU output that backward still needs. `logits` (n, C+1, h/4, w/4)
     is the forward's result.
     """
     check_layers(params)
     n, _, h, w = shape
     k = _KERNEL_SIZE
     arrays = {}
-    nb = num_blocks(params)
-    src = None  # the output of the block before, when it does not pool
-    for i in range(1, nb + 1):
+    for i in range(1, _BLOCKS + 1):
         cout, c, _, _ = params[f"conv{i}.weight"].value.shape
         padded = arrays[f"conv{i}.padded"] = _mapped(params, (n, c, h + 2, w + 2))
-        inner = padded[:, :, 1:-1, 1:-1]  # a 3x3 conv pads by one pixel
-        arrays[f"conv{i}.in"] = inner if src is None else src
-        if src is not None:
-            arrays[f"conv{i - 1}.grad"] = inner
+        arrays[f"conv{i}.in"] = padded[:, :, 1:-1, 1:-1]  # a 3x3 conv pads by one pixel
         arrays[f"conv{i}.cols"] = _mapped(params, (n, c * k * k, h * w))
-        src = arrays[f"conv{i}.out"] = _mapped(params, (n, cout, h, w))
+        out = arrays[f"conv{i}.out"] = _mapped(params, (n, cout, h, w))
         arrays[f"conv{i}.kernel_grad"] = _mapped(params, (n, cout, c * k * k))
-        if i <= _MAX_POOLS:
-            arrays[f"conv{i}.grad"] = src
+        if i < _BLOCKS:
+            arrays[f"conv{i}.grad"] = out
             h, w = h // 2, w // 2
-            src = None
     classes, c, _, _ = params["head.weight"].value.shape
     arrays["head.input_grad"] = _mapped(params, (n, c, h * w))
-    arrays["head.in"] = _mapped(params, (n, c, h, w)) if src is None else src
-    if src is not None:
-        arrays[f"conv{nb}.grad"] = arrays["head.input_grad"].reshape(src.shape)
+    arrays["head.in"] = out
+    arrays[f"conv{_BLOCKS}.grad"] = arrays["head.input_grad"].reshape(out.shape)
     arrays["head.kernel_grad"] = _mapped(params, (n, classes, c))
     arrays["logits"] = _mapped(params, (n, classes, h, w))
     return arrays
@@ -320,20 +298,17 @@ def _mapped(params: ParamSet, shape) -> np.ndarray:
 def _forward_into(params: ParamSet, images: np.ndarray, arrays) -> np.ndarray:
     """The forward pass of `images` into `arrays` (from step_arrays, or
     their rows for these images); returns the logits."""
-    nb = num_blocks(params)
     a = np.subtract(images, _INPUT_MEAN, out=arrays["conv1.in"])
     a /= _INPUT_STD
-    for i in range(1, nb + 1):
+    for i in range(1, _BLOCKS + 1):
         im2col(a, _KERNEL_SIZE, out=arrays[f"conv{i}.cols"], padded=arrays[f"conv{i}.padded"])
         z = conv2d_forward(
             a, params[f"conv{i}.weight"].value, params[f"conv{i}.bias"].value,
             cols=arrays[f"conv{i}.cols"], out=arrays[f"conv{i}.out"],
         )
-        r = relu_forward(z, out=z)
-        if i <= _MAX_POOLS:
-            a = avgpool2_forward(r, out=arrays[f"conv{i + 1}.in" if i < nb else "head.in"])
-        else:
-            a = r
+        a = relu_forward(z, out=z)
+        if i < _BLOCKS:
+            a = avgpool2_forward(a, out=arrays[f"conv{i + 1}.in"])
     return conv2d_forward(
         a, params["head.weight"].value, params["head.bias"].value, out=arrays["logits"]
     )
@@ -353,7 +328,7 @@ def _forward_cached(params: ParamSet, images: np.ndarray, arrays) -> np.ndarray:
     rebuilding it. Pass the same arrays to `backward`; their contents stay
     valid until the next step writes them.
     """
-    images = _checked_images(params, images)
+    images = _checked_images(images)
     _parallel_map(
         lambda rows: _forward_into(params, images[rows], _rows(arrays, rows)),
         row_ranges(images.shape[0], worker_count()),
@@ -362,15 +337,15 @@ def _forward_cached(params: ParamSet, images: np.ndarray, arrays) -> np.ndarray:
 
 
 def forward(params: ParamSet, images: np.ndarray) -> np.ndarray:
-    """images: (N, 3, H, W) floats in [0,1] that pass `_check_size` against
-    the output stride -> logits (N, C+1, h, w), in the dtype of `params`.
+    """images: (N, 3, H, W) floats in [0,1] that pass `_check_size` ->
+    logits (N, C+1, H/4, W/4), in the dtype of `params`.
 
     Runs one image at a time into this thread's inference plan (see
     `_parallel_map`) and copies its logits out, so the result never shares
     memory with the plan. Outside `_parallel_map` work the plan is dropped
     on return; inside, the thread's next call reuses it.
     """
-    images = _checked_images(params, images)
+    images = _checked_images(images)
     n, c, h, w = images.shape
     try:
         plan = _inference_plan(params, (1, c, h, w))
@@ -397,16 +372,14 @@ def backward(params: ParamSet, arrays, grad_logits: np.ndarray) -> None:
     ReLU mask (`out > 0`) first, then pool backward writes its gradient
     over `out`, then the mask multiplies it, as in `relu_backward`.
     """
-    nb = num_blocks(params)
-
     def backward_rows(rows: slice) -> None:
         a = _rows(arrays, rows)
         g, _, _ = conv2d_backward(
             a["head.in"], params["head.weight"].value, grad_logits[rows], batch_sums=False,
             kernel_out=a["head.kernel_grad"], cols_out=a["head.input_grad"],
         )
-        for i in range(nb, 0, -1):
-            if i <= _MAX_POOLS:
+        for i in range(_BLOCKS, 0, -1):
+            if i < _BLOCKS:
                 # `grad` is `out`: take the ReLU mask before pool backward writes
                 alive = a[f"conv{i}.out"] > 0.0
                 g = avgpool2_backward(g, out=a[f"conv{i}.grad"])
@@ -422,7 +395,7 @@ def backward(params: ParamSet, arrays, grad_logits: np.ndarray) -> None:
             )
 
     _parallel_map(backward_rows, row_ranges(grad_logits.shape[0], worker_count()))
-    for name in ["head", *(f"conv{i}" for i in range(nb, 0, -1))]:
+    for name in ["head", *(f"conv{i}" for i in range(_BLOCKS, 0, -1))]:
         upstream = grad_logits if name == "head" else arrays[f"{name}.grad"]
         weight = params[f"{name}.weight"]
         gk, gb = conv2d_batch_sums(arrays[f"{name}.kernel_grad"], upstream, weight.value.shape)
@@ -445,7 +418,7 @@ def _inference_plan(params: ParamSet, shape) -> dict[str, np.ndarray]:
 
 
 def _stride_probs(params: ParamSet, image) -> np.ndarray:
-    """The class distribution (C+1, H/s, W/s) at the output stride s of one
+    """The class distribution (C+1, H/4, W/4) at the output stride of one
     (H, W, 3) image, in float64: `forward` through a float32 copy of
     `params`, made for this call, then `channel_softmax` of its logits cast
     to float64. The one inference route: `predict` and the relabeling of

@@ -21,6 +21,7 @@ from .data import DatasetManifest, DatasetRecord
 from .imageio import _to_bytes01, write_atomic, write_pgm
 from .losses import batch_ce_and_grad, build_simple_target, downsample_mask_nearest, one_hot
 from .network import (
+    OUTPUT_STRIDE,
     NetworkConfig,
     _check_size,
     _forward_cached,
@@ -28,10 +29,8 @@ from .network import (
     backward,
     check_layers,
     init_network,
-    output_stride,
     predict,
     step_arrays,
-    stride_for,
     worker_count,  # callers read STC_THREADS through pipeline.worker_count
 )
 from .params import ParamSet, sgd_step
@@ -50,15 +49,17 @@ def _is_int(v) -> bool:
 
 def _type_error(value, default) -> str | None:
     """What `value` should have been, or None if it has the type of `default`;
-    an integer is a number, and a None default stands for an integer."""
+    an integer is a number, a tuple default stands for a list of as many
+    positive integers, and a None default for an integer."""
     if isinstance(default, bool):
         return None if isinstance(value, bool) else "true or false"
     if isinstance(default, float):
         ok = _is_int(value) or (isinstance(value, float) and math.isfinite(value))
         return None if ok else "a finite number"
     if isinstance(default, tuple):
-        ok = isinstance(value, (list, tuple)) and value and all(_is_int(v) for v in value)
-        return None if ok and min(value) >= 1 else "a non-empty list of positive integers"
+        ok = isinstance(value, (list, tuple)) and len(value) == len(default)
+        ok = ok and all(_is_int(v) and v >= 1 for v in value)
+        return None if ok else f"a list of {len(default)} positive integers"
     return None if _is_int(value) or (value is None and default is None) else "an integer"
 
 
@@ -101,11 +102,10 @@ class TrainConfig:
         for key in ("momentum", "weight_decay", "epochs", "seed"):
             if getattr(self, key) < 0:
                 raise ValueError(f"config key {key!r} must be >= 0, got {getattr(self, key)}")
-        stride = stride_for(len(self.channels))
-        if self.crop_size % stride:
+        if self.crop_size % OUTPUT_STRIDE:
             raise ValueError(
-                f"config key 'crop_size' must be a multiple of {stride}, the output stride "
-                f"of channels {list(self.channels)}, got {self.crop_size}"
+                f"config key 'crop_size' must be a multiple of the output stride "
+                f"{OUTPUT_STRIDE}, got {self.crop_size}"
             )
 
 
@@ -136,8 +136,8 @@ def train_stage(params: ParamSet, dataset, supervision: str, targets, config: Tr
     classes; it reads no files. `targets` is aligned with the dataset:
     full-resolution uint8 saliency maps for SUPERVISION_SALIENCY, integer
     masks for SUPERVISION_MASKS. Each image must pass `network._check_size`
-    against the output stride of `params` and `config.crop_size` (which
-    `TrainConfig` holds to the stride of `config.channels`). Returns
+    against `config.crop_size` (which `TrainConfig` holds to a multiple of
+    `OUTPUT_STRIDE`). Returns
     (params, per-epoch mean losses); params are updated in place. Images and
     saliency maps stay uint8; each step divides its image crops by 255 into
     conv1's float32 input (`conv1.in`), where the forward standardizes them.
@@ -170,11 +170,11 @@ def train_stage(params: ParamSet, dataset, supervision: str, targets, config: Tr
     if config.epochs == 0 or not dataset:
         return params, []
 
-    crop, stride = config.crop_size, output_stride(params)
+    crop = config.crop_size
     for rec, img in dataset:
         if img.dtype != np.uint8:
             raise ValueError(f"image of {rec.image!r} is not uint8 bytes")
-        _check_size(f"record {rec.image!r}", *img.shape[:2], stride, crop)
+        _check_size(f"record {rec.image!r}", *img.shape[:2], crop)
     classes, _ = check_layers(params)
     compute = params.float32_copy()
     full = step_arrays(compute, (min(config.batch_size, len(dataset)), 3, crop, crop))
@@ -260,10 +260,10 @@ def _check_map_size(where, kind: str, m: np.ndarray, rec: DatasetRecord, image) 
         )
 
 
-def _checked_eval(manifest: DatasetManifest, rec: DatasetRecord, num_classes: int, stride: int):
+def _checked_eval(manifest: DatasetManifest, rec: DatasetRecord, num_classes: int):
     """(image, ground-truth mask) of eval record `rec`, once the mask is
     there, passes `_check_map_size` and is labelled within 0..num_classes,
-    and the image passes `network._check_size` against `stride`."""
+    and the image passes `network._check_size`."""
     gt = manifest.load_gt_mask(rec)
     img = manifest.load_image(rec)
     where = manifest.root / rec.gt_mask
@@ -271,20 +271,19 @@ def _checked_eval(manifest: DatasetManifest, rec: DatasetRecord, num_classes: in
     bad = gt[(gt < 0) | (gt > num_classes)]
     if bad.size:
         raise ValueError(f"{where}: ground-truth label {int(bad[0])} outside 0..{num_classes}")
-    _check_size(manifest.root / rec.image, *img.shape[:2], stride)
+    _check_size(manifest.root / rec.image, *img.shape[:2])
     return img, gt
 
 
 def evaluate(params: ParamSet, eval_manifest: DatasetManifest):
     """Corpus-wide mean IoU of full-resolution argmax predictions. Each
-    eval record passes `_checked_eval` against the net's output stride."""
+    eval record passes `_checked_eval`."""
     num_classes, _ = check_layers(params)
-    stride = output_stride(params)
     if not eval_manifest.records:
         raise ValueError(f"no eval records in {eval_manifest.root}")
 
     def one(rec: DatasetRecord) -> np.ndarray:
-        img, gt = _checked_eval(eval_manifest, rec, num_classes, stride)
+        img, gt = _checked_eval(eval_manifest, rec, num_classes)
         pred = argmax_full(predict(params, img))
         return confusion_matrix(gt, pred, num_classes + 1)
 
@@ -338,8 +337,7 @@ def load_corpus(
     thread count (`worker_count`) is valid, the eval split is not empty,
     every label is in 1..`config.num_classes` (by default the largest label),
     each eval record passes `_checked_eval` and each training image
-    `network._check_size` against the output stride of the net
-    `config.channels` builds and against `config.crop_size`, and each stored
+    `network._check_size` against `config.crop_size`, and each stored
     saliency map passes `_check_map_size`."""
     worker_count()
     if not eval_.records:
@@ -352,13 +350,12 @@ def load_corpus(
                 f"{m.root / 'manifest.jsonl'}: record {rec.image!r} has labels "
                 f"{sorted(rec.labels)}, outside 1..{num_classes}"
             )
-    stride = stride_for(len(config.channels))
     for rec in eval_.records:
-        _checked_eval(eval_, rec, num_classes, stride)
+        _checked_eval(eval_, rec, num_classes)
 
     def entry(m: DatasetManifest, rec: DatasetRecord):
         image = m.load_image_bytes(rec)
-        _check_size(m.root / rec.image, *image.shape[:2], stride, config.crop_size)
+        _check_size(m.root / rec.image, *image.shape[:2], config.crop_size)
         saliency = m.load_saliency(rec)
         if saliency is not None:
             _check_map_size(m.root / rec.saliency, "saliency map", saliency, rec, image)
@@ -391,10 +388,9 @@ def _trained_on(name: str, corpus: Corpus, config: TrainConfig) -> list:
 def check_prior(name: str, prior: ParamSet | None, corpus: Corpus, config: TrainConfig) -> None:
     """Stage `name` can run from `prior`: 'initial' takes none, and a later
     stage takes a net that passes `check_layers` and has the class count of
-    `corpus` and, with `config.warm_start`, the config's channels. The
-    entries the stage trains on (`_trained_on`), which it relabels with the
-    prior, must pass `network._check_size` against the prior's output
-    stride, which a deeper net than `config.channels` builds may not divide."""
+    `corpus` and, with `config.warm_start`, the config's channels. Every net
+    has the output stride `load_corpus` held the images to, so the prior
+    can relabel them."""
     if (prior is None) != (name == "initial"):
         raise ValueError(f"stage {name!r} takes {'no' if name == 'initial' else 'a'} prior")
     if prior is None:
@@ -409,9 +405,6 @@ def check_prior(name: str, prior: ParamSet | None, corpus: Corpus, config: Train
             f"checkpoint has channels {list(channels)}, the run config has channels "
             f"{list(config.channels)}, and warm_start trains the checkpoint"
         )
-    stride = output_stride(prior)
-    for m, rec, image, _ in _trained_on(name, corpus, config):
-        _check_size(m.root / rec.image, *image.shape[:2], stride)
 
 
 def _stage_targets(name: str, net, entries: list) -> list:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 
 from helpers import JSON_MUTATIONS, PEAK_RSS_KB, mutated_json_object
-from stc import cli, data, imageio, pipeline
+from stc import cli, data, imageio, network, pipeline
 from stc.cli import load_run_config, main
 from stc.network import NetworkConfig, init_network, predict
 from stc.params import ParamSet, save_params
@@ -93,7 +93,9 @@ class TestGen:
     @pytest.mark.parametrize(
         "flag, value, want",
         [("--complex", "-1", "--complex and --eval must be >= 0"),
-         ("--classes", "5", "num_classes must be 1..4, got 5")],
+         ("--classes", "5", "--classes must be 1..4, got 5"),
+         ("--classes", "0", "--classes must be 1..4, got 0"),
+         ("--seed", "-1", "--seed must be >= 0, got -1")],
     )
     def test_bad_count_rejected_naming_it_before_writing_anything(
         self, tmp_path, capsys, flag, value, want
@@ -325,8 +327,8 @@ class TestRun:
         [
             ("channels", 16),
             ("channels", []),
-            ("channels", [16, "32"]),
-            ("channels", [16, 0]),
+            ("channels", [16, "32", 64]),
+            ("channels", [16, 0, 64]),
             ("epochs", "2"),
             ("epochs", 2.5),
             ("batch_size", True),
@@ -349,6 +351,19 @@ class TestRun:
         assert rc == 1
         err = capsys.readouterr().err
         assert str(cfg) in err and repr(key) in err
+
+    @pytest.mark.parametrize("channels", [[6], [6, 8, 10, 12]])
+    def test_channels_other_than_three_widths_rejected_naming_file_and_key(
+        self, dataset_dir, tmp_path, capsys, monkeypatch, channels
+    ):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({**TINY_CONFIG, "channels": channels}))
+        _no_stage_work(monkeypatch)
+        out = tmp_path / "out"
+        assert main(["run", "--data", str(dataset_dir), "--out", str(out), "--config", str(cfg)]) == 1
+        want = f"config key 'channels' must be a list of 3 positive integers, got {channels}"
+        assert capsys.readouterr().err == f"error: {cfg}: {want}\n"
+        assert not out.exists()
 
     def test_config_accepts_integer_for_float_key(self, tmp_path):
         cfg = tmp_path / "ok.json"
@@ -470,6 +485,27 @@ def test_parameter_set_whose_layers_do_not_chain_is_rejected_by_predict(defect):
         predict(net, np.zeros((16, 16, 3)))
 
 
+@pytest.mark.parametrize("command", ["eval", "stage"])
+@pytest.mark.parametrize(
+    "channels, name", [((16, 32), "conv3.weight"), ((16, 32, 64, 8), "conv4.weight")],
+    ids=["2-block", "4-block"],
+)
+def test_checkpoint_of_another_depth_exits_1_naming_file_and_layer(
+    dataset_dir, tmp_path, capsys, command, channels, name
+):
+    net = ParamSet()
+    for n, shape in network._layer_shapes(4, channels):
+        net.add(n, np.full(shape, 0.1))
+    path = tmp_path / "depth.stcp"
+    save_params(net, path)
+    out = tmp_path / "stage_out"
+    assert main(_command_loading(command, path, dataset_dir, out)) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {path}: ") and name in captured.err, captured.err
+    assert "miou" not in captured.out
+    assert not out.exists()
+
+
 # field -> value that disagrees with the default 16/32/64 network, 4 classes
 SIDECAR_EDITS = {
     "num_classes": 3,
@@ -546,7 +582,7 @@ class TestStageCommand:
         self, dataset_dir, tmp_path
     ):
         path = tmp_path / "prior.stcp"
-        save_params(init_network(NetworkConfig(4, channels=(4, 6), seed=0)), path)
+        save_params(init_network(NetworkConfig(4, channels=(4, 6, 5), seed=0)), path)
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({**TINY_CONFIG, "epochs": 1}))
         out = tmp_path / "stage_out"
@@ -990,7 +1026,7 @@ def test_bad_complex_image_rejected_before_any_stage_work(
 
 @pytest.mark.parametrize("argv", [["run"], ["stage", "--stage", "initial"]], ids=["run", "stage"])
 @pytest.mark.parametrize("split", data.SPLITS)
-def test_image_side_not_a_multiple_of_the_output_stride_rejected_before_any_stage_work(
+def test_image_side_not_a_multiple_of_4_rejected_before_any_stage_work(
     tmp_path, capsys, monkeypatch, argv, split
 ):
     d = tmp_path / "data"
@@ -1034,31 +1070,6 @@ def test_bad_stc_threads_rejected_before_any_stage_work(
     out = tmp_path / "out"
     assert main([*argv, "--data", str(dataset_dir), "--out", str(out)]) == 1
     assert capsys.readouterr().err == "error: STC_THREADS must be an integer >= 1, got '0'\n"
-    assert not out.exists()
-
-
-def test_stage_prior_deeper_than_the_config_rejected_naming_checkpoint_and_image(
-    tmp_path, capsys, monkeypatch
-):
-    # channels [6] pool once, so 66-px images load; the 3-block prior that
-    # relabels them has output stride 4
-    d = tmp_path / "data"
-    examples = list(data.build_dataset(4, 2, 2, seed=5, size=68))
-    i = next(i for i, ex in enumerate(examples) if ex.split == "simple")
-    cut = examples[i]
-    examples[i] = dataclasses.replace(cut, image=cut.image[:66, :66], gt_mask=cut.gt_mask[:66, :66])
-    data.write_dataset(examples, d)
-    prior = tmp_path / "prior.stcp"
-    save_params(init_network(NetworkConfig(4, channels=(6, 8, 10), seed=0)), prior)
-    cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps({**TINY_CONFIG, "channels": [6]}))
-    _no_stage_work(monkeypatch)
-    out = tmp_path / "out"
-    assert main(["stage", "--stage", "enhanced", "--params", str(prior), "--data", str(d),
-                 "--out", str(out), "--config", str(cfg)]) == 1
-    err = capsys.readouterr().err
-    want = f"{d / 'images' / cut.name}.ppm: image is 66x66, not a multiple of the output stride 4"
-    assert f"error: {prior}: {want}\n" == err, err
     assert not out.exists()
 
 
@@ -1192,3 +1203,41 @@ def test_key_error_inside_a_command_is_a_fault_not_bad_input(dataset_dir, tmp_pa
     monkeypatch.setattr(pipeline, "run_stc", fault)
     with pytest.raises(KeyError, match="conv9.weight"):
         main(["run", "--data", str(dataset_dir), "--out", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["stage", "--stage", "Enhanced"], "argument --stage: invalid choice: 'Enhanced'"),
+        (["gen", "--out", "{tmp}", "--simple", "abc"], "argument --simple: invalid int value"),
+        (["run", "--bogus"], "unrecognized arguments: --bogus"),
+        ([], "the following arguments are required: command"),
+    ],
+    ids=["stage-choice", "gen-int", "run-flag", "no-command"],
+)
+def test_usage_error_exits_1_with_argparses_usage_message(tmp_path, capsys, argv, want):
+    # exit 2 is a stage that failed while it ran; a typo is bad input
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_:
+        main([a.replace("{tmp}", str(out)) for a in argv])
+    assert exit_.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: stc") and want in err, err
+    assert not out.exists()
+
+
+def test_usage_error_exits_1_from_the_command_line():
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    run = subprocess.run(
+        [sys.executable, "-m", "stc", "run", "--bogus"], env=env, capture_output=True, text=True
+    )
+    assert run.returncode == 1
+    assert "error: unrecognized arguments: --bogus" in run.stderr
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: stc")

@@ -120,7 +120,7 @@ class TestRelabel:
     @given(
         st.integers(0, 2**32 - 1),
         st.integers(1, 6),
-        st.lists(st.integers(1, 16), min_size=1, max_size=3),
+        st.lists(st.integers(1, 16), min_size=3, max_size=3),
         st.integers(2, 32),
         st.integers(2, 32),
         st.data(),
