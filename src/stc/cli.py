@@ -108,10 +108,10 @@ def cmd_gen(args) -> int:
         raise ValueError("--simple must be >= 1: the initial stage trains on simple images")
     if args.complex < 0 or args.eval < 0:
         raise ValueError("--complex and --eval must be >= 0")
-    if args.seed < 0:
-        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     if not 1 <= args.classes <= data.MAX_CLASSES:
         raise ValueError(f"--classes must be 1..{data.MAX_CLASSES}, got {args.classes}")
+    if args.classes < 2 and (args.complex or args.eval):
+        raise ValueError(f"--complex and --eval need --classes >= 2, got {args.classes}")
     if args.size < 1 or args.size % OUTPUT_STRIDE:
         raise ValueError(f"--size must be a positive multiple of {OUTPUT_STRIDE} (output stride)")
     manifest = Path(args.out) / "manifest.jsonl"
@@ -262,6 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if (getattr(args, "seed", None) or 0) < 0:  # gen, run and stage take --seed
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
         return args.fn(args)
     except PipelineError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -10,7 +10,6 @@ C+1 classes. All randomness flows from one root seed.
 from __future__ import annotations
 
 import json
-import math
 import time
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -39,6 +38,14 @@ from .saliency import compute_saliency
 
 STAGES = ("initial", "enhanced", "powerful")
 
+# Every stage's SGD schedule, after DeepLab (Chen et al. 2015, arXiv 1412.7062).
+_LR = 0.001
+_HEAD_LR_MULTIPLIER = 10.0
+_LR_DECAY_FACTOR = 10.0
+_LR_DECAY_EVERY_EPOCHS = 5
+_MOMENTUM = 0.9
+_WEIGHT_DECAY = 0.0005
+
 SUPERVISION_SALIENCY = "saliency_targets"
 SUPERVISION_MASKS = "mask_files"
 
@@ -49,13 +56,10 @@ def _is_int(v) -> bool:
 
 def _type_error(value, default) -> str | None:
     """What `value` should have been, or None if it has the type of `default`;
-    an integer is a number, a tuple default stands for a list of as many
-    positive integers, and a None default for an integer."""
+    a tuple default stands for a list of as many positive integers, and a
+    None default for an integer."""
     if isinstance(default, bool):
         return None if isinstance(value, bool) else "true or false"
-    if isinstance(default, float):
-        ok = _is_int(value) or (isinstance(value, float) and math.isfinite(value))
-        return None if ok else "a finite number"
     if isinstance(default, tuple):
         ok = isinstance(value, (list, tuple)) and len(value) == len(default)
         ok = ok and all(_is_int(v) and v >= 1 for v in value)
@@ -65,17 +69,11 @@ def _type_error(value, default) -> str | None:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """The settings of a run: SGD, crops, the net's width, the class count
-    (None: the largest label) and the pipeline flags. Building one checks
-    every setting's type and range; each error names its config key."""
+    """A run's settings: batch, epochs, crop, seed, the net's widths, the class
+    count (None: the largest label) and the pipeline flags; the SGD schedule is
+    fixed, `_LR` to `_WEIGHT_DECAY`. Building one checks each setting, naming its key."""
 
     batch_size: int = 8
-    initial_lr: float = 0.001
-    final_layer_lr_multiplier: float = 10.0
-    lr_decay_factor: float = 10.0
-    lr_decay_every_epochs: int = 5
-    momentum: float = 0.9
-    weight_decay: float = 0.0005
     epochs: int = 15
     crop_size: int = 48
     seed: int = 0
@@ -92,14 +90,11 @@ class TrainConfig:
             if want:
                 raise ValueError(f"config key {f.name!r} must be {want}, got {value!r}")
         object.__setattr__(self, "channels", tuple(self.channels))
-        for key in (
-            "batch_size", "initial_lr", "final_layer_lr_multiplier", "lr_decay_factor",
-            "lr_decay_every_epochs", "crop_size", "enhance_rounds", "num_classes",
-        ):
+        for key in ("batch_size", "crop_size", "enhance_rounds", "num_classes"):
             value = getattr(self, key)
             if value is not None and value <= 0:
                 raise ValueError(f"config key {key!r} must be positive, got {value}")
-        for key in ("momentum", "weight_decay", "epochs", "seed"):
+        for key in ("epochs", "seed"):
             if getattr(self, key) < 0:
                 raise ValueError(f"config key {key!r} must be >= 0, got {getattr(self, key)}")
         if self.crop_size % OUTPUT_STRIDE:
@@ -188,9 +183,7 @@ def train_stage(params: ParamSet, dataset, supervision: str, targets, config: Tr
     epoch_losses = []
     step = 0
     for epoch in range(config.epochs):
-        lr = config.initial_lr / config.lr_decay_factor ** (
-            epoch // config.lr_decay_every_epochs
-        )
+        lr = _LR / _LR_DECAY_FACTOR ** (epoch // _LR_DECAY_EVERY_EPOCHS)
         order = rng.permutation(len(dataset))
         step_losses = []
         for start in range(0, len(order), config.batch_size):
@@ -214,13 +207,8 @@ def train_stage(params: ParamSet, dataset, supervision: str, targets, config: Tr
             if not np.isfinite(loss):
                 raise ValueError(f"non-finite loss at step {step}")
             backward(compute, arrays, grad)
-            sgd_step(trunk, lr, config.momentum, config.weight_decay)
-            sgd_step(
-                head,
-                lr * config.final_layer_lr_multiplier,
-                config.momentum,
-                config.weight_decay,
-            )
+            sgd_step(trunk, lr, _MOMENTUM, _WEIGHT_DECAY)
+            sgd_step(head, lr * _HEAD_LR_MULTIPLIER, _MOMENTUM, _WEIGHT_DECAY)
             for name, p in compute.items():
                 np.copyto(p.value, params[name].value)
             step_losses.append(loss)

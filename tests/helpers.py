@@ -169,3 +169,11 @@ def peak_rss_kb():
     with open("/proc/self/status") as f:
         return next(int(line.split()[1]) for line in f if line.startswith("VmHWM:"))
 '''
+
+
+# Names of the SGD schedule's values, which are fixed (pipeline._LR to
+# _WEIGHT_DECAY): neither a run config nor TrainConfig takes them as keys.
+SCHEDULE_KEYS = [
+    "initial_lr", "final_layer_lr_multiplier", "lr_decay_factor", "lr_decay_every_epochs",
+    "momentum", "weight_decay",
+]

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from helpers import JSON_MUTATIONS, PEAK_RSS_KB, mutated_json_object
+from helpers import JSON_MUTATIONS, PEAK_RSS_KB, SCHEDULE_KEYS, mutated_json_object
 from stc import cli, data, imageio, network, pipeline
 from stc.cli import load_run_config, main
 from stc.network import NetworkConfig, init_network, predict
@@ -95,6 +95,7 @@ class TestGen:
         [("--complex", "-1", "--complex and --eval must be >= 0"),
          ("--classes", "5", "--classes must be 1..4, got 5"),
          ("--classes", "0", "--classes must be 1..4, got 0"),
+         ("--classes", "1", "--complex and --eval need --classes >= 2, got 1"),
          ("--seed", "-1", "--seed must be >= 0, got -1")],
     )
     def test_bad_count_rejected_naming_it_before_writing_anything(
@@ -292,13 +293,17 @@ class TestRun:
             })
         assert len(outputs[0]) == 6 + 8 + 12 and outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize(
+        "command", [["run"], ["stage", "--stage", "initial"]], ids=["run", "stage"]
+    )
     def test_negative_seed_flag_rejected_before_any_stage_work(
-        self, dataset_dir, tmp_path, capsys, monkeypatch
+        self, dataset_dir, tmp_path, capsys, monkeypatch, command
     ):
         _no_stage_work(monkeypatch)
         out = tmp_path / "out"
-        assert main(["run", "--data", str(dataset_dir), "--out", str(out), "--seed", "-1"]) == 1
-        assert "config key 'seed' must be >= 0, got -1" in capsys.readouterr().err
+        argv = [*command, "--data", str(dataset_dir), "--out", str(out), "--seed", "-1"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
         assert not out.exists()
 
     def test_unknown_config_key_rejected(self, dataset_dir, tmp_path, capsys):
@@ -332,8 +337,6 @@ class TestRun:
             ("epochs", "2"),
             ("epochs", 2.5),
             ("batch_size", True),
-            ("initial_lr", "0.01"),
-            ("initial_lr", False),
             ("warm_start", 1),
             ("data", 7),
             ("num_classes", "4"),
@@ -364,12 +367,6 @@ class TestRun:
         want = f"config key 'channels' must be a list of 3 positive integers, got {channels}"
         assert capsys.readouterr().err == f"error: {cfg}: {want}\n"
         assert not out.exists()
-
-    def test_config_accepts_integer_for_float_key(self, tmp_path):
-        cfg = tmp_path / "ok.json"
-        cfg.write_text(json.dumps({"initial_lr": 1, "momentum": 0, "data": "d", "out": None}))
-        merged = load_run_config(cfg)
-        assert merged["initial_lr"] == 1 and merged["data"] == "d"
 
 
 RUN_CONFIG_TEXT = {k: json.dumps(v).encode() for k, v in {**TINY_CONFIG, "data": "d"}.items()}
@@ -667,9 +664,6 @@ class TestStageCommand:
         ("crop_size", 50),
         ("crop_size", 0),
         ("batch_size", 0),
-        ("initial_lr", 0),
-        ("momentum", -1),
-        ("weight_decay", -0.5),
         ("epochs", -1),
         ("enhance_rounds", 0),
         ("num_classes", 0),
@@ -692,6 +686,23 @@ def test_config_value_out_of_range_rejected_naming_file_and_key_before_any_stage
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert f"{cfg}: config key {key!r}" in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "stage"])
+@pytest.mark.parametrize("key", SCHEDULE_KEYS)
+def test_sgd_schedule_key_rejected_as_unknown_naming_file_and_key_before_any_stage_work(
+    dataset_dir, tmp_path, capsys, monkeypatch, command, key
+):
+    _no_stage_work(monkeypatch)
+    cfg = tmp_path / "schedule.json"
+    cfg.write_text(json.dumps({**TINY_CONFIG, key: 1}))
+    out = tmp_path / "out"
+    argv = [command, "--data", str(dataset_dir), "--out", str(out), "--config", str(cfg)]
+    if command == "stage":
+        argv += ["--stage", "initial"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {cfg}: unknown config keys [{key!r}]\n"
     assert not out.exists()
 
 

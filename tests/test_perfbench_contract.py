@@ -102,9 +102,7 @@ def test_tracer_spans_the_image_writers_with_their_file_sizes(spans, tmp_path):
 # one changes what `stc run --config` accepts
 RUN_CONFIG_KEYS = [
     "batch_size", "channels", "crop_size", "data", "enhance_rounds", "epochs",
-    "final_layer_lr_multiplier", "include_simple_in_powerful", "initial_lr",
-    "lr_decay_every_epochs", "lr_decay_factor", "momentum", "num_classes", "out",
-    "seed", "warm_start", "weight_decay",
+    "include_simple_in_powerful", "num_classes", "out", "seed", "warm_start",
 ]
 
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import PEAK_RSS_KB, brute_force_iou
+from helpers import PEAK_RSS_KB, SCHEDULE_KEYS, brute_force_iou
 from stc import cli, data, imageio, network, ops
 from stc import pipeline
 from stc.imageio import read_pgm, write_saliency_pgm
@@ -197,8 +197,6 @@ def test_train_config_out_of_range_error_names_the_key(key, value):
         ("channels", (6,), "a list of 3 positive integers"),
         ("channels", (6, 8, 10, 12), "a list of 3 positive integers"),
         ("batch_size", True, "an integer"),
-        ("initial_lr", "0.1", "a finite number"),
-        ("initial_lr", float("nan"), "a finite number"),
         ("warm_start", 1, "true or false"),
         ("num_classes", 3.0, "an integer"),
     ],
@@ -209,10 +207,16 @@ def test_train_config_value_of_another_type_rejected_naming_the_key(key, value, 
         TrainConfig(**{key: value})
 
 
-def test_train_config_takes_an_integer_for_a_number_and_a_list_for_channels():
-    config = TrainConfig(initial_lr=1, channels=[4, 6, 8], num_classes=3)
-    assert config.initial_lr == 1 and config.channels == (4, 6, 8) and config.num_classes == 3
+def test_train_config_takes_a_list_for_channels():
+    config = TrainConfig(channels=[4, 6, 8], num_classes=3)
+    assert config.channels == (4, 6, 8) and config.num_classes == 3
     assert TrainConfig().num_classes is None
+
+
+@pytest.mark.parametrize("key", SCHEDULE_KEYS)
+def test_sgd_schedule_is_no_train_config_setting(key):
+    with pytest.raises(TypeError, match=key):
+        TrainConfig(**{key: 1})
 
 
 JSON_VALUES = st.recursive(
