@@ -21,47 +21,31 @@ from .params import load_params, save_params
 from .pipeline import PipelineError, TrainConfig
 
 _TRAIN_KEYS = {f.name for f in dataclasses.fields(TrainConfig)}
-_PATH_KEYS = ("data", "out")
 
 
-def load_run_config(path) -> dict:
-    """One JSON object of TrainConfig fields and the `data` and `out` paths
-    (strings or null). A key left out takes its default, and null is no
-    setting's value. `TrainConfig` checks every setting, as it does for the
-    library; each error starts with the file name."""
+def load_run_config(path) -> TrainConfig:
+    """The TrainConfig of one JSON object of its fields; a key left out takes
+    its default. `TrainConfig` checks every value, as it does for the
+    library, and each error starts with the file name."""
+    doc = _read_json_object(path, "config")
+    unknown = sorted(set(doc) - _TRAIN_KEYS)
+    if unknown:
+        raise ValueError(f"{path}: unknown config keys {unknown}")
+    try:
+        return TrainConfig(**doc)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
+
+
+def _read_json_object(path, what: str) -> dict:
+    """The JSON object in the file `path`, `what` naming it in the error."""
     try:
         doc = json.loads(Path(path).read_bytes())
     except (ValueError, RecursionError) as e:
         raise ValueError(f"{path}: not valid JSON ({e})") from None
     if not isinstance(doc, dict):
-        raise ValueError(f"{path}: config must be a JSON object")
-    unknown = sorted(set(doc) - _TRAIN_KEYS - set(_PATH_KEYS))
-    if unknown:
-        raise ValueError(f"{path}: unknown config keys {unknown}")
-    for key, value in doc.items():
-        if key in _TRAIN_KEYS and value is None:
-            raise ValueError(f"{path}: config key {key!r} is null; leave it out for its default")
-        if key in _PATH_KEYS and not isinstance(value, (str, type(None))):
-            raise ValueError(f"{path}: config key {key!r} must be a path string or null")
-    merged = {**_default_run_config(), **doc}
-    try:
-        TrainConfig(**{k: merged[k] for k in _TRAIN_KEYS})
-    except ValueError as e:
-        raise ValueError(f"{path}: {e}") from None
-    return merged
-
-
-def _default_run_config() -> dict:
-    """TrainConfig's defaults and null paths, as JSON holds them."""
-    defaults = dataclasses.asdict(TrainConfig())
-    return {**defaults, "channels": list(defaults["channels"]), **dict.fromkeys(_PATH_KEYS)}
-
-
-def _resolve_path(flag_value, cfg: dict, key: str):
-    value = flag_value or cfg.get(key)
-    if value is None:
-        raise ValueError(f"--{key} is required (on the command line or in the config file)")
-    return value
+        raise ValueError(f"{path}: {what} must be a JSON object")
+    return doc
 
 
 def _load_network(path):
@@ -80,12 +64,7 @@ def _load_network(path):
 
 def _check_sidecar(net, path) -> None:
     """The sidecar's architecture fields equal those of the weights."""
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
-        raise ValueError(f"{path}: not valid JSON ({e})") from None
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: checkpoint sidecar must be a JSON object")
+    doc = _read_json_object(path, "checkpoint sidecar")
     for field, value in _architecture(net).items():
         if field not in doc:
             raise ValueError(f"{path}: missing field {field!r}")
@@ -157,15 +136,15 @@ def _write_checkpoint(out: Path, stage: str, net, seed: int) -> Path:
 
 
 def _prepare(args):
-    """The run's TrainConfig, the dataset's splits and the output path of
-    `run` and `stage`; `run_stage` creates the directory."""
-    cfg = load_run_config(args.config) if args.config else _default_run_config()
+    """The run's TrainConfig (the `--config` file's, else the defaults, with
+    `--seed` when given), the `--data` dataset's splits and the `--out` path
+    of `run` and `stage`; `run_stage` creates the directory."""
+    config = load_run_config(args.config) if args.config else TrainConfig()
     if args.seed is not None:
-        cfg["seed"] = args.seed
-    manifest = data.read_dataset(_resolve_path(args.data, cfg, "data"))
-    out = Path(_resolve_path(args.out, cfg, "out"))
+        config = dataclasses.replace(config, seed=args.seed)
+    manifest = data.read_dataset(args.data)
     splits = [manifest.split(s) for s in ("simple", "complex", "eval")]
-    return TrainConfig(**{k: cfg[k] for k in _TRAIN_KEYS}), splits, out
+    return config, splits, Path(args.out)
 
 
 def cmd_run(args) -> int:
@@ -237,15 +216,15 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(fn=cmd_saliency)
 
     r = sub.add_parser("run", help="run the full three-stage pipeline")
-    r.add_argument("--data", help="dataset directory (or `data` in the config)")
-    r.add_argument("--out", help="output directory (or `out` in the config)")
+    r.add_argument("--data", required=True, help="dataset directory")
+    r.add_argument("--out", required=True, help="output directory")
     r.add_argument("--config")
     r.add_argument("--seed", type=int, default=None, help="override the config seed")
     r.set_defaults(fn=cmd_run)
 
     st = sub.add_parser("stage", help="run a single stage")
-    st.add_argument("--data")
-    st.add_argument("--out")
+    st.add_argument("--data", required=True)
+    st.add_argument("--out", required=True)
     st.add_argument("--stage", required=True, choices=pipeline.STAGES)
     st.add_argument("--params", help="prior-stage checkpoint (enhanced/powerful)")
     st.add_argument("--config")

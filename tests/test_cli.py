@@ -272,11 +272,23 @@ class TestRun:
         assert f"error: {cfg}: config must be a JSON object" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_data_required_on_the_command_line_or_in_the_config(self, tmp_path, capsys):
+    @pytest.mark.parametrize("missing", ["--data", "--out"])
+    @pytest.mark.parametrize(
+        "command", [["run"], ["stage", "--stage", "initial"]], ids=["run", "stage"]
+    )
+    def test_data_and_out_are_required_flags(
+        self, dataset_dir, tmp_path, capsys, monkeypatch, command, missing
+    ):
+        _no_stage_work(monkeypatch)
         out = tmp_path / "out"
-        assert main(["run", "--out", str(out)]) == 1
+        flags = {"--data": str(dataset_dir), "--out": str(out)}
+        del flags[missing]
+        with pytest.raises(SystemExit) as exit_:
+            main([*command, *(a for pair in flags.items() for a in pair)])
+        assert exit_.value.code == 1
         err = capsys.readouterr().err
-        assert "--data is required (on the command line or in the config file)" in err, err
+        assert err.startswith(f"usage: stc {command[0]} [-h] --data DATA --out OUT"), err
+        assert err.endswith(f"error: the following arguments are required: {missing}\n"), err
         assert not out.exists()
 
     def test_seed_flag_overrides_the_configs_seed(self, dataset_dir, tmp_path):
@@ -338,9 +350,10 @@ class TestRun:
             ("epochs", 2.5),
             ("batch_size", True),
             ("warm_start", 1),
-            ("data", 7),
             ("num_classes", "4"),
-            ("num_classes", None),
+            ("epochs", None),
+            ("warm_start", None),
+            ("channels", None),
         ],
     )
     def test_config_value_type_rejected_naming_file_and_key(
@@ -354,6 +367,16 @@ class TestRun:
         assert rc == 1
         err = capsys.readouterr().err
         assert str(cfg) in err and repr(key) in err
+        if value is None:
+            assert err.startswith(f"error: {cfg}: config key {key!r} must be "), err
+            assert err.endswith(", got None\n"), err
+
+    def test_null_num_classes_is_the_default_class_count(self, tmp_path):
+        # None is TrainConfig's own default: the largest label
+        (tmp_path / "null.json").write_text('{"num_classes": null}')
+        (tmp_path / "empty.json").write_text("{}")
+        loaded = load_run_config(tmp_path / "null.json")
+        assert loaded == load_run_config(tmp_path / "empty.json") == pipeline.TrainConfig()
 
     @pytest.mark.parametrize("channels", [[6], [6, 8, 10, 12]])
     def test_channels_other_than_three_widths_rejected_naming_file_and_key(
@@ -369,21 +392,21 @@ class TestRun:
         assert not out.exists()
 
 
-RUN_CONFIG_TEXT = {k: json.dumps(v).encode() for k, v in {**TINY_CONFIG, "data": "d"}.items()}
+RUN_CONFIG_TEXT = {k: json.dumps(v).encode() for k, v in TINY_CONFIG.items()}
 
 
 @settings(max_examples=300)
 @given(mutation=JSON_MUTATIONS)
 def test_mutated_run_config_loads_or_raises_naming_the_file(tmp_path_factory, mutation):
     path = tmp_path_factory.getbasetemp() / "fuzz.json"
-    other = json.dumps(cli._default_run_config()).encode()
+    other = json.dumps(dataclasses.asdict(pipeline.TrainConfig())).encode()
     path.write_bytes(mutated_json_object(RUN_CONFIG_TEXT, other, mutation))
     try:
-        merged = load_run_config(path)
+        config = load_run_config(path)
     except ValueError as e:
         assert str(e).startswith(f"{path}: "), e
         return
-    assert sorted(merged) == sorted(cli._default_run_config())
+    assert isinstance(config, pipeline.TrainConfig)
 
 
 class TestEval:
@@ -512,7 +535,9 @@ SIDECAR_EDITS = {
 
 
 @pytest.mark.parametrize("command", ["eval", "stage"])
-@pytest.mark.parametrize("edit", [*SIDECAR_EDITS, "missing-field", "not-json", "array"])
+@pytest.mark.parametrize(
+    "edit", [*SIDECAR_EDITS, "missing-field", "not-json", "not-utf8", "too-deep", "array"]
+)
 def test_sidecar_that_disagrees_with_the_weights_names_file_and_field(
     dataset_dir, tmp_path, capsys, command, edit
 ):
@@ -525,17 +550,42 @@ def test_sidecar_that_disagrees_with_the_weights_names_file_and_field(
         del sidecar[field]
     elif edit in SIDECAR_EDITS:
         sidecar[field] = SIDECAR_EDITS[field]
-    text = {"not-json": "{not json", "array": "[]"}.get(edit, json.dumps(sidecar))
-    path.with_suffix(".json").write_text(text)
+    unreadable = {"not-json": b"{not json", "not-utf8": b"\xff\xfe{}", "too-deep": b"[" * 100_000}
+    raw = {**unreadable, "array": b"[]"}.get(edit, json.dumps(sidecar).encode())
+    path.with_suffix(".json").write_bytes(raw)
     out = tmp_path / "stage_out"
     assert main(_command_loading(command, path, dataset_dir, out)) == 1
     err = capsys.readouterr().err
-    assert str(path.with_suffix(".json")) in err
+    assert err.startswith(f"error: {path.with_suffix('.json')}: "), err
     if edit == "array":
         assert "checkpoint sidecar must be a JSON object" in err, err
-    elif edit != "not-json":
+    elif edit in unreadable:
+        assert "not valid JSON (" in err, err
+    else:
         assert repr(field) in err
     assert not out.exists()
+
+
+SIDECAR_TEXT = {
+    k: json.dumps(v).encode()
+    for k, v in {"num_classes": 4, "channels": [6, 8, 10], "kernel_size": 3, "seed": 0}.items()
+}
+
+
+@settings(max_examples=300)
+@given(mutation=JSON_MUTATIONS)
+def test_mutated_sidecar_loads_or_raises_naming_the_sidecar(tmp_path_factory, mutation):
+    path = tmp_path_factory.getbasetemp() / "fuzz.stcp"
+    net = init_network(NetworkConfig(4, channels=(6, 8, 10), seed=0))
+    save_params(net, path)
+    other = json.dumps({"seed": 5, "channels": [16, 32, 64], "num_classes": 3}).encode()
+    path.with_suffix(".json").write_bytes(mutated_json_object(SIDECAR_TEXT, other, mutation))
+    try:
+        loaded = cli._load_network(path)
+    except ValueError as e:
+        assert str(e).startswith(f"{path.with_suffix('.json')}: "), e
+        return
+    assert cli._architecture(loaded) == cli._architecture(net)
 
 
 class TestStageCommand:
@@ -690,7 +740,7 @@ def test_config_value_out_of_range_rejected_naming_file_and_key_before_any_stage
 
 
 @pytest.mark.parametrize("command", ["run", "stage"])
-@pytest.mark.parametrize("key", SCHEDULE_KEYS)
+@pytest.mark.parametrize("key", [*SCHEDULE_KEYS, "data", "out"])
 def test_sgd_schedule_key_rejected_as_unknown_naming_file_and_key_before_any_stage_work(
     dataset_dir, tmp_path, capsys, monkeypatch, command, key
 ):
@@ -1221,7 +1271,8 @@ def test_key_error_inside_a_command_is_a_fault_not_bad_input(dataset_dir, tmp_pa
     [
         (["stage", "--stage", "Enhanced"], "argument --stage: invalid choice: 'Enhanced'"),
         (["gen", "--out", "{tmp}", "--simple", "abc"], "argument --simple: invalid int value"),
-        (["run", "--bogus"], "unrecognized arguments: --bogus"),
+        (["run", "--data", "{tmp}", "--out", "{tmp}", "--bogus"],
+         "unrecognized arguments: --bogus"),
         ([], "the following arguments are required: command"),
     ],
     ids=["stage-choice", "gen-int", "run-flag", "no-command"],
@@ -1237,13 +1288,15 @@ def test_usage_error_exits_1_with_argparses_usage_message(tmp_path, capsys, argv
     assert not out.exists()
 
 
-def test_usage_error_exits_1_from_the_command_line():
+def test_usage_error_exits_1_from_the_command_line(tmp_path):
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    argv = ["run", "--data", str(tmp_path / "data"), "--out", str(tmp_path / "out"), "--bogus"]
     run = subprocess.run(
-        [sys.executable, "-m", "stc", "run", "--bogus"], env=env, capture_output=True, text=True
+        [sys.executable, "-m", "stc", *argv], env=env, capture_output=True, text=True
     )
     assert run.returncode == 1
     assert "error: unrecognized arguments: --bogus" in run.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]])

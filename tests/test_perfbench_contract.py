@@ -3,6 +3,7 @@ it wraps the functions its LAYERS table lists at every binding, and the
 thread-pool wrapper calls `_parallel_map(task_fn, items)`. These tests load
 the tracer as it is and check that the names still resolve and that
 tracing leaves the program's results and bindings as they were."""
+import dataclasses
 import importlib
 import importlib.util
 import json
@@ -98,16 +99,18 @@ def test_tracer_spans_the_image_writers_with_their_file_sizes(spans, tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["image.ppm", "mask.pgm"]
 
 
-# the run-config keys as of the benchmark's workloads; dropping or renaming
-# one changes what `stc run --config` accepts
+# the run-config keys as of the benchmark's workloads, TrainConfig's fields;
+# dropping or renaming one changes what `stc run --config` accepts
 RUN_CONFIG_KEYS = [
-    "batch_size", "channels", "crop_size", "data", "enhance_rounds", "epochs",
-    "include_simple_in_powerful", "num_classes", "out", "seed", "warm_start",
+    "batch_size", "channels", "crop_size", "enhance_rounds", "epochs",
+    "include_simple_in_powerful", "num_classes", "seed", "warm_start",
 ]
 
 
-def test_run_config_keys_are_pinned():
-    assert sorted(cli._default_run_config()) == RUN_CONFIG_KEYS
+def test_run_config_keys_are_pinned(tmp_path):
+    (tmp_path / "empty.json").write_text("{}")
+    loaded = cli.load_run_config(tmp_path / "empty.json")
+    assert sorted(dataclasses.asdict(loaded)) == RUN_CONFIG_KEYS
 
 
 @pytest.fixture
@@ -128,7 +131,7 @@ def test_every_workload_run_config_loads(tmp_path, workloads):
         path = tmp_path / f"config{i}.json"
         path.write_text(json.dumps(run_config))
         loaded = cli.load_run_config(path)
-        assert {k: loaded[k] for k in run_config} == run_config
+        assert {k: getattr(loaded, k) for k in run_config} == run_config
 
 
 def test_benchmark_inference_pass_passes_its_checks(tmp_path, workloads):
