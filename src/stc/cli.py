@@ -169,7 +169,7 @@ def cmd_stage(args) -> int:
     corpus = pipeline.load_corpus(*splits, config)
     pipeline._trained_on(args.stage, corpus, config)  # its error is not about --params
     try:
-        pipeline.check_prior(args.stage, prior, corpus, config)
+        pipeline.check_prior(args.stage, prior, corpus)
     except ValueError as e:
         raise ValueError(f"{args.params}: {e}") from None
     net, r = pipeline.run_stage(args.stage, prior, corpus, config, out_dir=out)

@@ -70,8 +70,9 @@ def _type_error(value, default) -> str | None:
 @dataclass(frozen=True)
 class TrainConfig:
     """A run's settings: batch, epochs, crop, seed, the net's widths, the class
-    count (None: the largest label) and the pipeline flags; the SGD schedule is
-    fixed, `_LR` to `_WEIGHT_DECAY`. Building one checks each setting, naming its key."""
+    count (None: the largest label) and whether the powerful stage also trains
+    on the simple images; the SGD schedule is fixed, `_LR` to `_WEIGHT_DECAY`.
+    Building one checks each setting, naming its key."""
 
     batch_size: int = 8
     epochs: int = 15
@@ -79,8 +80,6 @@ class TrainConfig:
     seed: int = 0
     channels: tuple[int, ...] = NetworkConfig.channels
     include_simple_in_powerful: bool = True
-    warm_start: bool = False
-    enhance_rounds: int = 1
     num_classes: int | None = None
 
     def __post_init__(self):
@@ -90,7 +89,7 @@ class TrainConfig:
             if want:
                 raise ValueError(f"config key {f.name!r} must be {want}, got {value!r}")
         object.__setattr__(self, "channels", tuple(self.channels))
-        for key in ("batch_size", "crop_size", "enhance_rounds", "num_classes"):
+        for key in ("batch_size", "crop_size", "num_classes"):
             value = getattr(self, key)
             if value is not None and value <= 0:
                 raise ValueError(f"config key {key!r} must be positive, got {value}")
@@ -353,7 +352,7 @@ def load_corpus(
     return Corpus(*loaded, eval_, num_classes)
 
 
-# Seed salts per stage: (network init, training); enhance round r adds 100 * r.
+# Seed salts per stage: (network init, training).
 _SALTS = {"initial": (1, 11), "enhanced": (2, 12), "powerful": (3, 13)}
 
 
@@ -373,25 +372,19 @@ def _trained_on(name: str, corpus: Corpus, config: TrainConfig) -> list:
     return entries
 
 
-def check_prior(name: str, prior: ParamSet | None, corpus: Corpus, config: TrainConfig) -> None:
+def check_prior(name: str, prior: ParamSet | None, corpus: Corpus) -> None:
     """Stage `name` can run from `prior`: 'initial' takes none, and a later
     stage takes a net that passes `check_layers` and has the class count of
-    `corpus` and, with `config.warm_start`, the config's channels. Every net
-    has the output stride `load_corpus` held the images to, so the prior
-    can relabel them."""
+    `corpus`. Every net has the output stride `load_corpus` held the images
+    to, so the prior can relabel them."""
     if (prior is None) != (name == "initial"):
         raise ValueError(f"stage {name!r} takes {'no' if name == 'initial' else 'a'} prior")
     if prior is None:
         return
-    classes, channels = check_layers(prior)
+    classes, _ = check_layers(prior)
     if classes != corpus.num_classes:
         raise ValueError(
             f"checkpoint has num_classes {classes}, the run has num_classes {corpus.num_classes}"
-        )
-    if config.warm_start and channels != config.channels:
-        raise ValueError(
-            f"checkpoint has channels {list(channels)}, the run config has channels "
-            f"{list(config.channels)}, and warm_start trains the checkpoint"
         )
 
 
@@ -413,38 +406,30 @@ def run_stage(
 ):
     """Runs one stage on `corpus` (`load_corpus`); returns (net, StageReport).
 
-    'initial' trains a new net of `config.channels` on saliency targets and
-    takes no prior. The later stages relabel their images with `prior`, the
-    previous stage's net, and train a new net (a copy of `prior` with
-    `config.warm_start`). The enhanced stage does this `config.enhance_rounds`
-    times, each round relabeling with the net the round before trained. The
-    prior's masks go to masks_<previous stage>/ under out_dir when given; it
-    is created once the stage has records to train on (`_trained_on`) and a
-    prior that `check_prior` passes. The net is then evaluated on the eval split.
+    Every stage trains a new net of `config.channels`: 'initial' on saliency
+    targets, taking no prior; the later stages on the masks of `prior`, the
+    previous stage's net, which go to masks_<previous stage>/ under out_dir
+    when given. out_dir is created once the stage has records to train on
+    (`_trained_on`) and a prior that `check_prior` passes. The net is then
+    evaluated on the eval split.
     """
     entries = _trained_on(name, corpus, config)
-    check_prior(name, prior, corpus, config)
+    check_prior(name, prior, corpus)
     if out_dir is not None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
     supervision = SUPERVISION_SALIENCY if name == "initial" else SUPERVISION_MASKS
     init_salt, train_salt = _SALTS[name]
     t0 = time.perf_counter()
     try:
-        net = prior
-        for rnd in range(config.enhance_rounds if name == "enhanced" else 1):
-            targets = _stage_targets(name, net, entries)
-            if rnd == 0 and name != "initial":
-                prev = STAGES[STAGES.index(name) - 1]
-                _write_masks(out_dir, f"masks_{prev}", entries, targets)
-            if config.warm_start and name != "initial":
-                net = net.copy()
-            else:
-                seed = _derive_seed(config.seed, init_salt + 100 * rnd)
-                net = init_network(NetworkConfig(corpus.num_classes, config.channels, seed=seed))
-            _, losses = train_stage(
-                net, [(rec, image) for _, rec, image, _ in entries], supervision, targets,
-                replace(config, seed=_derive_seed(config.seed, train_salt + 100 * rnd)),
-            )
+        targets = _stage_targets(name, prior, entries)
+        if name != "initial":
+            _write_masks(out_dir, f"masks_{STAGES[STAGES.index(name) - 1]}", entries, targets)
+        seed = _derive_seed(config.seed, init_salt)
+        net = init_network(NetworkConfig(corpus.num_classes, config.channels, seed=seed))
+        _, losses = train_stage(
+            net, [(rec, image) for _, rec, image, _ in entries], supervision, targets,
+            replace(config, seed=_derive_seed(config.seed, train_salt)),
+        )
         per_iou, miou = evaluate(net, corpus.eval)
     except Exception as e:
         raise PipelineError(name, e) from e

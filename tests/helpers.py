@@ -177,3 +177,7 @@ SCHEDULE_KEYS = [
     "initial_lr", "final_layer_lr_multiplier", "lr_decay_factor", "lr_decay_every_epochs",
     "momentum", "weight_decay",
 ]
+
+# Pipeline flags that were removed (one net per stage, trained from scratch):
+# neither a run config nor TrainConfig takes them as keys.
+REMOVED_FLAG_KEYS = ["warm_start", "enhance_rounds"]

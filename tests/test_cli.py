@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from helpers import JSON_MUTATIONS, PEAK_RSS_KB, SCHEDULE_KEYS, mutated_json_object
+from helpers import (
+    JSON_MUTATIONS, PEAK_RSS_KB, REMOVED_FLAG_KEYS, SCHEDULE_KEYS, mutated_json_object,
+)
 from stc import cli, data, imageio, network, pipeline
 from stc.cli import load_run_config, main
 from stc.network import NetworkConfig, init_network, predict
@@ -349,10 +351,10 @@ class TestRun:
             ("epochs", "2"),
             ("epochs", 2.5),
             ("batch_size", True),
-            ("warm_start", 1),
+            ("include_simple_in_powerful", 1),
             ("num_classes", "4"),
             ("epochs", None),
-            ("warm_start", None),
+            ("include_simple_in_powerful", None),
             ("channels", None),
         ],
     )
@@ -606,25 +608,6 @@ class TestStageCommand:
         assert str(path) in err and "num_classes" in err, err
         assert not out.exists()
 
-    def test_warm_start_params_with_other_channels_rejected_before_any_stage_work(
-        self, dataset_dir, tmp_path, capsys, monkeypatch
-    ):
-        def no_stage_work(*args, **kwargs):
-            raise AssertionError("a warm-started stage ran on a checkpoint with other channels")
-
-        monkeypatch.setattr(pipeline, "run_stage", no_stage_work)
-        path = tmp_path / "prior.stcp"
-        save_params(init_network(NetworkConfig(4, channels=(6, 8, 10), seed=0)), path)
-        cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps({**TINY_CONFIG, "channels": [16, 32, 64], "warm_start": True}))
-        out = tmp_path / "stage_out"
-        rc = main(["stage", "--data", str(dataset_dir), "--out", str(out),
-                   "--stage", "enhanced", "--params", str(path), "--config", str(cfg)])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert str(path) in err and "channels" in err, err
-        assert not out.exists()
-
     def test_cold_start_params_with_other_channels_train_the_configs_channels(
         self, dataset_dir, tmp_path
     ):
@@ -715,7 +698,6 @@ class TestStageCommand:
         ("crop_size", 0),
         ("batch_size", 0),
         ("epochs", -1),
-        ("enhance_rounds", 0),
         ("num_classes", 0),
         ("seed", -1),
     ],
@@ -740,7 +722,7 @@ def test_config_value_out_of_range_rejected_naming_file_and_key_before_any_stage
 
 
 @pytest.mark.parametrize("command", ["run", "stage"])
-@pytest.mark.parametrize("key", [*SCHEDULE_KEYS, "data", "out"])
+@pytest.mark.parametrize("key", [*SCHEDULE_KEYS, *REMOVED_FLAG_KEYS, "data", "out"])
 def test_sgd_schedule_key_rejected_as_unknown_naming_file_and_key_before_any_stage_work(
     dataset_dir, tmp_path, capsys, monkeypatch, command, key
 ):
@@ -872,8 +854,8 @@ def test_bad_eval_ground_truth_rejected_before_training(
 
 @pytest.mark.parametrize(
     "flags",
-    [{}, {"warm_start": True, "enhance_rounds": 2, "include_simple_in_powerful": False}],
-    ids=["default", "warm-2rounds-complex-only"],
+    [{}, {"include_simple_in_powerful": False}],
+    ids=["default", "complex-only"],
 )
 def test_stage_chain_matches_run(dataset_dir, tmp_path, flags):
     cfg = tmp_path / "config.json"

@@ -102,8 +102,8 @@ def test_tracer_spans_the_image_writers_with_their_file_sizes(spans, tmp_path):
 # the run-config keys as of the benchmark's workloads, TrainConfig's fields;
 # dropping or renaming one changes what `stc run --config` accepts
 RUN_CONFIG_KEYS = [
-    "batch_size", "channels", "crop_size", "enhance_rounds", "epochs",
-    "include_simple_in_powerful", "num_classes", "seed", "warm_start",
+    "batch_size", "channels", "crop_size", "epochs", "include_simple_in_powerful",
+    "num_classes", "seed",
 ]
 
 

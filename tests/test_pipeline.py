@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import PEAK_RSS_KB, SCHEDULE_KEYS, brute_force_iou
+from helpers import PEAK_RSS_KB, REMOVED_FLAG_KEYS, SCHEDULE_KEYS, brute_force_iou
 from stc import cli, data, imageio, network, ops
 from stc import pipeline
 from stc.imageio import read_pgm, write_saliency_pgm
@@ -178,8 +178,7 @@ class TestEvaluate:
 @pytest.mark.parametrize(
     "key, value",
     [
-        ("enhance_rounds", 0), ("channels", ()), ("channels", (8, 0, 4)), ("num_classes", 0),
-        ("seed", -1),
+        ("channels", ()), ("channels", (8, 0, 4)), ("num_classes", 0), ("seed", -1),
     ],
 )
 def test_train_config_out_of_range_error_names_the_key(key, value):
@@ -197,7 +196,7 @@ def test_train_config_out_of_range_error_names_the_key(key, value):
         ("channels", (6,), "a list of 3 positive integers"),
         ("channels", (6, 8, 10, 12), "a list of 3 positive integers"),
         ("batch_size", True, "an integer"),
-        ("warm_start", 1, "true or false"),
+        ("include_simple_in_powerful", 1, "true or false"),
         ("num_classes", 3.0, "an integer"),
     ],
 )
@@ -213,7 +212,7 @@ def test_train_config_takes_a_list_for_channels():
     assert TrainConfig().num_classes is None
 
 
-@pytest.mark.parametrize("key", SCHEDULE_KEYS)
+@pytest.mark.parametrize("key", [*SCHEDULE_KEYS, *REMOVED_FLAG_KEYS])
 def test_sgd_schedule_is_no_train_config_setting(key):
     with pytest.raises(TypeError, match=key):
         TrainConfig(**{key: 1})
@@ -263,30 +262,24 @@ def test_load_corpus_holds_every_image_side_to_a_multiple_of_4(tmp_path, split):
     assert str(err.value) == want
 
 
-def _prior(num_classes: int, channels=TINY_CHANNELS):
-    return init_network(NetworkConfig(num_classes, channels=channels, seed=4))
+def _prior(num_classes: int):
+    return init_network(NetworkConfig(num_classes, channels=TINY_CHANNELS, seed=4))
 
 
-# case -> (stage, prior, whether the config warm-starts, the error)
+# case -> (stage, prior, the error)
 BAD_PRIORS = {
-    "none": ("enhanced", None, False, "stage 'enhanced' takes a prior"),
+    "none": ("enhanced", None, "stage 'enhanced' takes a prior"),
     "classes": (
-        "powerful", lambda: _prior(2), False,
-        "checkpoint has num_classes 2, the run has num_classes 4",
+        "powerful", lambda: _prior(2), "checkpoint has num_classes 2, the run has num_classes 4",
     ),
-    "initial": ("initial", lambda: _prior(4), False, "stage 'initial' takes no prior"),
-    "warm-channels": (
-        "enhanced", lambda: _prior(4, (6, 8, 12)), True,
-        "checkpoint has channels [6, 8, 12], the run config has channels [6, 8, 10], "
-        "and warm_start trains the checkpoint",
-    ),
+    "initial": ("initial", lambda: _prior(4), "stage 'initial' takes no prior"),
     "layers": (
         "enhanced",
-        lambda: _prior(4).subset([*(f"conv{i}.weight" for i in (1, 2, 3)), "head.weight"]), False,
+        lambda: _prior(4).subset([*(f"conv{i}.weight" for i in (1, 2, 3)), "head.weight"]),
         "missing conv1.bias",
     ),
     "unknown-stage": (
-        "Enhanced", lambda: _prior(4), False,
+        "Enhanced", lambda: _prior(4),
         "unknown stage 'Enhanced': the stages are initial, enhanced, powerful",
     ),
 }
@@ -302,13 +295,12 @@ def _no_stage_work(monkeypatch):
 
 @pytest.mark.parametrize("case", list(BAD_PRIORS))
 def test_run_stage_rejects_a_bad_prior_before_any_stage_work(corpus, tmp_path, monkeypatch, case):
-    stage, prior, warm_start, want = BAD_PRIORS[case]
+    stage, prior, want = BAD_PRIORS[case]
     loaded = pipeline.load_corpus(*(corpus.split(s) for s in data.SPLITS), TINY)
     _no_stage_work(monkeypatch)
     out = tmp_path / "out"
-    config = replace(TINY, warm_start=warm_start)
     with pytest.raises(ValueError) as err:
-        pipeline.run_stage(stage, prior and prior(), loaded, config, out_dir=out)
+        pipeline.run_stage(stage, prior and prior(), loaded, TINY, out_dir=out)
     assert str(err.value).startswith(want), err.value
     assert not out.exists()
 
@@ -680,15 +672,12 @@ class TestRunStc:
         for stage in ("initial", "enhanced", "powerful"):
             assert nets[stage].names() == fresh.names()
 
-    def test_masks_initial_come_from_the_initial_net(self, corpus, tmp_path):
+    def test_masks_initial_come_from_the_initial_net(self, result, corpus):
+        nets, _, out = result
         simple = corpus.split("simple")
-        nets, _ = run_stc(
-            simple, corpus.split("complex"), corpus.split("eval"),
-            replace(TINY, enhance_rounds=2), out_dir=tmp_path,
-        )
         for rec in simple.records:
             expected = relabel_simple(nets["initial"], simple.load_image(rec), min(rec.labels))
-            written = read_pgm(tmp_path / "masks_initial" / f"{Path(rec.image).stem}.pgm")
+            written = read_pgm(out / "masks_initial" / f"{Path(rec.image).stem}.pgm")
             assert np.array_equal(written, expected), rec.image
 
     def test_empty_simple_manifest_fails_with_stage(self, corpus):
